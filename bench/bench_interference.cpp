@@ -18,7 +18,7 @@ namespace {
 using namespace graybox;
 using namespace graybox::core;
 
-HarnessConfig config_for(Algorithm algo, bool wrapped, SimTime delta,
+HarnessConfig config_for(const std::string& algo, bool wrapped, SimTime delta,
                          std::uint64_t seed) {
   HarnessConfig config;
   config.n = 5;
@@ -31,8 +31,8 @@ HarnessConfig config_for(Algorithm algo, bool wrapped, SimTime delta,
   return config;
 }
 
-const char* short_name(Algorithm algo) {
-  return algo == Algorithm::kRicartAgrawala ? "ra" : "lamport";
+const char* short_name(const std::string& algo) {
+  return algo == "ricart-agrawala" ? "ra" : "lamport";
 }
 
 }  // namespace
@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
   scenario.drain = 4000;
 
   const SimTime deltas[] = {5, 25, 100, 400};
-  const Algorithm algos[] = {Algorithm::kRicartAgrawala, Algorithm::kLamport};
+  const std::string algos[] = {"ricart-agrawala", "lamport"};
 
   SpecGrid grid;
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     grid.add(std::string(short_name(algo)) + "/bare",
              config_for(algo, false, 0, seed), scenario, trials);
     for (const SimTime delta : deltas) {
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
                "bare, identical seeds (" << trials << " trials per cell, "
             << result.jobs << " jobs)\n\n";
 
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     Table table({"configuration", "safety violations", "CS entries mean±sd",
                  "protocol msgs mean±sd", "wrapper msgs mean±sd",
                  "max wait mean±sd"});
@@ -88,7 +88,7 @@ int main(int argc, char** argv) {
       row("W' delta=" + std::to_string(delta),
           std::string(short_name(algo)) + "/delta=" + std::to_string(delta));
     }
-    std::cout << to_string(algo) << ":\n";
+    std::cout << algo << ":\n";
     table.print(std::cout);
     std::cout << "\n";
   }

@@ -18,7 +18,7 @@ namespace {
 using namespace graybox;
 using namespace graybox::core;
 
-HarnessConfig config_for(Algorithm algo, std::size_t n, bool wrapped) {
+HarnessConfig config_for(const std::string& algo, std::size_t n, bool wrapped) {
   HarnessConfig config;
   config.n = n;
   config.algorithm = algo;
@@ -44,8 +44,8 @@ std::string stab_cell(const RepeatedResult& r) {
   return std::to_string(r.stabilized) + "/" + std::to_string(r.trials);
 }
 
-const char* short_name(Algorithm algo) {
-  return algo == Algorithm::kRicartAgrawala ? "ra" : "lamport";
+const char* short_name(const std::string& algo) {
+  return algo == "ricart-agrawala" ? "ra" : "lamport";
 }
 
 }  // namespace
@@ -59,10 +59,10 @@ int main(int argc, char** argv) {
   const std::size_t sizes[] = {2, 3, 4, 6, 8, 10, 12, 16, 24};
   const std::size_t bursts[] = {2, 5, 10, 20, 40, 80};
   const std::size_t bare_bursts[] = {10, 40, 80};
-  const Algorithm algos[] = {Algorithm::kRicartAgrawala, Algorithm::kLamport};
+  const std::string algos[] = {"ricart-agrawala", "lamport"};
 
   SpecGrid grid;
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     for (const std::size_t n : sizes) {
       grid.add("by_n/" + std::string(short_name(algo)) +
                    "/n=" + std::to_string(n),
@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
   std::cout << "\nBare baseline (n = 5): how often luck suffices without "
                "the wrapper, as the loss-heavy adversary strengthens:\n\n";
   Table bare({"algorithm", "burst 10", "burst 40", "burst 80"});
-  for (const Algorithm algo : algos) {
+  for (const std::string& algo : algos) {
     std::vector<std::string> cells;
     for (const std::size_t burst : bare_bursts) {
       const RepeatedResult& r =
@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
               .result;
       cells.push_back(stab_cell(r) + " stabilized");
     }
-    bare.row(to_string(algo), cells[0], cells[1], cells[2]);
+    bare.row(algo, cells[0], cells[1], cells[2]);
   }
   bare.print(std::cout);
 

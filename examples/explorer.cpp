@@ -238,7 +238,7 @@ int main(int argc, char** argv) {
 
   if (config.trace_capacity > 0) {
     std::cout << "\nevent trace tail:\n";
-    system.trace().dump(std::cout, 32);
+    system.events().dump(std::cout, 32);
   }
   if (blast_radius && system.provenance() != nullptr) {
     const obs::ProvenanceTracker& prov = *system.provenance();

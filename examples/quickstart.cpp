@@ -62,8 +62,9 @@ int main(int argc, char** argv) {
             << ", wrapper resends " << system.stats().wrapper_messages
             << "\n";
   std::cout << "violations by clause:";
-  for (const auto& [name, total] : system.monitors().violations_total_by_monitor()) {
-    if (total > 0) std::cout << " " << name << "=" << total;
+  for (const auto& m : system.monitors().monitors()) {
+    if (m->total_violations() > 0)
+      std::cout << " " << m->name() << "=" << m->total_violations();
   }
   std::cout << "\n";
 

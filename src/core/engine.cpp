@@ -53,10 +53,10 @@ std::string config_digest(const HarnessConfig& config) {
   h.mix(std::uint64_t{config.n});
   // The algorithm choice is hashed through the registry's canonical
   // serialization (per-process "name[key=value,...]" with options fully
-  // resolved), NOT through enum values or struct-field order: two configs
-  // that construct identical processes digest identically regardless of
-  // spelling (alias, legacy struct, generic option), and externally
-  // registered algorithms digest without touching this function.
+  // resolved): two configs that construct identical processes digest
+  // identically regardless of spelling (an alias, option order, a default
+  // spelled out), and externally registered algorithms digest without
+  // touching this function.
   h.mix(std::string_view{algorithm_spec(config)});
   h.mix(config.wrapped);
   h.mix(std::uint64_t{config.wrapper.resend_period});
@@ -72,8 +72,6 @@ std::string config_digest(const HarnessConfig& config) {
   h.mix(config.client.eat_mean);
   h.mix(std::uint64_t{config.client.poll_interval});
   h.mix(config.client.wants_cs);
-  // ra_options/lamport_options are not mixed directly: algorithm_spec
-  // already folds the deprecated structs into the resolved option list.
   h.mix(config.install_monitors);
   h.mix(config.install_lspec_monitors);
   h.mix(config.fault_process.drop_mean);
@@ -249,19 +247,8 @@ report::Json cell_to_json(const CellResult& cell) {
   j["trials"] = std::uint64_t{cell.result.trials};
   j["stabilized"] = std::uint64_t{cell.result.stabilized};
   j["starved"] = std::uint64_t{cell.result.starved};
-  j["latency"] = accumulator_to_json(cell.result.latency);
-  j["total_messages"] = accumulator_to_json(cell.result.total_messages);
-  j["wrapper_messages"] = accumulator_to_json(cell.result.wrapper_messages);
-  j["protocol_messages"] = accumulator_to_json(cell.result.protocol_messages);
-  j["violations"] = accumulator_to_json(cell.result.violations);
-  j["safety_violations"] =
-      accumulator_to_json(cell.result.safety_violations);
-  j["cs_entries"] = accumulator_to_json(cell.result.cs_entries);
-  j["max_wait"] = accumulator_to_json(cell.result.max_wait);
-  j["events"] = accumulator_to_json(cell.result.events);
-  j["faults"] = accumulator_to_json(cell.result.faults);
-  j["availability"] = accumulator_to_json(cell.result.availability);
-  j["reconverge"] = accumulator_to_json(cell.result.reconverge);
+  for (const AccumulatorField& f : kAccumulatorFields)
+    j[f.name] = accumulator_to_json(cell.result.*f.member);
   if (!cell.result.metrics.empty()) {
     j["metrics"] = cell.result.metrics.to_json();
   }

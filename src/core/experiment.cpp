@@ -23,11 +23,8 @@ ExperimentResult run_fault_experiment(const HarnessConfig& config,
 
 RepeatedResult::RepeatedResult(std::size_t sample_cap) {
   if (sample_cap == 0) return;
-  for (Accumulator* acc :
-       {&latency, &total_messages, &wrapper_messages, &protocol_messages,
-        &violations, &safety_violations, &cs_entries, &max_wait, &events}) {
-    *acc = Accumulator(sample_cap);
-  }
+  for (const AccumulatorField& f : kAccumulatorFields)
+    this->*f.member = Accumulator(sample_cap);
 }
 
 void RepeatedResult::add(const ExperimentResult& result) {
@@ -71,18 +68,8 @@ void RepeatedResult::merge(const RepeatedResult& other) {
   trials += other.trials;
   stabilized += other.stabilized;
   starved += other.starved;
-  latency.merge(other.latency);
-  total_messages.merge(other.total_messages);
-  wrapper_messages.merge(other.wrapper_messages);
-  protocol_messages.merge(other.protocol_messages);
-  violations.merge(other.violations);
-  safety_violations.merge(other.safety_violations);
-  cs_entries.merge(other.cs_entries);
-  max_wait.merge(other.max_wait);
-  events.merge(other.events);
-  faults.merge(other.faults);
-  availability.merge(other.availability);
-  reconverge.merge(other.reconverge);
+  for (const AccumulatorField& f : kAccumulatorFields)
+    (this->*f.member).merge(other.*f.member);
   observe_ns_total += other.observe_ns_total;
   metrics.merge(other.metrics);
 }

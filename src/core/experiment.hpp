@@ -94,6 +94,27 @@ struct RepeatedResult {
   bool all_stabilized() const { return stabilized == trials; }
 };
 
+/// Every RepeatedResult accumulator with its BENCH_*.json key, in artifact
+/// order. The sample cap, merge() and the JSON cell all iterate this table.
+struct AccumulatorField {
+  const char* name;
+  Accumulator RepeatedResult::*member;
+};
+inline constexpr AccumulatorField kAccumulatorFields[] = {
+    {"latency", &RepeatedResult::latency},
+    {"total_messages", &RepeatedResult::total_messages},
+    {"wrapper_messages", &RepeatedResult::wrapper_messages},
+    {"protocol_messages", &RepeatedResult::protocol_messages},
+    {"violations", &RepeatedResult::violations},
+    {"safety_violations", &RepeatedResult::safety_violations},
+    {"cs_entries", &RepeatedResult::cs_entries},
+    {"max_wait", &RepeatedResult::max_wait},
+    {"events", &RepeatedResult::events},
+    {"faults", &RepeatedResult::faults},
+    {"availability", &RepeatedResult::availability},
+    {"reconverge", &RepeatedResult::reconverge},
+};
+
 /// Run `trials` experiments over consecutive seeds and aggregate. `jobs`
 /// selects worker threads (0 = all cores, 1 = serial); the aggregate is
 /// bit-identical for every jobs value.

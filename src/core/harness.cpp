@@ -8,43 +8,21 @@
 
 namespace graybox::core {
 
-const char* to_string(Algorithm a) {
-  // The enum-era names are exactly the registry names (the registry is the
-  // single source of algorithm names; this map only serves the deprecated
-  // enum shim).
-  switch (a) {
-    case Algorithm::kRicartAgrawala:
-      return "ricart-agrawala";
-    case Algorithm::kLamport:
-      return "lamport";
-    case Algorithm::kFragile:
-      return "fragile-ra";
-  }
-  return "unknown";
-}
-
 namespace {
 
 const me::ProcessFactory& factory_for(const HarnessConfig& config,
                                       ProcessId pid) {
-  const AlgorithmId& id = config.per_process_algorithms.empty()
-                              ? config.algorithm
-                              : config.per_process_algorithms[pid];
-  return me::ProtocolRegistry::instance().require(id.name);
+  return me::ProtocolRegistry::instance().require(
+      config.per_process_algorithms.empty()
+          ? config.algorithm
+          : config.per_process_algorithms[pid]);
 }
 
 /// The layered option list for one process, lowest precedence first:
-/// deprecated structs, uniform algorithm_options, per-process options.
+/// uniform algorithm_options, then per-process options.
 std::vector<std::string> options_for(const HarnessConfig& config,
-                                     ProcessId pid,
-                                     const me::ProcessFactory& factory) {
-  std::vector<std::string> opts;
-  if (factory.name() == "ricart-agrawala" && config.ra_options.monotone_views)
-    opts.push_back("monotone_views=1");
-  if (factory.name() == "lamport" && config.lamport_options.head_only_release)
-    opts.push_back("head_only_release=1");
-  opts.insert(opts.end(), config.algorithm_options.begin(),
-              config.algorithm_options.end());
+                                     ProcessId pid) {
+  std::vector<std::string> opts = config.algorithm_options;
   if (!config.per_process_options.empty()) {
     opts.insert(opts.end(), config.per_process_options[pid].begin(),
                 config.per_process_options[pid].end());
@@ -59,7 +37,7 @@ std::string algorithm_spec(const HarnessConfig& config) {
   specs.reserve(config.n);
   for (ProcessId pid = 0; pid < config.n; ++pid) {
     const me::ProcessFactory& f = factory_for(config, pid);
-    specs.push_back(f.canonical_spec(f.resolve(options_for(config, pid, f))));
+    specs.push_back(f.canonical_spec(f.resolve(options_for(config, pid))));
   }
   // A heterogeneous vector whose entries all resolve identically constructs
   // the same system as the uniform spelling — serialize them the same.
@@ -177,8 +155,7 @@ SystemHarness::SystemHarness(HarnessConfig config)
       });
   faults_->set_event_bus(bus_.get());
   faults_->set_provenance(provenance_.get());
-  faults_->set_fault_observer(
-      [this](net::FaultKind) { on_fault_arrival(); });
+  faults_->set_fault_observer([this] { on_fault_arrival(); });
 
   // Sustained fault load. Lifecycle actions route back into the harness
   // because processes/clients/wrappers live above the net layer.
@@ -267,61 +244,24 @@ SystemHarness::SystemHarness(HarnessConfig config)
     }
   });
 
-  // The human-readable trace is a lazy view over the bus ring (see
-  // trace()); it only needs matching retention.
-  trace_ = sim::Trace(config_.trace_capacity);
-
-  // Metrics instrumentation: push histograms fed by passive observers, and
-  // pull counters registered up front (fixed order) but refreshed from the
-  // component counters inside stats(). Everything is sim-domain valued, so
-  // the snapshot is a pure function of the seed.
+  // Push histograms fed by passive observers. Everything is sim-domain
+  // valued, so the metrics are a pure function of the seed.
   if (config_.collect_metrics) {
+    histograms_ = std::make_unique<Histograms>();
     hungry_since_.assign(config_.n, kNever);
-    obs::Histogram& cs_wait =
-        metrics_.histogram("cs_wait_ticks", obs::Histogram::pow2_bounds(20));
-    obs::Histogram& queue_depth = metrics_.histogram(
-        "channel_queue_depth", obs::Histogram::pow2_bounds(10));
-    obs::Histogram& in_flight =
-        metrics_.histogram("net_in_flight", obs::Histogram::pow2_bounds(12));
-    metrics_.counter("wrapper_resends");
-    metrics_.counter("level1_corrections");
-    for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
-      metrics_.counter(std::string("faults.") +
-                       net::fault_code_name(static_cast<std::uint8_t>(k)));
-    }
-    for (const std::string& name : monitor_set_.monitor_names()) {
-      metrics_.counter("violations." + name);
-    }
-    // Sustained-load availability instruments (pull; refreshed in stats()).
-    metrics_.counter("fault_rate_per_kilotick");
-    metrics_.counter("availability_ppm");
-    metrics_.counter("deliveries_to_crashed");
-    metrics_.counter("dropped_by_partition");
-    reconverge_hist_ = &metrics_.histogram("reconverge_ticks",
-                                           obs::Histogram::pow2_bounds(20));
-    // Blast-radius rollup (provenance.*; zeros when provenance is off).
-    // Registered unconditionally so the snapshot shape is a pure function
-    // of collect_metrics, never of the provenance toggle.
-    metrics_.counter("provenance.faults_minted");
-    metrics_.counter("provenance.processes_tainted");
-    metrics_.counter("provenance.messages_tainted");
-    metrics_.counter("provenance.violations_attributed");
-    metrics_.counter("provenance.containment_ticks");
-    metrics_.counter("provenance.taint_overflows");
-
     net_->add_send_observer(
-        [this, &queue_depth, &in_flight](const net::Message& msg) {
-          in_flight.observe(net_->in_flight());
-          queue_depth.observe(net_->channel(msg.from, msg.to).in_flight());
+        [this, &hist = *histograms_](const net::Message& msg) {
+          hist.in_flight.observe(net_->in_flight());
+          hist.queue_depth.observe(net_->channel(msg.from, msg.to).in_flight());
         });
     for (ProcessId pid = 0; pid < config_.n; ++pid) {
       processes_[pid]->add_state_observer(
-          [this, &cs_wait, pid](me::TmeState, me::TmeState to) {
+          [this, &hist = *histograms_, pid](me::TmeState, me::TmeState to) {
             if (to == me::TmeState::kHungry) {
               hungry_since_[pid] = sched_.now();
             } else if (to == me::TmeState::kEating &&
                        hungry_since_[pid] != kNever) {
-              cs_wait.observe(sched_.now() - hungry_since_[pid]);
+              hist.cs_wait.observe(sched_.now() - hungry_since_[pid]);
               hungry_since_[pid] = kNever;
             }
           });
@@ -334,7 +274,7 @@ SystemHarness::~SystemHarness() = default;
 std::unique_ptr<me::TmeProcess> SystemHarness::make_process(ProcessId pid) {
   const me::ProcessFactory& factory = factory_for(config_, pid);
   const me::ResolvedOptions options =
-      factory.resolve(options_for(config_, pid, factory));
+      factory.resolve(options_for(config_, pid));
   auto process = factory.make(pid, config_.n, *net_, factory_rng_, options);
   GBX_ASSERT(process != nullptr);
   return process;
@@ -360,18 +300,6 @@ wrapper::LocalWrapper* SystemHarness::local_wrapper(ProcessId pid) {
   return local_wrappers_[pid].get();
 }
 
-const sim::Trace& SystemHarness::trace() const {
-  if (bus_->enabled() && bus_->total_recorded() != trace_rendered_total_) {
-    trace_.clear();
-    for (std::size_t i = 0; i < bus_->size(); ++i) {
-      const obs::Event& e = bus_->event(i);
-      trace_.record(e.time, bus_->render(e));
-    }
-    trace_rendered_total_ = bus_->total_recorded();
-  }
-  return trace_;
-}
-
 void SystemHarness::start() {
   if (started_) return;
   started_ = true;
@@ -393,7 +321,7 @@ bool SystemHarness::crash(ProcessId pid) {
   clients_[pid]->stop();
   if (wrappers_[pid]) wrappers_[pid]->stop();
   if (local_wrappers_[pid]) local_wrappers_[pid]->stop();
-  note_lifecycle(net::kFaultCodeProcessCrash, pid);
+  faults_->record_lifecycle(net::kFaultCodeProcessCrash, pid);
   return true;
 }
 
@@ -408,7 +336,7 @@ bool SystemHarness::recover(ProcessId pid) {
   clients_[pid]->start();
   if (wrappers_[pid]) wrappers_[pid]->start();
   if (local_wrappers_[pid]) local_wrappers_[pid]->start();
-  note_lifecycle(net::kFaultCodeProcessRecover, pid);
+  faults_->record_lifecycle(net::kFaultCodeProcessRecover, pid);
   return true;
 }
 
@@ -420,35 +348,15 @@ bool SystemHarness::partition(std::uint64_t mask) {
   GBX_EXPECTS((mask & all) != 0 && (mask & all) != all);
   if (net_->partition_mask() != 0) return false;
   net_->set_partition(mask & all);
-  note_lifecycle(net::kFaultCodePartition, kNoProcess);
+  faults_->record_lifecycle(net::kFaultCodePartition, kNoProcess);
   return true;
 }
 
 bool SystemHarness::heal_partition() {
   if (net_->partition_mask() == 0) return false;
   net_->set_partition(0);
-  note_lifecycle(net::kFaultCodePartitionHeal, kNoProcess);
+  faults_->record_lifecycle(net::kFaultCodePartitionHeal, kNoProcess);
   return true;
-}
-
-void SystemHarness::note_lifecycle(std::uint8_t code, ProcessId pid) {
-  lifecycle_stats_[code - net::kFaultKindCount].note(sched_.now());
-  obs::ProvenanceId id = obs::kNoProvenance;
-  if (provenance_ != nullptr) {
-    id = provenance_->mint(code, pid, sched_.now());
-    // Crash and recovery corrupt the named process (recovery re-enters an
-    // improperly initialized state); partitions have no single target.
-    if (pid != kNoProcess) provenance_->taint_process(pid, id);
-  }
-  if (bus_->enabled()) {
-    obs::Event e;
-    e.kind = obs::EventKind::kFaultInjected;
-    e.a = code;
-    e.pid = pid;
-    e.taint.add(id);
-    bus_->record(e);
-  }
-  on_fault_arrival();
 }
 
 void SystemHarness::on_fault_arrival() {
@@ -462,7 +370,7 @@ void SystemHarness::on_fault_arrival() {
                             : 0;
     ++reconverge_windows_;
     reconverge_ticks_ += gap;
-    if (reconverge_hist_ != nullptr) reconverge_hist_->observe(gap);
+    if (histograms_ != nullptr) histograms_->reconverge.observe(gap);
   }
   prev_fault_time_ = now;
 }
@@ -485,14 +393,9 @@ bool SystemHarness::quiescent() const {
 StabilizationReport SystemHarness::stabilization_report() const {
   GBX_EXPECTS(config_.install_monitors);
   StabilizationReport report;
-  report.last_fault = faults_->last_fault_time();
   // Lifecycle faults (crash/recovery, partition/heal) count: latency is
   // measured from the last perturbation of any kind.
-  for (const obs::KindStats& s : lifecycle_stats_) {
-    if (s.count == 0) continue;
-    if (report.last_fault == kNever || s.last > report.last_fault)
-      report.last_fault = s.last;
-  }
+  report.last_fault = faults_->last_fault_time();
   report.faults_injected = report.last_fault != kNever;
 
   // Safety monitors: ME1, ME3, Invariant I. (ME2's records are liveness
@@ -526,60 +429,15 @@ StabilizationReport SystemHarness::stabilization_report() const {
 
 obs::StabilizationTimeline SystemHarness::timeline() const {
   GBX_EXPECTS(config_.install_monitors);
-  obs::StabilizationTimeline tl;
-  tl.run_end = sched_.now();
-
-  tl.faults_injected = faults_->total_injected();
-  tl.first_fault = faults_->first_fault_time();
-  tl.last_fault = faults_->last_fault_time();
-  // Lifecycle faults share the bus's fault-code space (codes after the
-  // injector's kinds), so fold them in the same order timeline_from_bus
-  // reads its aggregates: injector kinds first, lifecycle codes after.
-  for (const obs::KindStats& s : lifecycle_stats_) {
-    if (s.count == 0) continue;
-    tl.faults_injected += s.count;
-    if (tl.first_fault == kNever || s.first < tl.first_fault)
-      tl.first_fault = s.first;
-    if (tl.last_fault == kNever || s.last > tl.last_fault)
-      tl.last_fault = s.last;
-  }
-  for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
-    const obs::KindStats& s =
-        k < net::kFaultKindCount
-            ? faults_->kind_stats(static_cast<net::FaultKind>(k))
-            : lifecycle_stats_[k - net::kFaultKindCount];
-    if (s.count == 0) continue;
-    obs::TimelineEntry e;
-    e.name = net::fault_code_name(static_cast<std::uint8_t>(k));
-    e.count = s.count;
-    e.first = s.first;
-    e.last = s.last;
-    tl.faults.push_back(std::move(e));
-  }
-
+  std::vector<obs::KindStats> clauses;
   for (const auto& m : monitor_set_.monitors()) {
-    obs::TimelineEntry e;
-    e.name = m->name();
-    e.count = m->total_violations();
-    e.first = m->first_violation();
-    e.last = m->last_violation();
-    if (e.count > 0) {
-      tl.violations_total += e.count;
-      if (tl.first_violation == kNever || e.first < tl.first_violation)
-        tl.first_violation = e.first;
-      if (tl.last_violation == kNever || e.last > tl.last_violation)
-        tl.last_violation = e.last;
-    }
-    tl.clauses.push_back(std::move(e));
+    clauses.push_back(obs::KindStats{
+        m->total_violations(), m->first_violation(), m->last_violation()});
   }
-
-  SimTime last = kNever;
-  for (SimTime t : {net_->last_send_time(), net_->last_delivery_time(),
-                    tl.last_fault, tl.last_violation}) {
-    if (t == kNever) continue;
-    if (last == kNever || t > last) last = t;
-  }
-  tl.last_activity = last;
+  obs::StabilizationTimeline tl = obs::fold_timeline(
+      sched_.now(), net::fault_kind_names(), faults_->code_stats(),
+      monitor_set_.monitor_names(), clauses,
+      {net_->last_send_time(), net_->last_delivery_time()});
   tl.quiescent = quiescent();
   return tl;
 }
@@ -611,14 +469,13 @@ RunStats SystemHarness::stats() const {
   }
   stats.lspec_clause_violations = lspec_handles_.total_violations();
   stats.observe_ns = observe_ns_;
-  stats.crashes = lifecycle_stats_[0].count;
-  stats.recoveries = lifecycle_stats_[1].count;
-  stats.partitions = lifecycle_stats_[2].count;
-  stats.partition_heals = lifecycle_stats_[3].count;
+  const auto& codes = faults_->code_stats();
+  stats.crashes = codes[net::kFaultCodeProcessCrash].count;
+  stats.recoveries = codes[net::kFaultCodeProcessRecover].count;
+  stats.partitions = codes[net::kFaultCodePartition].count;
+  stats.partition_heals = codes[net::kFaultCodePartitionHeal].count;
   stats.deliveries_to_crashed = deliveries_to_crashed_;
   stats.dropped_by_partition = net_->dropped_by_partition();
-  stats.faults_injected += stats.crashes + stats.recoveries +
-                           stats.partitions + stats.partition_heals;
   // Fold the tail window (last fault to run end) into the reconvergence
   // numbers without disturbing the live tracker: stats() may be called
   // mid-run and again later.
@@ -643,55 +500,58 @@ RunStats SystemHarness::stats() const {
     stats.taint_overflows = provenance_->taint_overflows();
   }
 
-  if (config_.collect_metrics) {
-    // Refresh the pull counters (registered in the constructor, so the
-    // snapshot order never depends on when stats() is called).
-    std::uint64_t resends = 0;
-    for (const auto& w : wrappers_)
-      if (w) resends += w->resends();
-    metrics_.counter("wrapper_resends").set(resends);
-    metrics_.counter("level1_corrections").set(stats.level1_corrections);
-    for (std::size_t k = 0; k < net::kFaultCodeCount; ++k) {
-      const std::uint64_t count =
-          k < net::kFaultKindCount
-              ? faults_->count(static_cast<net::FaultKind>(k))
-              : lifecycle_stats_[k - net::kFaultKindCount].count;
-      metrics_
-          .counter(std::string("faults.") +
-                   net::fault_code_name(static_cast<std::uint8_t>(k)))
-          .set(count);
-    }
-    for (const auto& [name, total] :
-         monitor_set_.violations_total_by_monitor()) {
-      metrics_.counter("violations." + name).set(total);
-    }
-    // Availability under load: observed fault pressure and the fraction of
-    // issued CS requests actually served (ppm; 10^6 when nothing issued).
-    // Capped at 10^6: state corruption can fabricate CS entries no client
-    // requested, and those must not read as surplus availability.
-    metrics_.counter("fault_rate_per_kilotick")
-        .set(stats.duration > 0 ? stats.faults_injected * 1000 / stats.duration
-                                : 0);
-    const std::uint64_t served = tm.me2 != nullptr ? tm.me2->served() : 0;
-    metrics_.counter("availability_ppm")
-        .set(stats.requests_issued > 0
-                 ? std::min<std::uint64_t>(
-                       1000000, served * 1000000 / stats.requests_issued)
-                 : 1000000);
-    metrics_.counter("deliveries_to_crashed").set(deliveries_to_crashed_);
-    metrics_.counter("dropped_by_partition").set(net_->dropped_by_partition());
-    metrics_.counter("provenance.faults_minted").set(stats.provenance_faults);
-    metrics_.counter("provenance.processes_tainted")
-        .set(stats.processes_tainted);
-    metrics_.counter("provenance.messages_tainted").set(stats.messages_tainted);
-    metrics_.counter("provenance.violations_attributed")
-        .set(stats.violations_attributed);
-    metrics_.counter("provenance.containment_ticks")
-        .set(stats.containment_ticks);
-    metrics_.counter("provenance.taint_overflows").set(stats.taint_overflows);
-    stats.metrics = metrics_.snapshot();
-  }
+  if (histograms_ != nullptr) stats.metrics = metrics(stats);
   return stats;
+}
+
+obs::MetricsSnapshot SystemHarness::metrics(const RunStats& stats) const {
+  obs::MetricsSnapshot out;
+  auto counter = [&out](std::string name, std::uint64_t value) {
+    out.push_back(obs::counter_sample(std::move(name), value));
+  };
+  auto histogram = [&out](std::string name, const obs::Histogram& h) {
+    out.push_back(obs::histogram_sample(std::move(name), h));
+  };
+  histogram("cs_wait_ticks", histograms_->cs_wait);
+  histogram("channel_queue_depth", histograms_->queue_depth);
+  histogram("net_in_flight", histograms_->in_flight);
+  std::uint64_t resends = 0;
+  for (const auto& w : wrappers_)
+    if (w) resends += w->resends();
+  counter("wrapper_resends", resends);
+  counter("level1_corrections", stats.level1_corrections);
+  const auto& codes = faults_->code_stats();
+  for (std::size_t k = 0; k < codes.size(); ++k) {
+    counter(std::string("faults.") +
+                net::fault_code_name(static_cast<std::uint8_t>(k)),
+            codes[k].count);
+  }
+  for (const auto& m : monitor_set_.monitors())
+    counter("violations." + m->name(), m->total_violations());
+  // Availability under load: observed fault pressure and the fraction of
+  // issued CS requests actually served (ppm; 10^6 when nothing issued).
+  // Capped at 10^6: state corruption can fabricate CS entries no client
+  // requested, and those must not read as surplus availability.
+  counter("fault_rate_per_kilotick",
+          stats.duration > 0 ? stats.faults_injected * 1000 / stats.duration
+                             : 0);
+  counter("availability_ppm",
+          stats.requests_issued > 0
+              ? std::min<std::uint64_t>(
+                    1000000, stats.me2_served * 1000000 / stats.requests_issued)
+              : 1000000);
+  counter("deliveries_to_crashed", stats.deliveries_to_crashed);
+  counter("dropped_by_partition", stats.dropped_by_partition);
+  histogram("reconverge_ticks", histograms_->reconverge);
+  // Blast-radius rollup (zeros when provenance is off, so the snapshot's
+  // shape never depends on the provenance toggle).
+  counter("provenance.faults_minted", stats.provenance_faults);
+  counter("provenance.processes_tainted", stats.processes_tainted);
+  counter("provenance.messages_tainted", stats.messages_tainted);
+  counter("provenance.violations_attributed", stats.violations_attributed);
+  counter("provenance.containment_ticks", stats.containment_ticks);
+  counter("provenance.taint_overflows", stats.taint_overflows);
+  return out;
 }
 
 }  // namespace graybox::core

@@ -19,20 +19,15 @@
 #pragma once
 
 #include <memory>
-#include <optional>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "lspec/lspec_clause_monitors.hpp"
 #include "lspec/program_monitors.hpp"
 #include "lspec/snapshot.hpp"
 #include "lspec/tme_monitors.hpp"
-#include "sim/trace.hpp"
 #include "me/client.hpp"
-#include "me/lamport.hpp"
 #include "me/protocol_registry.hpp"
-#include "me/ricart_agrawala.hpp"
 #include "net/fault_injector.hpp"
 #include "net/fault_process.hpp"
 #include "net/network.hpp"
@@ -45,48 +40,27 @@
 
 namespace graybox::core {
 
-/// Deprecated: the closed enum from before the protocol registry. Kept so
-/// enum-era call sites (tests, benches) compile unchanged; it converts
-/// implicitly into AlgorithmId below. New code should name algorithms by
-/// their registered string (me::ProtocolRegistry).
-enum class Algorithm { kRicartAgrawala, kLamport, kFragile };
-
-const char* to_string(Algorithm a);
-
-/// An algorithm reference: a name resolved through me::ProtocolRegistry at
-/// harness construction (aliases accepted; unknown names fail fast with
-/// the registered list). Implicitly constructible from the deprecated
-/// Algorithm enum and from string literals.
-struct AlgorithmId {
-  std::string name = "ricart-agrawala";
-
-  AlgorithmId() = default;
-  AlgorithmId(Algorithm a) : name(to_string(a)) {}          // NOLINT
-  AlgorithmId(const char* n) : name(n) {}                   // NOLINT
-  AlgorithmId(std::string n) : name(std::move(n)) {}        // NOLINT
-  AlgorithmId(std::string_view n) : name(n) {}              // NOLINT
-
-  friend bool operator==(const AlgorithmId&, const AlgorithmId&) = default;
-};
-
 /// Wrapper-tier bits for HarnessConfig::per_process_tiers.
 inline constexpr std::uint8_t kTierLevel1 = 1u << 0;
 inline constexpr std::uint8_t kTierLevel2 = 1u << 1;
 
 struct HarnessConfig {
   std::size_t n = 5;
-  AlgorithmId algorithm{};
+  /// The protocol, by me::ProtocolRegistry name, resolved at harness
+  /// construction (aliases accepted; unknown names fail fast with the
+  /// registered list).
+  std::string algorithm = "ricart-agrawala";
 
   /// Heterogeneous systems: when non-empty (size n), overrides `algorithm`
   /// per process. Lspec is a LOCAL everywhere specification (Section 2.1),
   /// so the theory — and the wrapper — apply to mixed implementations;
   /// tests/test_heterogeneous.cpp probes exactly that.
-  std::vector<AlgorithmId> per_process_algorithms{};
+  std::vector<std::string> per_process_algorithms{};
 
   /// Uniform "key=value" algorithm options, resolved against each
-  /// process's factory schema (unknown keys fail fast). Overrides the
-  /// deprecated option structs below; in mixed runs every key must be
-  /// valid for every factory — prefer per_process_options there.
+  /// process's factory schema (unknown keys fail fast). In mixed runs
+  /// every key must be valid for every factory — prefer
+  /// per_process_options there.
   std::vector<std::string> algorithm_options{};
 
   /// Per-process options (size n when non-empty), appended after
@@ -110,12 +84,6 @@ struct HarnessConfig {
 
   net::DelayModel delay = net::DelayModel::uniform(1, 5);
   me::ClientConfig client{};
-
-  /// Deprecated: pre-registry per-algorithm option structs. Still honoured
-  /// (folded into the option resolution below algorithm_options), so
-  /// enum-era call sites keep working.
-  me::RicartAgrawalaOptions ra_options{};
-  me::LamportOptions lamport_options{};
 
   /// Master seed; every stochastic component gets an independent stream.
   std::uint64_t seed = 1;
@@ -155,15 +123,15 @@ struct HarnessConfig {
   /// deliveries, state transitions, faults, wrapper corrections, monitor
   /// violations). 0 disables event recording; the bus object always exists
   /// and every producer stays attached, so the disabled cost is one
-  /// predicted branch per would-be event. The human-readable trace() view
-  /// renders from the same ring.
+  /// predicted branch per would-be event. events().dump() prints the ring
+  /// as "[time] text" lines.
   std::size_t trace_capacity = 0;
 
-  /// Install the metrics instrumentation (CS wait histogram, queue-depth
-  /// and in-flight samples, plus the pull counters mirrored in
-  /// RunStats::metrics). Purely passive — no RNG draws, no scheduling — so
-  /// it never perturbs the run; excluded from config_digest for exactly
-  /// that reason (the experiment engine forces it on per trial).
+  /// Fill RunStats::metrics: the CS-wait, queue-depth, in-flight and
+  /// reconvergence histograms plus one sample per run counter. Purely
+  /// passive — no RNG draws, no scheduling — so it never perturbs the run;
+  /// excluded from config_digest for exactly that reason (the experiment
+  /// engine forces it on per trial).
   bool collect_metrics = false;
 
   /// Sustained fault load: continuous per-kind fault streams plus
@@ -184,10 +152,10 @@ struct HarnessConfig {
 
 /// The registry-canonical serialization of a config's algorithm choice:
 /// per-process canonical specs ("name" or "name[key=value,...]", options
-/// fully resolved with the deprecated structs folded in), "+"-joined for
-/// heterogeneous systems. Two configs that construct identical processes
-/// serialize identically regardless of how their options were spelled;
-/// the engine's config digests hash exactly this string.
+/// fully resolved), "+"-joined for heterogeneous systems. Two configs that
+/// construct identical processes serialize identically regardless of how
+/// their options were spelled; the engine's config digests hash exactly
+/// this string.
 std::string algorithm_spec(const HarnessConfig& config);
 
 struct RunStats {
@@ -317,14 +285,6 @@ class SystemHarness {
     return provenance_.get();
   }
 
-  /// Live metric instruments; empty unless config.collect_metrics.
-  const obs::MetricsRegistry& metrics() const { return metrics_; }
-
-  /// Rolling human-readable trace; empty unless config.trace_capacity > 0.
-  /// A lazily rendered text view over events(): rebuilt from the retained
-  /// ring on access, preserving the legacy "[time] text" dump format.
-  const sim::Trace& trace() const;
-
   /// Arm clients and wrappers.
   void start();
 
@@ -341,10 +301,11 @@ class SystemHarness {
   RunStats stats() const;
 
   /// The run's convergence story: fault burst -> first violation ->
-  /// per-clause decay -> last violation -> quiescence. Derived from the
-  /// fault injector, monitor set, and network activity bookkeeping, so it
+  /// per-clause decay -> last violation -> quiescence. Folded from the
+  /// fault injector's and the monitors' own count/first/last rows, so it
   /// works even with the event bus disabled; with the bus enabled,
-  /// obs::timeline_from_bus(events()) agrees on every shared field.
+  /// obs::timeline_from_bus(events()) folds the bus's copy of the same rows
+  /// the same way.
   /// Requires config.install_monitors (like stabilization_report()).
   obs::StabilizationTimeline timeline() const;
 
@@ -353,11 +314,11 @@ class SystemHarness {
 
  private:
   std::unique_ptr<me::TmeProcess> make_process(ProcessId pid);
-  /// Record a lifecycle fault (bus event + aggregate) and open a new
-  /// reconvergence window.
-  void note_lifecycle(std::uint8_t code, ProcessId pid);
   /// Close the current reconvergence window (a new fault arrived).
   void on_fault_arrival();
+  /// RunStats::metrics: the histograms, then one sample per run counter
+  /// read from `stats` or its component. Requires histograms_.
+  obs::MetricsSnapshot metrics(const RunStats& stats) const;
 
   HarnessConfig config_;
   Rng master_rng_;
@@ -379,17 +340,12 @@ class SystemHarness {
   Rng recovery_rng_;
   std::vector<char> crashed_;
   std::uint64_t deliveries_to_crashed_ = 0;
-  /// count/first/last per lifecycle fault code (crash, recover, partition,
-  /// heal — codes 7..10); mirrors what the bus aggregates so timeline()
-  /// agrees with timeline_from_bus() with the bus disabled.
-  std::array<obs::KindStats, 4> lifecycle_stats_{};
   // Reconvergence tracking: every fault arrival closes the window opened
   // by the previous one at the last safety violation seen inside it.
   SimTime prev_fault_time_ = kNever;
   SimTime last_violation_time_ = kNever;
   std::uint64_t reconverge_windows_ = 0;
   std::uint64_t reconverge_ticks_ = 0;
-  obs::Histogram* reconverge_hist_ = nullptr;
   std::unique_ptr<lspec::SnapshotSource> snapshots_;
   lspec::TmeMonitorSet monitor_set_;
   lspec::TmeMonitors tme_handles_;
@@ -400,12 +356,17 @@ class SystemHarness {
   /// raw pointer to it would matter only for destructor use — none do —
   /// but keep it next to the bus it conceptually extends.
   std::unique_ptr<obs::ProvenanceTracker> provenance_;
-  // Pull counters are refreshed from component state inside const stats().
-  mutable obs::MetricsRegistry metrics_;
+  /// The push histograms stats() reports; null unless
+  /// config.collect_metrics. Every counter sample is read from its
+  /// component when stats() runs.
+  struct Histograms {
+    obs::Histogram cs_wait{obs::Histogram::pow2_bounds(20)};
+    obs::Histogram queue_depth{obs::Histogram::pow2_bounds(10)};
+    obs::Histogram in_flight{obs::Histogram::pow2_bounds(12)};
+    obs::Histogram reconverge{obs::Histogram::pow2_bounds(20)};
+  };
+  std::unique_ptr<Histograms> histograms_;
   std::vector<SimTime> hungry_since_;  ///< per-pid CS wait start (metrics)
-  // trace() is a lazily rendered view over bus_; mutable for const access.
-  mutable sim::Trace trace_{0};
-  mutable std::uint64_t trace_rendered_total_ = 0;
   std::uint64_t observe_ns_ = 0;
   std::unique_ptr<lspec::StructuralSpecMonitor> structural_;
   std::unique_ptr<lspec::SendMonotonicityMonitor> send_mono_;

@@ -22,7 +22,6 @@
 
 #include "sim/scheduler.hpp"    // IWYU pragma: export
 #include "sim/timer.hpp"        // IWYU pragma: export
-#include "sim/trace.hpp"        // IWYU pragma: export
 
 #include "clock/logical_clock.hpp"  // IWYU pragma: export
 #include "clock/timestamp.hpp"      // IWYU pragma: export

@@ -113,8 +113,8 @@ class ProcessFactory {
 
   /// Resolve "key=value" strings against the schema (later entries win;
   /// unknown keys abort with the schema listed). The layered harness
-  /// options (legacy structs, uniform, per-process) concatenate into one
-  /// list before resolution.
+  /// options (uniform, then per-process) concatenate into one list before
+  /// resolution.
   ResolvedOptions resolve(const std::vector<std::string>& options) const;
 
   /// "name" or "name[key=value,...]" — the canonical spec of one configured

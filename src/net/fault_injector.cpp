@@ -187,15 +187,13 @@ obs::ProvenanceId FaultInjector::mint(FaultKind kind, ProcessId pid) {
   return prov_->mint(static_cast<std::uint8_t>(kind), pid, sched_.now());
 }
 
-void FaultInjector::note(FaultKind kind, ProcessId pid, std::uint64_t dropped,
-                         obs::ProvenanceId id) {
-  kind_stats_[static_cast<std::size_t>(kind)].note(sched_.now());
-  if (first_fault_time_ == kNever) first_fault_time_ = sched_.now();
-  last_fault_time_ = sched_.now();
+void FaultInjector::note(std::uint8_t code, ProcessId pid,
+                         std::uint64_t dropped, obs::ProvenanceId id) {
+  code_stats_[code].note(sched_.now());
   if (bus_ != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::kFaultInjected;
-    e.a = static_cast<std::uint8_t>(kind);
+    e.a = code;
     e.pid = pid;
     e.payload = dropped;
     e.taint.add(id);
@@ -208,7 +206,19 @@ void FaultInjector::note(FaultKind kind, ProcessId pid, std::uint64_t dropped,
       bus_->record(d);
     }
   }
-  if (on_fault_) on_fault_(kind);
+  if (on_fault_) on_fault_();
+}
+
+void FaultInjector::record_lifecycle(std::uint8_t code, ProcessId pid) {
+  GBX_EXPECTS(code >= kFaultKindCount && code < kFaultCodeCount);
+  obs::ProvenanceId id = obs::kNoProvenance;
+  if (prov_ != nullptr) {
+    id = prov_->mint(code, pid, sched_.now());
+    // Crash and recovery corrupt the named process (recovery re-enters an
+    // improperly initialized state); partitions have no single target.
+    if (pid != kNoProcess) prov_->taint_process(pid, id);
+  }
+  note(code, pid, 0, id);
 }
 
 void FaultInjector::taint_in_flight(Channel& ch, std::size_t index,
@@ -320,7 +330,7 @@ bool FaultInjector::inject(FaultKind kind) {
       break;
     }
   }
-  note(kind, fault_pid, dropped, id);
+  note(static_cast<std::uint8_t>(kind), fault_pid, dropped, id);
   return true;
 }
 
@@ -407,7 +417,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       break;
     }
   }
-  note(kind, fault_pid, dropped, id);
+  note(static_cast<std::uint8_t>(kind), fault_pid, dropped, id);
   return true;
 }
 
@@ -444,8 +454,14 @@ void FaultInjector::schedule_continuous(SimTime start, SimTime end,
 
 std::uint64_t FaultInjector::total_injected() const {
   std::uint64_t total = 0;
-  for (const auto& s : kind_stats_) total += s.count;
+  for (const obs::KindStats& s : code_stats_) total += s.count;
   return total;
+}
+
+SimTime FaultInjector::last_fault_time() const {
+  obs::KindStats all;
+  for (const obs::KindStats& s : code_stats_) all.merge(s);
+  return all.last;
 }
 
 }  // namespace graybox::net

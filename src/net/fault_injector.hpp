@@ -8,8 +8,9 @@
 // The injector perturbs channels directly and perturbs process state via a
 // callback supplied by the harness (the process layer sits above this one).
 // Every perturbation draws from a seeded RNG, so an adversarial run is
-// replayable. The injector records the time of the last injected fault;
-// stabilization latency is always measured from that instant.
+// replayable. The injector keeps the run's only count/first/last record of
+// every fault code, the harness's lifecycle faults included; stabilization
+// latency is always measured from the last of them.
 #pragma once
 
 #include <array>
@@ -135,20 +136,23 @@ class FaultInjector {
   /// timestamp, random type). Public so scenario tests can reuse it.
   Message random_message(ProcessId from, ProcessId to);
 
-  /// Time of the most recent successfully injected fault; kNever if none.
-  SimTime last_fault_time() const { return last_fault_time_; }
-  /// Time of the first successfully injected fault; kNever if none. Start
-  /// of the fault burst in the stabilization timeline.
-  SimTime first_fault_time() const { return first_fault_time_; }
+  /// Record a lifecycle fault (process crash or recovery, partition or
+  /// heal) that the harness has just applied: mint its provenance id, taint
+  /// the crashed or recovered process, and account it like an injected
+  /// fault.
+  void record_lifecycle(std::uint8_t code, ProcessId pid);
 
+  /// Exact count / first / last per fault code (kFaultCodeCount rows).
+  const std::array<obs::KindStats, kFaultCodeCount>& code_stats() const {
+    return code_stats_;
+  }
   std::uint64_t count(FaultKind kind) const {
-    return kind_stats_[static_cast<std::size_t>(kind)].count;
+    return code_stats_[static_cast<std::size_t>(kind)].count;
   }
-  /// Exact count / first / last aggregate per fault kind.
-  const obs::KindStats& kind_stats(FaultKind kind) const {
-    return kind_stats_[static_cast<std::size_t>(kind)];
-  }
+  /// All recorded faults of every code.
   std::uint64_t total_injected() const;
+  /// Time of the most recent recorded fault; kNever if none.
+  SimTime last_fault_time() const;
 
   /// Attach the observability bus; every injected fault is recorded as a
   /// kFaultInjected event (plus kDrop for destroyed messages).
@@ -160,9 +164,9 @@ class FaultInjector {
   /// default) disables.
   void set_provenance(obs::ProvenanceTracker* prov) { prov_ = prov; }
 
-  /// Harness hook fired after every successfully injected fault (the
-  /// reconvergence tracker keys its windows off fault arrivals).
-  void set_fault_observer(std::function<void(FaultKind)> fn) {
+  /// Harness hook fired after every recorded fault (the reconvergence
+  /// tracker keys its windows off fault arrivals).
+  void set_fault_observer(std::function<void()> fn) {
     on_fault_ = std::move(fn);
   }
 
@@ -177,12 +181,12 @@ class FaultInjector {
   /// Pick a random ordered process pair (requires n >= 2).
   std::pair<ProcessId, ProcessId> pick_pair();
   clk::Timestamp random_timestamp();
-  /// Account one applied fault: bump the per-kind aggregate, stamp
-  /// first/last fault times, and emit bus events. `pid` names the corrupted
-  /// process (process faults only); `dropped` counts messages destroyed;
-  /// `id` is the fault's minted provenance id (0 when tracking is off).
-  void note(FaultKind kind, ProcessId pid = kNoProcess,
-            std::uint64_t dropped = 0, obs::ProvenanceId id = 0);
+  /// Account one applied fault: bump the per-code aggregate and emit bus
+  /// events. `pid` names the corrupted process (process faults only);
+  /// `dropped` counts messages destroyed; `id` is the fault's minted
+  /// provenance id (0 when tracking is off).
+  void note(std::uint8_t code, ProcessId pid, std::uint64_t dropped,
+            obs::ProvenanceId id);
   /// Mint the provenance id for one applied fault (0 when tracking is off).
   obs::ProvenanceId mint(FaultKind kind, ProcessId pid = kNoProcess);
   /// Taint the in-flight carrier the fault tampered with (no-op id 0).
@@ -192,12 +196,10 @@ class FaultInjector {
   Network& net_;
   Rng rng_;
   CorruptProcessFn corrupt_process_;
-  std::array<obs::KindStats, kFaultKindCount> kind_stats_{};
-  SimTime first_fault_time_ = kNever;
-  SimTime last_fault_time_ = kNever;
+  std::array<obs::KindStats, kFaultCodeCount> code_stats_{};
   obs::EventBus* bus_ = nullptr;
   obs::ProvenanceTracker* prov_ = nullptr;
-  std::function<void(FaultKind)> on_fault_;
+  std::function<void()> on_fault_;
 };
 
 }  // namespace graybox::net

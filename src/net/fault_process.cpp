@@ -84,10 +84,8 @@ void FaultProcess::fire(std::size_t stream) {
   // inject() returns false when the kind has no target right now (e.g. a
   // drop with nothing in flight); the arrival is skipped, the stream keeps
   // going — exactly a Poisson adversary whose shot missed.
-  if (injector_.inject(kind)) {
-    ++arrivals_applied_;
+  if (injector_.inject(kind))
     note(static_cast<std::uint8_t>(stream), kNoProcess);
-  }
 }
 
 void FaultProcess::fire_crash() {
@@ -102,14 +100,11 @@ void FaultProcess::fire_crash() {
   if (!callbacks_.crash(pid)) return;
   down_mask_ |= std::uint64_t{1} << pid;
   ++down_count_;
-  ++crashes_;
-  ++arrivals_applied_;
   note(kFaultCodeProcessCrash, pid);
   sched_.schedule_at(sched_.now() + down, [this, pid] {
     if (((down_mask_ >> pid) & 1u) == 0) return;
     down_mask_ &= ~(std::uint64_t{1} << pid);
     --down_count_;
-    ++recoveries_;
     if (callbacks_.recover) callbacks_.recover(pid);
     note(kFaultCodeProcessRecover, pid);
   });
@@ -133,13 +128,10 @@ void FaultProcess::fire_partition() {
   if (partition_active_) return;
   if (!callbacks_.partition(mask)) return;
   partition_active_ = true;
-  ++partitions_;
-  ++arrivals_applied_;
   note(kFaultCodePartition, kNoProcess);
   sched_.schedule_at(sched_.now() + hold, [this] {
     if (!partition_active_) return;
     partition_active_ = false;
-    ++heals_;
     if (callbacks_.heal) callbacks_.heal();
     note(kFaultCodePartitionHeal, kNoProcess);
   });

@@ -126,14 +126,9 @@ class FaultProcess {
   void record_schedule(bool on) { record_schedule_ = on; }
   const std::vector<FaultArrival>& schedule() const { return schedule_; }
 
-  /// Arrivals that fired / were applied (applied <= fired: targetless
-  /// message faults and capped crashes are skipped).
+  /// Arrivals that fired, applied or not (targetless message faults and
+  /// capped crashes are skipped; the injector counts the applied ones).
   std::uint64_t arrivals_fired() const { return arrivals_fired_; }
-  std::uint64_t arrivals_applied() const { return arrivals_applied_; }
-  std::uint64_t crashes() const { return crashes_; }
-  std::uint64_t recoveries() const { return recoveries_; }
-  std::uint64_t partitions() const { return partitions_; }
-  std::uint64_t heals() const { return heals_; }
 
  private:
   // Stream indices: the FaultKind codes 0..6, then crash, then partition.
@@ -163,11 +158,6 @@ class FaultProcess {
   bool record_schedule_ = false;
   std::vector<FaultArrival> schedule_;
   std::uint64_t arrivals_fired_ = 0;
-  std::uint64_t arrivals_applied_ = 0;
-  std::uint64_t crashes_ = 0;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t partitions_ = 0;
-  std::uint64_t heals_ = 0;
   /// Bitmask of processes this FaultProcess has crashed and not yet
   /// recovered (its own view; manual harness crashes are not tracked).
   std::uint64_t down_mask_ = 0;

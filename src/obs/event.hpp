@@ -94,6 +94,14 @@ struct KindStats {
     if (count == 0 || t > last) last = t;
     ++count;
   }
+
+  /// Fold another aggregate of the same event class into this one.
+  void merge(const KindStats& other) {
+    if (other.count == 0) return;
+    if (count == 0 || other.first < first) first = other.first;
+    if (count == 0 || other.last > last) last = other.last;
+    count += other.count;
+  }
 };
 
 }  // namespace graybox::obs

@@ -1,5 +1,7 @@
 #include "obs/event_bus.hpp"
 
+#include <ostream>
+
 #include "common/contracts.hpp"
 
 namespace graybox::obs {
@@ -186,7 +188,7 @@ std::string EventBus::render(const Event& e) const {
     case EventKind::kLocalStep:
     case EventKind::kCsEnter:
     case EventKind::kCsExit:
-      // Matches the legacy harness trace: "proc 0: thinking -> hungry".
+      // "proc 0: thinking -> hungry".
       return "proc " + std::to_string(e.pid) + ": " + state_name(e.a) +
              " -> " + state_name(e.b);
     case EventKind::kFaultInjected: {
@@ -216,6 +218,13 @@ std::string EventBus::render(const Event& e) const {
              local_predicate_name(e.a);
   }
   return to_string(e.kind);
+}
+
+void EventBus::dump(std::ostream& os, std::size_t last_n) const {
+  for (std::size_t i = size_ > last_n ? size_ - last_n : 0; i < size_; ++i) {
+    const Event& e = event(i);
+    os << '[' << e.time << "] " << render(e) << '\n';
+  }
 }
 
 }  // namespace graybox::obs

@@ -13,6 +13,7 @@
 // construction. bench_substrate_micro measures both sides.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -77,9 +78,12 @@ class EventBus {
     return fault_kind_names_;
   }
 
-  /// Human-readable one-line rendering (no leading "[time]"); matches the
-  /// legacy sim::Trace text for the kinds the old string trace covered.
+  /// Human-readable one-line rendering (no leading "[time]").
   std::string render(const Event& e) const;
+
+  /// Print the newest `last_n` retained events, oldest first, one
+  /// "[time] text" line each: the run's human-readable trace.
+  void dump(std::ostream& os, std::size_t last_n = 64) const;
 
  private:
   void record_slow(const Event& e);

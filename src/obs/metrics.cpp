@@ -6,18 +6,6 @@
 
 namespace graybox::obs {
 
-void Gauge::set(std::int64_t value) {
-  value_ = value;
-  if (!set_) {
-    low_ = value;
-    high_ = value;
-    set_ = true;
-  } else {
-    low_ = std::min(low_, value);
-    high_ = std::max(high_, value);
-  }
-}
-
 Histogram::Histogram(std::vector<std::uint64_t> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
   GBX_EXPECTS(!bounds_.empty());
@@ -48,81 +36,24 @@ double Histogram::mean() const {
                      : static_cast<double>(sum_) / static_cast<double>(count_);
 }
 
-Counter& MetricsRegistry::counter(const std::string& name) {
-  if (Entry* e = find(name)) {
-    GBX_EXPECTS(e->kind == MetricSample::Kind::kCounter);
-    return *e->counter;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricSample::Kind::kCounter;
-  e.counter = std::make_unique<Counter>();
-  entries_.push_back(std::move(e));
-  return *entries_.back().counter;
+MetricSample counter_sample(std::string name, std::uint64_t value) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.value = static_cast<std::int64_t>(value);
+  return s;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  if (Entry* e = find(name)) {
-    GBX_EXPECTS(e->kind == MetricSample::Kind::kGauge);
-    return *e->gauge;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricSample::Kind::kGauge;
-  e.gauge = std::make_unique<Gauge>();
-  entries_.push_back(std::move(e));
-  return *entries_.back().gauge;
-}
-
-Histogram& MetricsRegistry::histogram(const std::string& name,
-                                      std::vector<std::uint64_t> bounds) {
-  if (Entry* e = find(name)) {
-    GBX_EXPECTS(e->kind == MetricSample::Kind::kHistogram);
-    return *e->histogram;
-  }
-  Entry e;
-  e.name = name;
-  e.kind = MetricSample::Kind::kHistogram;
-  e.histogram = std::make_unique<Histogram>(std::move(bounds));
-  entries_.push_back(std::move(e));
-  return *entries_.back().histogram;
-}
-
-MetricsRegistry::Entry* MetricsRegistry::find(const std::string& name) {
-  for (Entry& e : entries_) {
-    if (e.name == name) return &e;
-  }
-  return nullptr;
-}
-
-MetricsSnapshot MetricsRegistry::snapshot() const {
-  MetricsSnapshot out;
-  out.reserve(entries_.size());
-  for (const Entry& e : entries_) {
-    MetricSample s;
-    s.name = e.name;
-    s.kind = e.kind;
-    switch (e.kind) {
-      case MetricSample::Kind::kCounter:
-        s.value = static_cast<std::int64_t>(e.counter->value());
-        break;
-      case MetricSample::Kind::kGauge:
-        s.value = e.gauge->value();
-        s.min = static_cast<std::uint64_t>(e.gauge->low());
-        s.max = static_cast<std::uint64_t>(e.gauge->high());
-        break;
-      case MetricSample::Kind::kHistogram:
-        s.value = static_cast<std::int64_t>(e.histogram->count());
-        s.sum = e.histogram->sum();
-        s.min = e.histogram->min();
-        s.max = e.histogram->max();
-        s.bounds = e.histogram->bounds();
-        s.buckets = e.histogram->buckets();
-        break;
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
+MetricSample histogram_sample(std::string name, const Histogram& histogram) {
+  MetricSample s;
+  s.name = std::move(name);
+  s.kind = MetricSample::Kind::kHistogram;
+  s.value = static_cast<std::int64_t>(histogram.count());
+  s.sum = histogram.sum();
+  s.min = histogram.min();
+  s.max = histogram.max();
+  s.bounds = histogram.bounds();
+  s.buckets = histogram.buckets();
+  return s;
 }
 
 report::Json metrics_snapshot_to_json(const MetricsSnapshot& snapshot) {
@@ -133,12 +64,6 @@ report::Json metrics_snapshot_to_json(const MetricsSnapshot& snapshot) {
       case MetricSample::Kind::kCounter:
         cell["type"] = "counter";
         cell["value"] = s.value;
-        break;
-      case MetricSample::Kind::kGauge:
-        cell["type"] = "gauge";
-        cell["value"] = s.value;
-        cell["low"] = static_cast<std::int64_t>(s.min);
-        cell["high"] = static_cast<std::int64_t>(s.max);
         break;
       case MetricSample::Kind::kHistogram: {
         cell["type"] = "histogram";
@@ -224,17 +149,8 @@ report::Json MetricsAggregate::to_json() const {
   report::Json doc = report::Json::object();
   for (const Entry& e : entries_) {
     report::Json cell = report::Json::object();
-    switch (e.kind) {
-      case MetricSample::Kind::kCounter:
-        cell["type"] = "counter";
-        break;
-      case MetricSample::Kind::kGauge:
-        cell["type"] = "gauge";
-        break;
-      case MetricSample::Kind::kHistogram:
-        cell["type"] = "histogram";
-        break;
-    }
+    cell["type"] =
+        e.kind == MetricSample::Kind::kHistogram ? "histogram" : "counter";
     cell["trials"] = static_cast<std::uint64_t>(e.per_trial.count());
     cell["mean"] = e.per_trial.mean();
     cell["stddev"] = e.per_trial.stddev();

@@ -1,20 +1,19 @@
-// Metrics registry: deterministic run instrumentation.
+// Metrics: deterministic run instrumentation.
 //
-// Counters, gauges, and fixed-bucket histograms keyed by *simulated* time
-// and sim-domain values — never wall-clock — so that every exported metric
-// is a pure function of the run's seed and byte-identical across --jobs
-// values and repeated runs. (Wall-clock-derived values must stay out of
-// here; they live under the `wall`/`ns` key naming rule of
-// report::strip_volatile_lines.)
+// A run's metrics are a MetricsSnapshot: named counter samples, read from
+// the component that counts the fact, and fixed-bucket histograms fed as
+// the run goes. Every value is *simulated*-time or sim-domain valued —
+// never wall-clock — so every exported metric is a pure function of the
+// run's seed and byte-identical across --jobs values and repeated runs.
+// (Wall-clock-derived values must stay out of here; they live under the
+// `wall`/`ns` key naming rule of report::strip_volatile_lines.)
 //
-// The registry owns its instruments and snapshots them in registration
-// order; MetricsAggregate folds per-trial snapshots into the experiment
-// engine's seed-order merge, which keeps BENCH_*.json metric cells
-// deterministic by the same argument as every other aggregate.
+// MetricsAggregate folds per-trial snapshots into the experiment engine's
+// seed-order merge, which keeps BENCH_*.json metric cells deterministic by
+// the same argument as every other aggregate.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,35 +21,6 @@
 #include "common/stats.hpp"
 
 namespace graybox::obs {
-
-/// Monotone event count.
-class Counter {
- public:
-  void inc(std::uint64_t delta = 1) { value_ += delta; }
-  /// Absolute update, for pull-style metrics mirrored from an existing
-  /// counter (fault injector counts, monitor totals) at snapshot time.
-  void set(std::uint64_t value) { value_ = value; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Last-written value with min/max watermarks.
-class Gauge {
- public:
-  void set(std::int64_t value);
-  std::int64_t value() const { return value_; }
-  std::int64_t low() const { return low_; }
-  std::int64_t high() const { return high_; }
-  bool ever_set() const { return set_; }
-
- private:
-  std::int64_t value_ = 0;
-  std::int64_t low_ = 0;
-  std::int64_t high_ = 0;
-  bool set_ = false;
-};
 
 /// Fixed-bucket histogram over non-negative integer values. Bucket i counts
 /// observations <= bounds[i] (strictly greater than bounds[i-1]); one
@@ -85,14 +55,14 @@ class Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// Value snapshot of one instrument, decoupled from the live registry so
-/// that RunStats can carry metrics across threads and into the engine fold.
+/// Value snapshot of one metric, a plain value so that RunStats can carry
+/// metrics across threads and into the engine fold.
 struct MetricSample {
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
+  enum class Kind : std::uint8_t { kCounter, kHistogram };
 
   std::string name;
   Kind kind = Kind::kCounter;
-  /// Counter value / gauge last value / histogram observation count.
+  /// Counter value / histogram observation count.
   std::int64_t value = 0;
   // Histogram-only payload.
   std::uint64_t sum = 0;
@@ -104,33 +74,8 @@ struct MetricSample {
 
 using MetricsSnapshot = std::vector<MetricSample>;
 
-/// Ordered, owning collection of named instruments. Registration order is
-/// snapshot/export order (deterministic). Re-registering a name returns
-/// the existing instrument (kind must match; contract).
-class MetricsRegistry {
- public:
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name,
-                       std::vector<std::uint64_t> bounds);
-
-  bool empty() const { return entries_.empty(); }
-  std::size_t size() const { return entries_.size(); }
-
-  MetricsSnapshot snapshot() const;
-
- private:
-  struct Entry {
-    std::string name;
-    MetricSample::Kind kind;
-    std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
-  };
-  Entry* find(const std::string& name);
-
-  std::vector<Entry> entries_;
-};
+MetricSample counter_sample(std::string name, std::uint64_t value);
+MetricSample histogram_sample(std::string name, const Histogram& histogram);
 
 /// Serialize one snapshot (insertion order preserved; all values
 /// sim-domain, so the artifact is byte-stable across runs and jobs).
@@ -138,8 +83,8 @@ report::Json metrics_snapshot_to_json(const MetricsSnapshot& snapshot);
 
 /// Fold of per-trial MetricsSnapshots, mergeable like RepeatedResult's
 /// accumulators: add() one trial, merge() another partial (its trials
-/// ordered after ours). Counter and gauge values become per-trial
-/// Accumulators; histograms sum bucket-wise.
+/// ordered after ours). Counter values become per-trial Accumulators;
+/// histograms sum bucket-wise.
 class MetricsAggregate {
  public:
   void add(const MetricsSnapshot& snapshot);
@@ -152,7 +97,7 @@ class MetricsAggregate {
   struct Entry {
     std::string name;
     MetricSample::Kind kind = MetricSample::Kind::kCounter;
-    /// Counter/gauge value per trial; histogram count per trial.
+    /// Counter value per trial; histogram count per trial.
     Accumulator per_trial;
     // Histogram fold across trials.
     std::uint64_t hist_count = 0;

@@ -106,8 +106,8 @@ struct TaintSet {
 
 /// Per-fault spread aggregate: how far one injection's corruption traveled
 /// before the wrappers contained it. Owned by the ProvenanceTracker, one
-/// row per minted id, folded into RunStats / MetricsRegistry by the
-/// harness (all sim-domain values, hence deterministic).
+/// row per minted id, folded into RunStats and its provenance.* metric
+/// samples by the harness (all sim-domain values, hence deterministic).
 struct BlastRadius {
   ProvenanceId id = kNoProvenance;
   /// Fault code (net::FaultKind values plus the lifecycle codes 7..10).

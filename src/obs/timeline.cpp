@@ -90,59 +90,52 @@ report::Json StabilizationTimeline::to_json() const {
   return doc;
 }
 
-StabilizationTimeline timeline_from_bus(const EventBus& bus) {
+StabilizationTimeline fold_timeline(
+    SimTime run_end, const std::vector<std::string>& fault_names,
+    std::span<const KindStats> faults,
+    const std::vector<std::string>& monitor_names,
+    std::span<const KindStats> clauses,
+    std::initializer_list<SimTime> traffic) {
   StabilizationTimeline tl;
-  tl.run_end = bus.now();
-
-  const KindStats& faults = bus.kind_stats(EventKind::kFaultInjected);
-  tl.faults_injected = faults.count;
-  tl.first_fault = faults.first;
-  tl.last_fault = faults.last;
-  const std::vector<KindStats>& fault_stats = bus.fault_stats();
-  for (std::size_t i = 0; i < fault_stats.size(); ++i) {
-    if (fault_stats[i].count == 0) continue;
-    TimelineEntry e;
-    if (i < bus.fault_kind_names().size()) {
-      e.name = bus.fault_kind_names()[i];
-    } else if (const char* builtin =
-                   fault_code_builtin_name(static_cast<std::uint8_t>(i))) {
-      e.name = builtin;
-    } else {
-      e.name = "fault#" + std::to_string(i);
-    }
-    e.count = fault_stats[i].count;
-    e.first = fault_stats[i].first;
-    e.last = fault_stats[i].last;
-    tl.faults.push_back(std::move(e));
-  }
-
-  const KindStats& viols = bus.kind_stats(EventKind::kMonitorViolation);
-  tl.violations_total = viols.count;
-  tl.first_violation = viols.first;
-  tl.last_violation = viols.last;
-  const std::vector<KindStats>& monitor_stats = bus.monitor_stats();
-  for (std::size_t i = 0; i < monitor_stats.size(); ++i) {
-    TimelineEntry e;
-    e.name = i < bus.monitor_names().size()
-                 ? bus.monitor_names()[i]
-                 : "monitor#" + std::to_string(i);
-    e.count = monitor_stats[i].count;
-    e.first = monitor_stats[i].first;
-    e.last = monitor_stats[i].last;
-    tl.clauses.push_back(std::move(e));
-  }
-
-  SimTime last = kNever;
-  for (EventKind k : {EventKind::kSend, EventKind::kDeliver,
-                      EventKind::kFaultInjected, EventKind::kMonitorViolation,
-                      EventKind::kWrapperCorrection,
-                      EventKind::kLocalCorrection}) {
-    const KindStats& s = bus.kind_stats(k);
+  tl.run_end = run_end;
+  KindStats burst, violations;
+  for (std::size_t k = 0; k < faults.size(); ++k) {
+    const KindStats& s = faults[k];
     if (s.count == 0) continue;
-    if (last == kNever || s.last > last) last = s.last;
+    burst.merge(s);
+    tl.faults.push_back(
+        TimelineEntry{fault_names[k], s.count, s.first, s.last});
   }
-  tl.last_activity = last;
-  tl.quiescent = last == kNever || last < tl.run_end;
+  for (std::size_t m = 0; m < clauses.size(); ++m) {
+    const KindStats& s = clauses[m];
+    violations.merge(s);
+    tl.clauses.push_back(
+        TimelineEntry{monitor_names[m], s.count, s.first, s.last});
+  }
+  tl.faults_injected = burst.count;
+  tl.first_fault = burst.first;
+  tl.last_fault = burst.last;
+  tl.violations_total = violations.count;
+  tl.first_violation = violations.first;
+  tl.last_violation = violations.last;
+  KindStats activity;
+  for (SimTime t : traffic)
+    if (t != kNever) activity.note(t);
+  for (SimTime t : {burst.last, violations.last})
+    if (t != kNever) activity.note(t);
+  tl.last_activity = activity.last;
+  return tl;
+}
+
+StabilizationTimeline timeline_from_bus(const EventBus& bus) {
+  StabilizationTimeline tl = fold_timeline(
+      bus.now(), bus.fault_kind_names(), bus.fault_stats(),
+      bus.monitor_names(), bus.monitor_stats(),
+      {bus.kind_stats(EventKind::kSend).last,
+       bus.kind_stats(EventKind::kDeliver).last,
+       bus.kind_stats(EventKind::kWrapperCorrection).last,
+       bus.kind_stats(EventKind::kLocalCorrection).last});
+  tl.quiescent = tl.last_activity == kNever || tl.last_activity < tl.run_end;
   return tl;
 }
 

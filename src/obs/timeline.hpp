@@ -9,17 +9,20 @@
 //               -> last violation -> quiescence
 //
 // with exact counts and first/last sim-times per fault kind and per monitor
-// clause. It is a pure value derived either from live component state
-// (SystemHarness::timeline()) or from EventBus aggregates
-// (timeline_from_bus, for hand-wired systems) — both paths agree because
-// they read the same underlying first/last bookkeeping.
+// clause. It is a pure value folded by fold_timeline() from per-fault-code
+// and per-monitor count/first/last rows. SystemHarness::timeline() reads
+// the rows from the fault injector and the monitors; timeline_from_bus()
+// reads the EventBus's copy of them (for hand-wired systems).
 #pragma once
 
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/report.hpp"
 #include "common/types.hpp"
+#include "obs/event.hpp"
 
 namespace graybox::obs {
 
@@ -74,9 +77,24 @@ struct StabilizationTimeline {
   report::Json to_json() const;
 };
 
+/// The fold both derivations share. `faults[k]` and `clauses[m]` are the
+/// count/first/last rows of fault code k and monitor m, labelled by the
+/// matching name table entries. Fault rows with no fault are dropped; the
+/// burst and violation totals are the rows' sums and extremes; the last
+/// activity is the latest of the last fault, the last violation and the
+/// `traffic` times (the last send, delivery and the like; kNever = none).
+/// `quiescent` is left to the caller.
+StabilizationTimeline fold_timeline(
+    SimTime run_end, const std::vector<std::string>& fault_names,
+    std::span<const KindStats> faults,
+    const std::vector<std::string>& monitor_names,
+    std::span<const KindStats> clauses,
+    std::initializer_list<SimTime> traffic);
+
 /// Derive a timeline purely from EventBus aggregates. Requires the bus to
 /// have seen the run's kFaultInjected / kMonitorViolation / kSend /
-/// kDeliver events; name tables supply fault and clause labels.
+/// kDeliver events and to carry the fault and monitor name tables, which
+/// size its per-code and per-monitor rows.
 StabilizationTimeline timeline_from_bus(const EventBus& bus);
 
 }  // namespace graybox::obs

@@ -138,8 +138,7 @@ class MonitorSet {
       monitors_[i]->set_violation_hook(hook_, i);
   }
 
-  /// Monitor names in installation order (the index space of the hook and
-  /// of violations_total_by_monitor).
+  /// Monitor names in installation order (the index space of the hook).
   std::vector<std::string> monitor_names() const {
     std::vector<std::string> names;
     names.reserve(monitors_.size());
@@ -199,17 +198,6 @@ class MonitorSet {
     for (const auto& m : monitors_)
       all.insert(all.end(), m->violations().begin(), m->violations().end());
     return all;
-  }
-
-  /// Exact per-monitor totals, in installation order — the cheap summary
-  /// for report cells (no retained-vector walk).
-  std::vector<std::pair<std::string, std::uint64_t>>
-  violations_total_by_monitor() const {
-    std::vector<std::pair<std::string, std::uint64_t>> totals;
-    totals.reserve(monitors_.size());
-    for (const auto& m : monitors_)
-      totals.emplace_back(m->name(), m->total_violations());
-    return totals;
   }
 
   /// Exact total violations across monitors.

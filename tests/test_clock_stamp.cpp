@@ -28,6 +28,7 @@
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
 #include "net/fault_injector.hpp"
+#include "protocol_param.hpp"
 
 namespace graybox {
 namespace {
@@ -291,7 +292,7 @@ struct ObservedRun {
 
 enum class Reference { kDenseClocks, kFullSweepMonitors };
 
-ObservedRun run_once(core::AlgorithmId algo, std::size_t n, net::FaultMix mix,
+ObservedRun run_once(const std::string& algo, std::size_t n, net::FaultMix mix,
                      std::size_t burst, std::uint64_t seed, Reference which,
                      bool reference_on, SimTime horizon) {
   core::HarnessConfig config;
@@ -373,10 +374,11 @@ void expect_equivalent(const ObservedRun& a, const ObservedRun& b) {
 // and fabricated-message (empty stamp) paths.
 class SparseVsDenseByFaultKind
     : public ::testing::TestWithParam<
-          std::tuple<core::Algorithm, net::FaultKind, std::uint64_t>> {};
+          std::tuple<test::Protocol, net::FaultKind, std::uint64_t>> {};
 
 TEST_P(SparseVsDenseByFaultKind, IdenticalVerdicts) {
-  const auto [algo, kind, seed] = GetParam();
+  const auto [protocol, kind, seed] = GetParam();
+  const std::string algo = test::registry_name(protocol);
   const auto mix = net::FaultMix::only(kind);
   const auto sparse = run_once(algo, 4, mix, 6, seed,
                                Reference::kDenseClocks, false, 3000);
@@ -387,8 +389,8 @@ TEST_P(SparseVsDenseByFaultKind, IdenticalVerdicts) {
 
 std::string matrix_name(
     const ::testing::TestParamInfo<
-        std::tuple<core::Algorithm, net::FaultKind, std::uint64_t>>& info) {
-  std::string name = to_string(std::get<0>(info.param));
+        std::tuple<test::Protocol, net::FaultKind, std::uint64_t>>& info) {
+  std::string name = test::registry_name(std::get<0>(info.param));
   name += "_";
   name += net::to_string(std::get<1>(info.param));
   name += "_s" + std::to_string(std::get<2>(info.param));
@@ -401,8 +403,8 @@ std::string matrix_name(
 INSTANTIATE_TEST_SUITE_P(
     Matrix, SparseVsDenseByFaultKind,
     ::testing::Combine(
-        ::testing::Values(core::Algorithm::kRicartAgrawala,
-                          core::Algorithm::kLamport),
+        ::testing::Values(test::Protocol::kRicartAgrawala,
+                          test::Protocol::kLamport),
         ::testing::Values(net::FaultKind::kMessageDrop,
                           net::FaultKind::kMessageDuplicate,
                           net::FaultKind::kMessageCorrupt,
@@ -415,21 +417,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SparseVsDense, MixedBurstCarvalhoRoucairol) {
   const auto sparse =
-      run_once(core::AlgorithmId{"carvalho-roucairol"}, 5, net::FaultMix::all(), 15,
-               3, Reference::kDenseClocks, false, 3000);
+      run_once("carvalho-roucairol", 5, net::FaultMix::all(), 15, 3,
+               Reference::kDenseClocks, false, 3000);
   const auto dense =
-      run_once(core::AlgorithmId{"carvalho-roucairol"}, 5, net::FaultMix::all(), 15,
-               3, Reference::kDenseClocks, true, 3000);
+      run_once("carvalho-roucairol", 5, net::FaultMix::all(), 15, 3,
+               Reference::kDenseClocks, true, 3000);
   expect_equivalent(sparse, dense);
 }
 
 TEST(SparseVsDense, N64MixedBurst) {
   // The scale the delta encoding exists for: at N=64 dense stamps copy 64
   // components per message; the sparse run must still be bit-identical.
-  const auto sparse = run_once(core::Algorithm::kRicartAgrawala, 64,
+  const auto sparse = run_once("ricart-agrawala", 64,
                                net::FaultMix::all(), 12, 9,
                                Reference::kDenseClocks, false, 1200);
-  const auto dense = run_once(core::Algorithm::kRicartAgrawala, 64,
+  const auto dense = run_once("ricart-agrawala", 64,
                               net::FaultMix::all(), 12, 9,
                               Reference::kDenseClocks, true, 1200);
   expect_equivalent(sparse, dense);
@@ -443,10 +445,10 @@ class IncrementalVsFullSweep
 TEST_P(IncrementalVsFullSweep, IdenticalVerdictsAtN64) {
   const auto mix = net::FaultMix::only(GetParam());
   const auto incremental =
-      run_once(core::Algorithm::kRicartAgrawala, 64, mix, 10, 13,
+      run_once("ricart-agrawala", 64, mix, 10, 13,
                Reference::kFullSweepMonitors, false, 900);
   const auto full =
-      run_once(core::Algorithm::kRicartAgrawala, 64, mix, 10, 13,
+      run_once("ricart-agrawala", 64, mix, 10, 13,
                Reference::kFullSweepMonitors, true, 900);
   expect_equivalent(incremental, full);
 }
@@ -473,10 +475,10 @@ TEST(IncrementalVsFullSweep, MutualBeliefMonitorCoveredAtN64) {
   // incremental guard needs its own equivalence run.
   const auto mix = net::FaultMix::all();
   const auto incremental =
-      run_once(core::AlgorithmId{"carvalho-roucairol"}, 64, mix, 10, 17,
+      run_once("carvalho-roucairol", 64, mix, 10, 17,
                Reference::kFullSweepMonitors, false, 900);
   const auto full =
-      run_once(core::AlgorithmId{"carvalho-roucairol"}, 64, mix, 10, 17,
+      run_once("carvalho-roucairol", 64, mix, 10, 17,
                Reference::kFullSweepMonitors, true, 900);
   expect_equivalent(incremental, full);
 }

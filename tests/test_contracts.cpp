@@ -89,7 +89,7 @@ TEST(Contracts, HarnessRejectsMismatchedAlgorithmVector) {
       {
         core::HarnessConfig config;
         config.n = 3;
-        config.per_process_algorithms = {core::Algorithm::kLamport};
+        config.per_process_algorithms = {"lamport"};
         core::SystemHarness h(config);
       },
       "precondition");
@@ -101,7 +101,7 @@ TEST(Contracts, HarnessRejectsOversizedAlgorithmVector) {
       {
         core::HarnessConfig config;
         config.n = 2;
-        config.per_process_algorithms.assign(3, core::Algorithm::kLamport);
+        config.per_process_algorithms.assign(3, "lamport");
         core::SystemHarness h(config);
       },
       "precondition");
@@ -114,8 +114,8 @@ TEST(Contracts, HarnessAcceptsExactOrEmptyAlgorithmVector) {
   EXPECT_EQ(homogeneous.process(0).algorithm(),
             homogeneous.process(1).algorithm());
 
-  config.per_process_algorithms = {core::Algorithm::kRicartAgrawala,
-                                   core::Algorithm::kLamport};
+  config.per_process_algorithms = {"ricart-agrawala",
+                                   "lamport"};
   core::SystemHarness mixed(config);  // size == n: honoured per process
   EXPECT_EQ(mixed.process(1).algorithm(), "lamport");
 }

@@ -260,7 +260,24 @@ TEST(ExperimentEngine, SampleCapBoundsEngineMemory) {
   const RepeatedResult& r = result.cell("capped").result;
   EXPECT_EQ(r.trials, 12u);
   EXPECT_EQ(r.cs_entries.count(), 12u);
-  EXPECT_LE(r.cs_entries.samples().size(), 4u);
+  // Every accumulator honours the cap.
+  const std::pair<const char*, const Accumulator*> all[] = {
+      {"latency", &r.latency},
+      {"total_messages", &r.total_messages},
+      {"wrapper_messages", &r.wrapper_messages},
+      {"protocol_messages", &r.protocol_messages},
+      {"violations", &r.violations},
+      {"safety_violations", &r.safety_violations},
+      {"cs_entries", &r.cs_entries},
+      {"max_wait", &r.max_wait},
+      {"events", &r.events},
+      {"faults", &r.faults},
+      {"availability", &r.availability},
+      {"reconverge", &r.reconverge}};
+  for (const auto& [name, acc] : all) {
+    EXPECT_GT(acc->count(), 4u) << name;
+    EXPECT_LE(acc->samples().size(), 4u) << name;
+  }
 }
 
 TEST(ExperimentEngine, CustomTrialCallableRuns) {
@@ -322,7 +339,7 @@ TEST(ConfigDigest, StableAndSensitive) {
   n.n = 7;
   EXPECT_NE(config_digest(n), digest);
   HarnessConfig algo = base;
-  algo.algorithm = Algorithm::kLamport;
+  algo.algorithm = "lamport";
   EXPECT_NE(config_digest(algo), digest);
   HarnessConfig bare = base;
   bare.wrapped = false;
@@ -331,8 +348,8 @@ TEST(ConfigDigest, StableAndSensitive) {
   period.wrapper.resend_period = 999;
   EXPECT_NE(config_digest(period), digest);
   HarnessConfig mixed = base;
-  mixed.per_process_algorithms = {Algorithm::kLamport, Algorithm::kLamport,
-                                  Algorithm::kLamport};
+  mixed.per_process_algorithms = {"lamport", "lamport",
+                                  "lamport"};
   EXPECT_NE(config_digest(mixed), digest);
 }
 

@@ -1,7 +1,8 @@
 // The sustained fault-load subsystem: FaultProcess stream determinism,
 // crash/recovery and partition/heal lifecycles through the harness, their
-// observability (timeline parity, metrics), and the engine-level guarantee
-// that fault-load experiments stay byte-identical across --jobs values.
+// metrics (their timeline parity is in test_obs.cpp), and the engine-level
+// guarantee that fault-load experiments stay byte-identical across --jobs
+// values.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,7 +12,6 @@
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
 #include "net/fault_process.hpp"
-#include "obs/timeline.hpp"
 
 namespace graybox::core {
 namespace {
@@ -167,47 +167,6 @@ TEST(HarnessLifecycle, PartitionBlocksCrossTrafficUntilHealed) {
 }
 
 // --- Observability ----------------------------------------------------------
-
-TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
-  // Lifecycle faults flow through the same fault-code space as injector
-  // faults; the live timeline and the bus derivation must agree on every
-  // shared field, including the lifecycle entries.
-  HarnessConfig config = load_config(17);
-  config.trace_capacity = 1u << 20;
-  SystemHarness h(config);
-  h.start();
-  h.run_for(400);
-  h.faults().burst(4, net::FaultMix::all());
-  h.crash(2);
-  h.run_for(300);
-  h.recover(2);
-  h.partition(0b0110);
-  h.run_for(300);
-  h.heal_partition();
-  h.run_for(2000);
-  h.drain(2000);
-
-  const obs::StabilizationTimeline live = h.timeline();
-  const obs::StabilizationTimeline from_bus =
-      obs::timeline_from_bus(h.events());
-  EXPECT_EQ(from_bus.faults_injected, live.faults_injected);
-  EXPECT_EQ(from_bus.first_fault, live.first_fault);
-  EXPECT_EQ(from_bus.last_fault, live.last_fault);
-  ASSERT_EQ(from_bus.faults.size(), live.faults.size());
-  for (std::size_t i = 0; i < live.faults.size(); ++i) {
-    EXPECT_EQ(from_bus.faults[i].name, live.faults[i].name) << i;
-    EXPECT_EQ(from_bus.faults[i].count, live.faults[i].count) << i;
-    EXPECT_EQ(from_bus.faults[i].first, live.faults[i].first) << i;
-    EXPECT_EQ(from_bus.faults[i].last, live.faults[i].last) << i;
-  }
-  bool saw_crash = false, saw_heal = false;
-  for (const obs::TimelineEntry& f : live.faults) {
-    saw_crash = saw_crash || f.name == "process-crash";
-    saw_heal = saw_heal || f.name == "partition-heal";
-  }
-  EXPECT_TRUE(saw_crash);
-  EXPECT_TRUE(saw_heal);
-}
 
 TEST(HarnessLifecycle, MetricsCarryAvailabilityInstruments) {
   HarnessConfig config = load_config(19);

@@ -108,7 +108,7 @@ TEST(Fragile, EndToEndStabilizationFailureUnderProcessCorruption) {
   for (std::uint64_t seed = 0; seed < 12; ++seed) {
     core::HarnessConfig config;
     config.n = 3;
-    config.algorithm = core::Algorithm::kFragile;
+    config.algorithm = "fragile-ra";
     config.wrapped = true;
     config.wrapper.resend_period = 15;
     config.client.think_mean = 30;
@@ -125,7 +125,7 @@ TEST(Fragile, EndToEndStabilizationFailureUnderProcessCorruption) {
     auto result = core::run_fault_experiment(config, scenario);
     if (!result.report.stabilized) ++fragile_failures;
 
-    config.algorithm = core::Algorithm::kRicartAgrawala;
+    config.algorithm = "ricart-agrawala";
     result = core::run_fault_experiment(config, scenario);
     EXPECT_TRUE(result.report.stabilized)
         << "RA failed under seed " << config.seed << ": "

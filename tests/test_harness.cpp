@@ -5,11 +5,12 @@
 #include "core/experiment.hpp"
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
+#include "protocol_param.hpp"
 
 namespace graybox::core {
 namespace {
 
-HarnessConfig base_config(Algorithm algo, bool wrapped) {
+HarnessConfig base_config(const std::string& algo, bool wrapped) {
   HarnessConfig config;
   config.n = 4;
   config.algorithm = algo;
@@ -22,11 +23,11 @@ HarnessConfig base_config(Algorithm algo, bool wrapped) {
 }
 
 class FaultFreeConformance
-    : public ::testing::TestWithParam<std::tuple<Algorithm, bool>> {};
+    : public ::testing::TestWithParam<std::tuple<test::Protocol, bool>> {};
 
 TEST_P(FaultFreeConformance, NoViolationsAndProgress) {
-  const auto [algo, wrapped] = GetParam();
-  SystemHarness h(base_config(algo, wrapped));
+  const auto [protocol, wrapped] = GetParam();
+  SystemHarness h(base_config(test::registry_name(protocol), wrapped));
   h.start();
   h.run_for(4000);
   h.drain(2000);
@@ -56,8 +57,8 @@ TEST_P(FaultFreeConformance, NoViolationsAndProgress) {
 }
 
 std::string conformance_name(
-    const ::testing::TestParamInfo<std::tuple<Algorithm, bool>>& info) {
-  std::string name = to_string(std::get<0>(info.param));
+    const ::testing::TestParamInfo<std::tuple<test::Protocol, bool>>& info) {
+  std::string name = test::registry_name(std::get<0>(info.param));
   for (auto& c : name) {
     if (c == '-') c = '_';
   }
@@ -67,22 +68,22 @@ std::string conformance_name(
 
 INSTANTIATE_TEST_SUITE_P(
     AlgorithmsAndWrapping, FaultFreeConformance,
-    ::testing::Combine(::testing::Values(Algorithm::kRicartAgrawala,
-                                         Algorithm::kLamport,
-                                         Algorithm::kFragile),
+    ::testing::Combine(::testing::Values(test::Protocol::kRicartAgrawala,
+                                         test::Protocol::kLamport,
+                                         test::Protocol::kFragile),
                        ::testing::Bool()),
     conformance_name);
 
 TEST(Harness, WrapperAccessReflectsConfig) {
-  SystemHarness wrapped(base_config(Algorithm::kRicartAgrawala, true));
+  SystemHarness wrapped(base_config("ricart-agrawala", true));
   EXPECT_NE(wrapped.wrapper(0), nullptr);
-  SystemHarness bare(base_config(Algorithm::kRicartAgrawala, false));
+  SystemHarness bare(base_config("ricart-agrawala", false));
   EXPECT_EQ(bare.wrapper(0), nullptr);
 }
 
 TEST(Harness, DeterministicAcrossIdenticalSeeds) {
   auto run = [](std::uint64_t seed) {
-    HarnessConfig config = base_config(Algorithm::kRicartAgrawala, true);
+    HarnessConfig config = base_config("ricart-agrawala", true);
     config.seed = seed;
     SystemHarness h(config);
     h.start();
@@ -98,27 +99,21 @@ TEST(Harness, DeterministicAcrossIdenticalSeeds) {
   EXPECT_NE(a.messages_sent, c.messages_sent);
 }
 
-TEST(Harness, AlgorithmNamesExposed) {
-  EXPECT_STREQ(to_string(Algorithm::kRicartAgrawala), "ricart-agrawala");
-  EXPECT_STREQ(to_string(Algorithm::kLamport), "lamport");
-  EXPECT_STREQ(to_string(Algorithm::kFragile), "fragile-ra");
-}
-
 TEST(Harness, ProcessesMatchConfiguredAlgorithm) {
-  SystemHarness h(base_config(Algorithm::kLamport, false));
+  SystemHarness h(base_config("lamport", false));
   for (ProcessId pid = 0; pid < 4; ++pid)
     EXPECT_EQ(h.process(pid).algorithm(), "lamport");
 }
 
 TEST(Harness, WrapperTrafficOnlyWhenWrapped) {
-  SystemHarness bare(base_config(Algorithm::kRicartAgrawala, false));
+  SystemHarness bare(base_config("ricart-agrawala", false));
   bare.start();
   bare.run_for(3000);
   EXPECT_EQ(bare.stats().wrapper_messages, 0u);
 }
 
 TEST(Harness, MonitorsCanBeDisabled) {
-  HarnessConfig config = base_config(Algorithm::kRicartAgrawala, true);
+  HarnessConfig config = base_config("ricart-agrawala", true);
   config.install_monitors = false;
   SystemHarness h(config);
   h.start();
@@ -128,7 +123,7 @@ TEST(Harness, MonitorsCanBeDisabled) {
 }
 
 TEST(Harness, SingleProcessSystemWorks) {
-  HarnessConfig config = base_config(Algorithm::kRicartAgrawala, true);
+  HarnessConfig config = base_config("ricart-agrawala", true);
   config.n = 1;
   SystemHarness h(config);
   h.start();
@@ -140,7 +135,7 @@ TEST(Harness, SingleProcessSystemWorks) {
 }
 
 TEST(Harness, StatsMessageTypeBreakdownConsistent) {
-  SystemHarness h(base_config(Algorithm::kLamport, true));
+  SystemHarness h(base_config("lamport", true));
   h.start();
   h.run_for(3000);
   const RunStats stats = h.stats();
@@ -150,7 +145,7 @@ TEST(Harness, StatsMessageTypeBreakdownConsistent) {
 }
 
 TEST(Harness, RicartAgrawalaSendsNoReleases) {
-  SystemHarness h(base_config(Algorithm::kRicartAgrawala, true));
+  SystemHarness h(base_config("ricart-agrawala", true));
   h.start();
   h.run_for(3000);
   EXPECT_EQ(h.stats().sent_release, 0u);
@@ -163,7 +158,7 @@ TEST(Experiment, FaultFreeScenarioViaRunner) {
   scenario.observation = 1500;
   scenario.drain = 1500;
   const ExperimentResult result = run_fault_experiment(
-      base_config(Algorithm::kRicartAgrawala, true), scenario);
+      base_config("ricart-agrawala", true), scenario);
   EXPECT_TRUE(result.report.stabilized);
   EXPECT_FALSE(result.report.faults_injected);
   EXPECT_GT(result.stats.cs_entries, 0u);
@@ -176,7 +171,7 @@ TEST(Experiment, RepeatAggregatesTrials) {
   scenario.observation = 800;
   scenario.drain = 1000;
   const RepeatedResult result = repeat_fault_experiment(
-      base_config(Algorithm::kRicartAgrawala, true), scenario, 3);
+      base_config("ricart-agrawala", true), scenario, 3);
   EXPECT_EQ(result.trials, 3u);
   EXPECT_TRUE(result.all_stabilized());
   EXPECT_EQ(result.cs_entries.count(), 3u);

@@ -6,11 +6,12 @@
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
 #include "me/ricart_agrawala.hpp"
+#include "protocol_param.hpp"
 
 namespace graybox::core {
 namespace {
 
-HarnessConfig config_for(Algorithm algo) {
+HarnessConfig config_for(const std::string& algo) {
   HarnessConfig config;
   config.n = 3;
   config.algorithm = algo;
@@ -22,10 +23,11 @@ HarnessConfig config_for(Algorithm algo) {
   return config;
 }
 
-class LspecClauseFaultFree : public ::testing::TestWithParam<Algorithm> {};
+class LspecClauseFaultFree
+    : public ::testing::TestWithParam<test::Protocol> {};
 
 TEST_P(LspecClauseFaultFree, AllClausesClean) {
-  SystemHarness h(config_for(GetParam()));
+  SystemHarness h(config_for(test::registry_name(GetParam())));
   h.start();
   h.run_for(5000);
   h.drain(3000);
@@ -41,10 +43,10 @@ TEST_P(LspecClauseFaultFree, AllClausesClean) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, LspecClauseFaultFree,
-                         ::testing::Values(Algorithm::kRicartAgrawala,
-                                           Algorithm::kLamport),
+                         ::testing::Values(test::Protocol::kRicartAgrawala,
+                                           test::Protocol::kLamport),
                          [](const auto& info) {
-                           return info.param == Algorithm::kRicartAgrawala
+                           return info.param == test::Protocol::kRicartAgrawala
                                       ? "ra"
                                       : "lamport";
                          });
@@ -53,7 +55,7 @@ TEST(LspecClauses, FlowSpecFlagsIllegalJump) {
   // Park process 0 hungry (outgoing requests lost), then fault it straight
   // back to thinking: h -> t is never a program transition, and the
   // thinking state sticks long enough for the next snapshot to see it.
-  SystemHarness h(config_for(Algorithm::kRicartAgrawala));
+  SystemHarness h(config_for("ricart-agrawala"));
   h.start();
   h.process(0).request_cs();
   h.network().channel(0, 1).fault_clear();
@@ -66,7 +68,7 @@ TEST(LspecClauses, FlowSpecFlagsIllegalJump) {
 }
 
 TEST(LspecClauses, RequestSpecFlagsMovedReq) {
-  SystemHarness h(config_for(Algorithm::kRicartAgrawala));
+  SystemHarness h(config_for("ricart-agrawala"));
   h.start();
   // Park process 0 hungry (its requests are lost), then corrupt its REQ.
   h.process(0).request_cs();
@@ -80,7 +82,7 @@ TEST(LspecClauses, RequestSpecFlagsMovedReq) {
 }
 
 TEST(LspecClauses, ReleaseSpecFlagsDetachedReq) {
-  SystemHarness h(config_for(Algorithm::kRicartAgrawala));
+  SystemHarness h(config_for("ricart-agrawala"));
   h.start();
   h.run_for(100);
   while (!h.process(0).thinking()) h.run_for(2);
@@ -91,7 +93,7 @@ TEST(LspecClauses, ReleaseSpecFlagsDetachedReq) {
 }
 
 TEST(LspecClauses, ReleaseSpecViolationHealsOnNextEvent) {
-  SystemHarness h(config_for(Algorithm::kRicartAgrawala));
+  SystemHarness h(config_for("ricart-agrawala"));
   h.start();
   h.run_for(100);
   while (!h.process(0).thinking()) h.run_for(2);
@@ -110,7 +112,7 @@ TEST(LspecClauses, CsSpecFlagsEternalEater) {
   // Stop process 0's client (its release obligation with it) while the
   // other clients keep generating events for the snapshot stream: a faked
   // eternal eater is then a genuine CS Spec violation.
-  HarnessConfig config = config_for(Algorithm::kRicartAgrawala);
+  HarnessConfig config = config_for("ricart-agrawala");
   config.client.wants_cs = false;
   SystemHarness h(config);
   h.start();
@@ -126,7 +128,7 @@ TEST(LspecClauses, EntrySpecCleanBecausePollingTakesEntries) {
   // Corrupt a process into "hungry with favorable views": the client's
   // poll must take the enabled entry, so the clause stays clean overall
   // after the drain.
-  SystemHarness h(config_for(Algorithm::kRicartAgrawala));
+  SystemHarness h(config_for("ricart-agrawala"));
   h.start();
   h.run_for(100);
   auto& p0 = dynamic_cast<me::RicartAgrawala&>(h.process(0));
@@ -140,7 +142,7 @@ TEST(LspecClauses, EntrySpecCleanBecausePollingTakesEntries) {
 }
 
 TEST(LspecClauses, CleanSuffixAfterRandomCorruption) {
-  SystemHarness h(config_for(Algorithm::kLamport));
+  SystemHarness h(config_for("lamport"));
   h.start();
   h.run_for(500);
   h.faults().burst(6, net::FaultMix::process_only());
@@ -158,7 +160,7 @@ TEST(LspecClauses, CleanSuffixAfterRandomCorruption) {
 }
 
 TEST(LspecClauses, CanBeDisabledIndependently) {
-  HarnessConfig config = config_for(Algorithm::kRicartAgrawala);
+  HarnessConfig config = config_for("ricart-agrawala");
   config.install_lspec_monitors = false;
   SystemHarness h(config);
   h.start();
@@ -166,34 +168,6 @@ TEST(LspecClauses, CanBeDisabledIndependently) {
   EXPECT_EQ(h.lspec_monitors().flow, nullptr);
   EXPECT_EQ(h.lspec_monitors().total_violations(), 0u);
   EXPECT_EQ(h.monitors().size(), 4u);  // only the TME battery
-}
-
-TEST(HarnessTrace, RecordsWhenEnabled) {
-  HarnessConfig config = config_for(Algorithm::kRicartAgrawala);
-  config.trace_capacity = 256;
-  SystemHarness h(config);
-  h.start();
-  h.run_for(500);
-  EXPECT_GT(h.trace().total_recorded(), 0u);
-  // Spot-check record shapes.
-  bool saw_send = false, saw_transition = false;
-  const sim::Trace& trace = h.trace();
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const auto& r = trace.at(i);
-    if (r.text.rfind("send ", 0) == 0) saw_send = true;
-    if (r.text.find(" -> ") != std::string::npos &&
-        r.text.rfind("proc ", 0) == 0)
-      saw_transition = true;
-  }
-  EXPECT_TRUE(saw_send);
-  EXPECT_TRUE(saw_transition);
-}
-
-TEST(HarnessTrace, DisabledByDefault) {
-  SystemHarness h(config_for(Algorithm::kRicartAgrawala));
-  h.start();
-  h.run_for(500);
-  EXPECT_EQ(h.trace().total_recorded(), 0u);
 }
 
 }  // namespace

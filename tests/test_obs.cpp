@@ -1,11 +1,13 @@
-// The observability layer: typed EventBus (ring + exact aggregates),
-// metrics registry and its engine-side aggregate fold, stabilization
-// timelines, and the Perfetto export — plus the load-bearing guarantees
-// that (a) every exported metric/timeline artifact is byte-identical
-// across --jobs values and repeated runs, and (b) the two timeline
-// derivations (live harness state vs. bus aggregates) agree.
+// The observability layer: typed EventBus (ring, exact aggregates, text
+// dump), metric samples and their engine-side aggregate fold,
+// stabilization timelines, and the Perfetto export — plus the load-bearing
+// guarantees that (a) every exported metric/timeline artifact is
+// byte-identical across --jobs values and repeated runs, and (b) the two
+// timeline sources (live harness state vs. bus aggregates) fold to the
+// same timeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -233,6 +235,67 @@ TEST(EventBus, RendersAllElevenFaultCodeNames) {
   EXPECT_EQ(bare.render(f), "fault fault#42");
 }
 
+// --- Trace: the bus's "[time] text" dump ------------------------------------
+
+// Drop events with payload i at sim time i, for i in [0, count).
+void record_drops(sim::Scheduler& sched, EventBus& bus, std::uint64_t count) {
+  for (std::uint64_t i = 0; i < count; ++i) {
+    sched.schedule_at(i, [&bus, i] {
+      Event e;
+      e.kind = EventKind::kDrop;
+      e.payload = i;
+      bus.record(e);
+    });
+  }
+  while (sched.step()) {
+  }
+}
+
+std::string dump(const EventBus& bus, std::size_t last_n = 64) {
+  std::ostringstream os;
+  bus.dump(os, last_n);
+  return os.str();
+}
+
+TEST(Trace, DumpFormatsTail) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 16);
+  sched.schedule_at(5, [&bus] { bus.record(send_event(0, 1, 9)); });
+  while (sched.step()) {
+  }
+  EXPECT_EQ(dump(bus), "[5] send request(9.0) 0->1\n");
+}
+
+TEST(Trace, DumpLastNTruncatesToTail) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 16);
+  record_drops(sched, bus, 5);
+  EXPECT_EQ(dump(bus, 2), "[3] drop 3 message(s)\n[4] drop 4 message(s)\n");
+}
+
+TEST(Trace, DumpZeroPrintsNothing) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 16);
+  record_drops(sched, bus, 1);
+  EXPECT_EQ(dump(bus, 0), "");
+}
+
+TEST(Trace, DumpMoreThanSizePrintsEverything) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 4);
+  record_drops(sched, bus, 3);
+  EXPECT_EQ(dump(bus, 100),
+            "[0] drop 0 message(s)\n[1] drop 1 message(s)\n"
+            "[2] drop 2 message(s)\n");
+}
+
+TEST(Trace, DumpAfterEvictionStartsAtOldestRetained) {
+  sim::Scheduler sched;
+  EventBus bus(sched, 2);
+  record_drops(sched, bus, 5);
+  EXPECT_EQ(dump(bus), "[3] drop 3 message(s)\n[4] drop 4 message(s)\n");
+}
+
 // --- Histogram ---------------------------------------------------------------
 
 TEST(Histogram, Pow2BoundsShape) {
@@ -269,52 +332,15 @@ TEST(Histogram, EmptyIsWellDefined) {
   EXPECT_DOUBLE_EQ(h.mean(), 0.0);
 }
 
-// --- MetricsRegistry ---------------------------------------------------------
-
-TEST(MetricsRegistry, GetOrCreateAndSnapshotOrder) {
-  obs::MetricsRegistry reg;
-  EXPECT_TRUE(reg.empty());
-  reg.counter("zebra").inc(3);
-  reg.gauge("alpha").set(-5);
-  reg.gauge("alpha").set(9);
-  reg.histogram("wait", obs::Histogram::pow2_bounds(2)).observe(3);
-  reg.counter("zebra").inc();  // same instrument, not a new entry
-  EXPECT_EQ(reg.size(), 3u);
-
-  const obs::MetricsSnapshot snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  // Registration order, not alphabetical.
-  EXPECT_EQ(snap[0].name, "zebra");
-  EXPECT_EQ(snap[0].kind, obs::MetricSample::Kind::kCounter);
-  EXPECT_EQ(snap[0].value, 4);
-  EXPECT_EQ(snap[1].name, "alpha");
-  EXPECT_EQ(snap[1].kind, obs::MetricSample::Kind::kGauge);
-  EXPECT_EQ(snap[1].value, 9);
-  EXPECT_EQ(snap[2].name, "wait");
-  EXPECT_EQ(snap[2].kind, obs::MetricSample::Kind::kHistogram);
-  EXPECT_EQ(snap[2].value, 1);  // observation count
-  EXPECT_EQ(snap[2].sum, 3u);
-  ASSERT_EQ(snap[2].buckets.size(), snap[2].bounds.size() + 1);
-}
-
-TEST(Gauge, TracksWatermarks) {
-  obs::Gauge g;
-  EXPECT_FALSE(g.ever_set());
-  g.set(5);
-  g.set(-2);
-  g.set(3);
-  EXPECT_TRUE(g.ever_set());
-  EXPECT_EQ(g.value(), 3);
-  EXPECT_EQ(g.low(), -2);
-  EXPECT_EQ(g.high(), 5);
-}
+// --- Metric samples ----------------------------------------------------------
 
 TEST(MetricsSnapshotJson, CarriesEveryInstrument) {
-  obs::MetricsRegistry reg;
-  reg.counter("sends").inc(7);
-  reg.histogram("depth", {1, 2}).observe(2);
+  obs::Histogram depth({1, 2});
+  depth.observe(2);
   const std::string text =
-      obs::metrics_snapshot_to_json(reg.snapshot()).dump();
+      obs::metrics_snapshot_to_json({obs::counter_sample("sends", 7),
+                                     obs::histogram_sample("depth", depth)})
+          .dump();
   EXPECT_NE(text.find("\"sends\""), std::string::npos);
   EXPECT_NE(text.find("\"depth\""), std::string::npos);
   EXPECT_NE(text.find("\"counter\""), std::string::npos);
@@ -324,11 +350,10 @@ TEST(MetricsSnapshotJson, CarriesEveryInstrument) {
 // --- MetricsAggregate: the engine's fold -------------------------------------
 
 obs::MetricsSnapshot fake_trial_snapshot(std::uint64_t seed) {
-  obs::MetricsRegistry reg;
-  reg.counter("cs").inc(10 + seed);
-  auto& h = reg.histogram("wait", obs::Histogram::pow2_bounds(3));
-  for (std::uint64_t v = 0; v <= seed; ++v) h.observe(v);
-  return reg.snapshot();
+  obs::Histogram wait(obs::Histogram::pow2_bounds(3));
+  for (std::uint64_t v = 0; v <= seed; ++v) wait.observe(v);
+  return {obs::counter_sample("cs", 10 + seed),
+          obs::histogram_sample("wait", wait)};
 }
 
 TEST(MetricsAggregate, SplitMergeEqualsSequentialFold) {
@@ -407,7 +432,7 @@ TEST(HarnessMetrics, CollectedAndDeterministic) {
       saw_resends = s.value >= 0;
     }
   }
-  // The pull counters mirror the authoritative component state exactly.
+  // The counter samples read the component state exactly.
   EXPECT_EQ(fault_counter_sum, stats.faults_injected);
   EXPECT_EQ(violation_counter_sum, h.monitors().total_violations());
   // Every hungry -> eating entry recorded a wait; corruption-induced CS
@@ -470,33 +495,42 @@ TEST(HarnessTimeline, ConsistentWithStabilizationReport) {
   EXPECT_TRUE(doc.contains("divergent_window"));
 }
 
+void expect_rows_equal(const std::vector<obs::TimelineEntry>& bus,
+                       const std::vector<obs::TimelineEntry>& live) {
+  ASSERT_EQ(bus.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(bus[i].name, live[i].name) << i;
+    EXPECT_EQ(bus[i].count, live[i].count) << i;
+    EXPECT_EQ(bus[i].first, live[i].first) << i;
+    EXPECT_EQ(bus[i].last, live[i].last) << i;
+  }
+}
+
+// The bus and the live harness fold to the same timeline, field for field
+// and row for row (every `faults` and `clauses` entry).
+void expect_bus_timeline_matches_live(const core::SystemHarness& h) {
+  const obs::StabilizationTimeline live = h.timeline();
+  const obs::StabilizationTimeline bus = obs::timeline_from_bus(h.events());
+  EXPECT_EQ(bus.run_end, live.run_end);
+  EXPECT_EQ(bus.faults_injected, live.faults_injected);
+  EXPECT_EQ(bus.first_fault, live.first_fault);
+  EXPECT_EQ(bus.last_fault, live.last_fault);
+  EXPECT_EQ(bus.violations_total, live.violations_total);
+  EXPECT_EQ(bus.first_violation, live.first_violation);
+  EXPECT_EQ(bus.last_violation, live.last_violation);
+  EXPECT_EQ(bus.last_activity, live.last_activity);
+  EXPECT_EQ(bus.divergent_window(), live.divergent_window());
+  EXPECT_FALSE(live.faults.empty());
+  expect_rows_equal(bus.faults, live.faults);
+  expect_rows_equal(bus.clauses, live.clauses);
+}
+
 TEST(HarnessTimeline, BusDerivationAgreesWithLiveState) {
   core::HarnessConfig config = obs_config(11);
   config.trace_capacity = 1u << 20;  // retain the whole run
   core::SystemHarness h(config);
   run_burst(h);
-
-  const obs::StabilizationTimeline live = h.timeline();
-  const obs::StabilizationTimeline from_bus = obs::timeline_from_bus(h.events());
-
-  EXPECT_EQ(from_bus.run_end, live.run_end);
-  EXPECT_EQ(from_bus.faults_injected, live.faults_injected);
-  EXPECT_EQ(from_bus.first_fault, live.first_fault);
-  EXPECT_EQ(from_bus.last_fault, live.last_fault);
-  EXPECT_EQ(from_bus.violations_total, live.violations_total);
-  EXPECT_EQ(from_bus.first_violation, live.first_violation);
-  EXPECT_EQ(from_bus.last_violation, live.last_violation);
-  EXPECT_EQ(from_bus.last_activity, live.last_activity);
-  EXPECT_EQ(from_bus.divergent_window(), live.divergent_window());
-
-  // Same per-clause decay, by name and by numbers.
-  ASSERT_EQ(from_bus.clauses.size(), live.clauses.size());
-  for (std::size_t i = 0; i < live.clauses.size(); ++i) {
-    EXPECT_EQ(from_bus.clauses[i].name, live.clauses[i].name) << i;
-    EXPECT_EQ(from_bus.clauses[i].count, live.clauses[i].count) << i;
-    EXPECT_EQ(from_bus.clauses[i].first, live.clauses[i].first) << i;
-    EXPECT_EQ(from_bus.clauses[i].last, live.clauses[i].last) << i;
-  }
+  expect_bus_timeline_matches_live(h);
 }
 
 TEST(HarnessTimeline, BusAggregatesSurviveRingEviction) {
@@ -517,33 +551,53 @@ TEST(HarnessTimeline, BusAggregatesSurviveRingEviction) {
 
   ASSERT_EQ(h.events().size(), 8u);  // only the tail is retained...
   EXPECT_GT(h.events().total_recorded(), 1000u);  // ...of a long run
+  expect_bus_timeline_matches_live(h);
+}
 
-  const obs::StabilizationTimeline live = h.timeline();
-  const obs::StabilizationTimeline from_bus =
-      obs::timeline_from_bus(h.events());
-  EXPECT_EQ(from_bus.run_end, live.run_end);
-  EXPECT_EQ(from_bus.faults_injected, live.faults_injected);
-  EXPECT_EQ(from_bus.first_fault, live.first_fault);
-  EXPECT_EQ(from_bus.last_fault, live.last_fault);
-  EXPECT_EQ(from_bus.violations_total, live.violations_total);
-  EXPECT_EQ(from_bus.first_violation, live.first_violation);
-  EXPECT_EQ(from_bus.last_violation, live.last_violation);
-  EXPECT_EQ(from_bus.last_activity, live.last_activity);
-  EXPECT_EQ(from_bus.divergent_window(), live.divergent_window());
-  ASSERT_EQ(from_bus.clauses.size(), live.clauses.size());
-  for (std::size_t i = 0; i < live.clauses.size(); ++i) {
-    EXPECT_EQ(from_bus.clauses[i].name, live.clauses[i].name) << i;
-    EXPECT_EQ(from_bus.clauses[i].count, live.clauses[i].count) << i;
-    EXPECT_EQ(from_bus.clauses[i].first, live.clauses[i].first) << i;
-    EXPECT_EQ(from_bus.clauses[i].last, live.clauses[i].last) << i;
+TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
+  // Crash, recover, partition and heal share the injector's fault-code
+  // rows, so they fold into both timelines alike.
+  core::HarnessConfig config;
+  config.n = 4;
+  config.seed = 17;
+  config.wrapper.resend_period = 20;
+  config.trace_capacity = 1u << 20;
+  core::SystemHarness h(config);
+  h.start();
+  h.run_for(400);
+  h.faults().burst(4, net::FaultMix::all());
+  h.crash(2);
+  h.run_for(300);
+  h.recover(2);
+  h.partition(0b0110);
+  h.run_for(300);
+  h.heal_partition();
+  h.run_for(2000);
+  h.drain(2000);
+
+  expect_bus_timeline_matches_live(h);
+  bool saw_crash = false, saw_heal = false;
+  for (const obs::TimelineEntry& f : h.timeline().faults) {
+    saw_crash = saw_crash || f.name == "process-crash";
+    saw_heal = saw_heal || f.name == "partition-heal";
   }
-  ASSERT_EQ(from_bus.faults.size(), live.faults.size());
-  for (std::size_t i = 0; i < live.faults.size(); ++i) {
-    EXPECT_EQ(from_bus.faults[i].name, live.faults[i].name) << i;
-    EXPECT_EQ(from_bus.faults[i].count, live.faults[i].count) << i;
-    EXPECT_EQ(from_bus.faults[i].first, live.faults[i].first) << i;
-    EXPECT_EQ(from_bus.faults[i].last, live.faults[i].last) << i;
-  }
+  EXPECT_TRUE(saw_crash);
+  EXPECT_TRUE(saw_heal);
+}
+
+TEST(HarnessTrace, RecordsWhenEnabled) {
+  core::HarnessConfig config = obs_config(5);
+  config.trace_capacity = 256;
+  core::SystemHarness h(config);
+  h.start();
+  h.run_for(500);
+  EXPECT_GT(h.events().total_recorded(), 0u);
+  // Spot-check record shapes: a send and a state transition.
+  const std::string text = dump(h.events(), h.events().size());
+  EXPECT_NE(text.find("] send "), std::string::npos);
+  const std::size_t transition = text.find("] proc ");
+  ASSERT_NE(transition, std::string::npos);
+  EXPECT_NE(text.find(" -> ", transition), std::string::npos);
 }
 
 TEST(HarnessTrace, LazyViewPreservesLegacyFormat) {
@@ -553,32 +607,29 @@ TEST(HarnessTrace, LazyViewPreservesLegacyFormat) {
   h.start();
   h.run_for(500);
 
-  const sim::Trace& trace = h.trace();
-  ASSERT_GT(trace.size(), 0u);
-  EXPECT_LE(trace.size(), 2048u);
-  bool saw_send = false, saw_recv = false, saw_transition = false;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    const std::string& text = trace.at(i).text;
-    saw_send = saw_send || text.rfind("send ", 0) == 0;
-    saw_recv = saw_recv || text.rfind("recv ", 0) == 0;
-    saw_transition = saw_transition || text.rfind("proc ", 0) == 0;
-  }
-  EXPECT_TRUE(saw_send);
-  EXPECT_TRUE(saw_recv);
-  EXPECT_TRUE(saw_transition);
+  // One "[time] text" line per retained event, sends, deliveries and
+  // state transitions among them.
+  auto lines = [](const std::string& text) {
+    return static_cast<std::size_t>(
+        std::count(text.begin(), text.end(), '\n'));
+  };
+  const std::string text = dump(h.events(), h.events().size());
+  ASSERT_FALSE(text.empty());
+  EXPECT_LE(h.events().size(), 2048u);
+  EXPECT_EQ(text.front(), '[');
+  EXPECT_EQ(lines(text), h.events().size());
+  EXPECT_NE(text.find("] send "), std::string::npos);
+  EXPECT_NE(text.find("] recv "), std::string::npos);
+  EXPECT_NE(text.find("] proc "), std::string::npos);
 
-  // The view tracks the bus: more simulation, more (or newer) records.
+  // The dump tracks the bus: more simulation, more (or newer) records,
+  // still exactly the retained ring.
   const std::uint64_t before = h.events().total_recorded();
   h.run_for(500);
   EXPECT_GT(h.events().total_recorded(), before);
-  // The re-rendered view covers exactly the retained ring.
-  EXPECT_EQ(h.trace().total_recorded(), h.events().size());
-  EXPECT_EQ(h.trace().size(), h.events().size());
-
-  // dump() keeps the legacy "[time] text" shape.
-  std::ostringstream os;
-  h.trace().dump(os, 5);
-  EXPECT_EQ(os.str().front(), '[');
+  const std::string later = dump(h.events(), h.events().size());
+  EXPECT_EQ(lines(later), h.events().size());
+  EXPECT_NE(later, text);
 }
 
 TEST(HarnessTrace, DisabledByDefault) {
@@ -587,7 +638,7 @@ TEST(HarnessTrace, DisabledByDefault) {
   h.run_for(300);
   EXPECT_FALSE(h.events().enabled());
   EXPECT_EQ(h.events().total_recorded(), 0u);
-  EXPECT_TRUE(h.trace().empty());
+  EXPECT_EQ(dump(h.events()), "");
   EXPECT_TRUE(h.stats().metrics.empty());
 }
 

@@ -143,24 +143,6 @@ TEST(ProtocolRegistry, ExternalFactoryReachesEveryLayer) {
 
 // --- canonical-serialization digests ----------------------------------------
 
-TEST(ConfigDigest, LegacySpellingEqualsGenericSpelling) {
-  // The deprecated enum + option structs and the registry spelling resolve
-  // to the same processes, so they must digest identically — the digest
-  // hashes the canonical serialization, not struct-field order.
-  HarnessConfig legacy;
-  legacy.n = 4;
-  legacy.algorithm = Algorithm::kRicartAgrawala;
-  legacy.ra_options.monotone_views = true;
-
-  HarnessConfig generic;
-  generic.n = 4;
-  generic.algorithm = "ra";  // alias: canonicalized by the registry
-  generic.algorithm_options = {"monotone_views=1"};
-
-  EXPECT_EQ(algorithm_spec(legacy), algorithm_spec(generic));
-  EXPECT_EQ(config_digest(legacy), config_digest(generic));
-}
-
 TEST(ConfigDigest, UniformVectorEqualsUniformScalar) {
   HarnessConfig scalar;
   scalar.n = 3;

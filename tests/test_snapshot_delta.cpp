@@ -20,6 +20,7 @@
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
 #include "net/fault_injector.hpp"
+#include "protocol_param.hpp"
 
 namespace graybox::core {
 namespace {
@@ -38,8 +39,9 @@ struct ObservedRun {
   StabilizationReport report;
 };
 
-ObservedRun run_once(Algorithm algo, net::FaultMix mix, std::size_t burst,
-                     std::uint64_t seed, bool reference_pipeline) {
+ObservedRun run_once(const std::string& algo, net::FaultMix mix,
+                     std::size_t burst, std::uint64_t seed,
+                     bool reference_pipeline) {
   HarnessConfig config;
   config.n = 4;
   config.algorithm = algo;
@@ -122,10 +124,11 @@ void expect_equivalent(const ObservedRun& delta, const ObservedRun& full) {
 
 class DeltaVsFullByFaultKind
     : public ::testing::TestWithParam<
-          std::tuple<Algorithm, net::FaultKind, std::uint64_t>> {};
+          std::tuple<test::Protocol, net::FaultKind, std::uint64_t>> {};
 
 TEST_P(DeltaVsFullByFaultKind, IdenticalVerdicts) {
-  const auto [algo, kind, seed] = GetParam();
+  const auto [protocol, kind, seed] = GetParam();
+  const std::string algo = test::registry_name(protocol);
   const auto mix = net::FaultMix::only(kind);
   const auto delta = run_once(algo, mix, 6, seed, false);
   const auto full = run_once(algo, mix, 6, seed, true);
@@ -134,8 +137,8 @@ TEST_P(DeltaVsFullByFaultKind, IdenticalVerdicts) {
 
 std::string matrix_name(
     const ::testing::TestParamInfo<
-        std::tuple<Algorithm, net::FaultKind, std::uint64_t>>& info) {
-  std::string name = to_string(std::get<0>(info.param));
+        std::tuple<test::Protocol, net::FaultKind, std::uint64_t>>& info) {
+  std::string name = test::registry_name(std::get<0>(info.param));
   name += "_";
   name += net::to_string(std::get<1>(info.param));
   name += "_s" + std::to_string(std::get<2>(info.param));
@@ -148,7 +151,8 @@ std::string matrix_name(
 INSTANTIATE_TEST_SUITE_P(
     Matrix, DeltaVsFullByFaultKind,
     ::testing::Combine(
-        ::testing::Values(Algorithm::kRicartAgrawala, Algorithm::kLamport),
+        ::testing::Values(test::Protocol::kRicartAgrawala,
+                          test::Protocol::kLamport),
         ::testing::Values(net::FaultKind::kMessageDrop,
                           net::FaultKind::kMessageDuplicate,
                           net::FaultKind::kMessageCorrupt,
@@ -163,25 +167,25 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(DeltaVsFull, MixedBurstRicartAgrawala) {
   const auto delta =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 15, 3, false);
+      run_once("ricart-agrawala", net::FaultMix::all(), 15, 3, false);
   const auto full =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 15, 3, true);
+      run_once("ricart-agrawala", net::FaultMix::all(), 15, 3, true);
   expect_equivalent(delta, full);
 }
 
 TEST(DeltaVsFull, MixedBurstLamport) {
   const auto delta =
-      run_once(Algorithm::kLamport, net::FaultMix::all(), 15, 4, false);
+      run_once("lamport", net::FaultMix::all(), 15, 4, false);
   const auto full =
-      run_once(Algorithm::kLamport, net::FaultMix::all(), 15, 4, true);
+      run_once("lamport", net::FaultMix::all(), 15, 4, true);
   expect_equivalent(delta, full);
 }
 
 TEST(DeltaVsFull, FaultFreeRunsAreCleanOnBothPaths) {
   const auto delta =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 0, 5, false);
+      run_once("ricart-agrawala", net::FaultMix::all(), 0, 5, false);
   const auto full =
-      run_once(Algorithm::kRicartAgrawala, net::FaultMix::all(), 0, 5, true);
+      run_once("ricart-agrawala", net::FaultMix::all(), 0, 5, true);
   expect_equivalent(delta, full);
   for (const auto total : delta.totals) EXPECT_EQ(total, 0u);
 }
@@ -190,9 +194,9 @@ TEST(DeltaVsFull, FaultFreeRunsAreCleanOnBothPaths) {
 // injected fault, exercising the monitors' steady-state reporting paths.
 TEST(DeltaVsFull, FragileImplementationMatchesEvenWhenUnstable) {
   const auto delta =
-      run_once(Algorithm::kFragile, net::FaultMix::all(), 10, 6, false);
+      run_once("fragile-ra", net::FaultMix::all(), 10, 6, false);
   const auto full =
-      run_once(Algorithm::kFragile, net::FaultMix::all(), 10, 6, true);
+      run_once("fragile-ra", net::FaultMix::all(), 10, 6, true);
   expect_equivalent(delta, full);
 }
 

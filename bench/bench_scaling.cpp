@@ -12,9 +12,9 @@
 //   * stabilization latency after a 12-fault burst vs N (deterministic).
 //
 // It also runs the PR-gating before/after pair at N=256 wrapped
-// Ricart-Agrawala: the same cell with the reference paths forced back on
-// (reference_dense_clocks + reference_full_sweep_monitors — the pre-sparse
-// substrate, kept precisely for this comparison) must be >= 5x slower on
+// Ricart-Agrawala: the same cell on the reference substrate
+// (HarnessConfig::reference_substrate: dense wire clocks and every monitor
+// stepped with kDirtyAll, its full check) must be >= 5x slower on
 // events/sec. Both halves live in this binary so the comparison is one
 // build, one machine, one invocation — PR 6's bench_substrate_micro style.
 //
@@ -136,8 +136,7 @@ int main(int argc, char** argv) {
     HarnessConfig sparse = cell_config(256, "ricart-agrawala", true, 99);
     pair_grid.add("pair/ra/n=256/sparse", sparse, pair_scenario, 1);
     HarnessConfig reference = sparse;
-    reference.reference_dense_clocks = true;
-    reference.reference_full_sweep_monitors = true;
+    reference.reference_substrate = true;
     pair_grid.add("pair/ra/n=256/reference", reference, pair_scenario, 1);
     EngineOptions pair_options = engine_options_from_flags(flags);
     pair_options.jobs = 1;

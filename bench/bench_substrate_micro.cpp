@@ -428,6 +428,21 @@ void BM_ProvenanceRecord(benchmark::State& state) {
 }
 BENCHMARK(BM_ProvenanceRecord)->Arg(0)->Arg(1);
 
+// One simulated kilotick per iteration, reported as simulator events per
+// second (events_per_sec, the engine cells' end-to-end unit).
+void run_harness_kiloticks(benchmark::State& state,
+                           const core::HarnessConfig& config) {
+  core::SystemHarness h(config);
+  h.start();
+  const std::uint64_t before = h.scheduler().executed();
+  for (auto _ : state) {
+    h.run_for(1000);
+  }
+  state.counters["events_per_sec"] = benchmark::Counter(
+      static_cast<double>(h.scheduler().executed() - before),
+      benchmark::Counter::kIsRate);
+}
+
 void BM_HarnessObservability(benchmark::State& state) {
   // One simulated kilotick of the busy wrapped 5-process system under the
   // three observability levels: off (the default every experiment runs
@@ -441,11 +456,7 @@ void BM_HarnessObservability(benchmark::State& state) {
   config.seed = 12;
   if (mode >= 1) config.trace_capacity = 1 << 16;
   if (mode >= 2) config.collect_metrics = true;
-  core::SystemHarness h(config);
-  h.start();
-  for (auto _ : state) {
-    h.run_for(1000);
-  }
+  run_harness_kiloticks(state, config);
   state.SetLabel(mode == 0 ? "obs off"
                            : mode == 1 ? "event trace" : "trace+metrics");
 }
@@ -462,11 +473,7 @@ void BM_HarnessSimulatedSecond(benchmark::State& state) {
   config.client.think_mean = 30;
   config.client.eat_mean = 5;
   config.seed = 12;
-  core::SystemHarness h(config);
-  h.start();
-  for (auto _ : state) {
-    h.run_for(1000);
-  }
+  run_harness_kiloticks(state, config);
   state.SetLabel(monitors ? "monitors on" : "monitors off");
 }
 BENCHMARK(BM_HarnessSimulatedSecond)->Arg(0)->Arg(1);
@@ -496,6 +503,7 @@ void BM_AlgebraBoxCompose(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(algebra::System::box(a, b));
   }
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AlgebraBoxCompose)->Arg(64)->Arg(256);
 

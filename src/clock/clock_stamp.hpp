@@ -13,8 +13,9 @@
 //   * empty — fault-fabricated messages; delivery just ticks (pre-existing
 //     semantics for size-mismatched clocks);
 //   * dense — a full VectorClock, used when the changed set exceeds the
-//     entry budget, for the first send on a channel after a clear, and in
-//     reference mode (Network::set_dense_stamps) for golden equivalence;
+//     entry budget, for the first send on a channel after a clear, and for
+//     every send in reference mode (Network::set_dense_stamps, set by
+//     HarnessConfig::reference_substrate);
 //   * delta — the changed components only, inline up to kInlineEntries and
 //     spilling to the heap only when fault repairs union stamps together.
 //

@@ -93,7 +93,7 @@ SystemHarness::SystemHarness(HarnessConfig config)
 
   net_ = std::make_unique<net::Network>(sched_, config_.n, config_.delay,
                                         net_rng);
-  net_->set_dense_stamps(config_.reference_dense_clocks);
+  net_->set_dense_stamps(config_.reference_substrate);
   net_->set_event_bus(bus_.get());
   net_->set_provenance(provenance_.get());
 
@@ -188,31 +188,22 @@ SystemHarness::SystemHarness(HarnessConfig config)
     }
     tme_handles_ = lspec::install_tme_monitors(
         monitor_set_, config_.n, std::move(claims), std::move(fcfs_claims));
-    if (config_.reference_full_sweep_monitors) {
-      tme_handles_.me1->set_incremental(false);
-      tme_handles_.me2->set_incremental(false);
-      tme_handles_.me3->set_incremental(false);
-      tme_handles_.invariant_i->set_incremental(false);
-      if (tme_handles_.mutual_belief != nullptr)
-        tme_handles_.mutual_belief->set_incremental(false);
-    }
     if (config_.install_lspec_monitors) {
       lspec_handles_ =
           lspec::install_lspec_clause_monitors(monitor_set_, config_.n);
     }
     // The observation hot path: one snapshot + monitor pass per executed
-    // event. The delta pipeline reuses the source's double buffer and tells
-    // the monitors which process row changed; the reference path is the
-    // legacy allocate-and-copy capture kept for golden-equivalence tests.
+    // event. The capture reuses the source's double buffer and tells the
+    // monitors which process row changed; the reference substrate hands
+    // every monitor kDirtyAll, its full check, instead.
     sched_.add_observer([this](SimTime t) {
       if (monitor_set_.empty()) return;  // nothing to feed: skip capture
       const auto start = std::chrono::steady_clock::now();
-      if (config_.reference_full_capture) {
-        monitor_set_.observe(t, snapshots_->capture_full(t));
-      } else {
-        const lspec::GlobalSnapshot& cur = snapshots_->capture(t);
-        monitor_set_.observe_ref(t, cur, snapshots_->last_dirty());
-      }
+      const lspec::GlobalSnapshot& cur = snapshots_->capture(t);
+      monitor_set_.observe_ref(t, cur,
+                               config_.reference_substrate
+                                   ? spec::kDirtyAll
+                                   : snapshots_->last_dirty());
       observe_ns_ += static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - start)

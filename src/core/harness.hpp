@@ -96,28 +96,15 @@ struct HarnessConfig {
   /// Entry Specs). Requires install_monitors.
   bool install_lspec_monitors = true;
 
-  /// Observe through the legacy allocate-and-copy full-capture path
-  /// instead of the zero-copy delta pipeline. Observationally equivalent
-  /// by contract — tests/test_snapshot_delta.cpp holds the two paths to
-  /// identical verdicts — and excluded from config_digest for exactly that
-  /// reason. Only golden-equivalence tests should set this.
-  bool reference_full_capture = false;
-
-  /// Stamp every message with a full dense vector clock (the pre-sparse
-  /// wire encoding) instead of per-channel deltas. Bit-identical receiver
-  /// clocks by contract (tests/test_clock_stamp.cpp pins the equivalence
-  /// under the full fault matrix), so excluded from config_digest like
-  /// reference_full_capture. Golden tests and the E14 before/after
-  /// measurement set this.
-  bool reference_dense_clocks = false;
-
-  /// Route every snapshot to the monitors' full step() instead of the
-  /// incremental step_delta() fast paths, and use the monitors' legacy
-  /// O(N)-scan helpers. Verdict-identical by contract (the incremental
-  /// paths fall back to a full check whenever they detect a possible
-  /// transition), so excluded from config_digest. Golden tests and the
-  /// E14 before/after measurement set this.
-  bool reference_full_sweep_monitors = false;
+  /// Run the reference observation substrate: stamp every message with a
+  /// full dense vector clock (the pre-sparse wire encoding) instead of
+  /// per-channel deltas, and step every monitor with spec::kDirtyAll (its
+  /// full check) instead of the snapshot's dirty-row hint. Identical
+  /// receiver clocks and verdicts by contract — tests/test_clock_stamp.cpp
+  /// and tests/test_snapshot_delta.cpp diff whole runs with it on and off
+  /// under the full fault matrix — so excluded from config_digest. Those
+  /// tests and the E14 before/after pair set it.
+  bool reference_substrate = false;
 
   /// Retain this many typed events in the observability bus (sends,
   /// deliveries, state transitions, faults, wrapper corrections, monitor

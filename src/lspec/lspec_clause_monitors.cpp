@@ -1,7 +1,5 @@
 #include "lspec/lspec_clause_monitors.hpp"
 
-#include "spec/unity.hpp"
-
 namespace graybox::lspec {
 namespace {
 
@@ -20,11 +18,11 @@ bool legal_flow(TmeState from, TmeState to) {
 }
 
 // Every clause below is per-process-local: what it reports about process j
-// depends only on row j of the snapshot pair. That is what makes the
-// step_delta overrides sound — a row outside the dirty hint is bit-identical
-// to its predecessor, so skipping it can neither miss a transition nor
-// change a per-row obligation (eating_since_ etc. are functions of the row
-// history, which didn't advance).
+// depends only on row j of the snapshot pair. That is what makes visiting
+// only the dirty rows sound — a row outside the hint is bit-identical to its
+// predecessor, so skipping it can neither miss a transition nor change a
+// per-row obligation (eating_since_ etc. are functions of the row history,
+// which didn't advance).
 
 /// Flow Spec over snapshots: each process moves only along t -> h -> e -> t
 /// (or stays put) between consecutive global states.
@@ -32,19 +30,10 @@ class FlowSpecSnapshotMonitor : public TmeMonitor {
  public:
   FlowSpecSnapshotMonitor() : TmeMonitor("Lspec/FlowSpec") {}
 
-  void step(SimTime t, const GlobalSnapshot& prev,
-            const GlobalSnapshot& cur) override {
-    for (std::size_t j = 0; j < cur.procs.size(); ++j) check(t, prev, cur, j);
-  }
-
-  void step_delta(SimTime t, const GlobalSnapshot& prev,
-                  const GlobalSnapshot& cur, std::size_t dirty) override {
-    if (dirty == spec::kDirtyNone) return;
-    if (dirty == spec::kDirtyAll) {
-      step(t, prev, cur);
-      return;
-    }
-    check(t, prev, cur, dirty);
+  void step(SimTime t, const GlobalSnapshot& prev, const GlobalSnapshot& cur,
+            std::size_t dirty) override {
+    spec::for_each_dirty_row(dirty, cur.procs.size(),
+                             [&](std::size_t j) { check(t, prev, cur, j); });
   }
 
  private:
@@ -65,19 +54,13 @@ class CsTransientMonitor : public TmeMonitor {
   explicit CsTransientMonitor(std::size_t n)
       : TmeMonitor("Lspec/CsSpec"), eating_since_(n, kNever) {}
 
-  void begin(SimTime t, const GlobalSnapshot& s0) override { scan(t, s0); }
-  void step(SimTime t, const GlobalSnapshot&,
-            const GlobalSnapshot& cur) override {
-    scan(t, cur);
+  void begin(SimTime t, const GlobalSnapshot& s0) override {
+    step(t, s0, s0, spec::kDirtyAll);
   }
-  void step_delta(SimTime t, const GlobalSnapshot&, const GlobalSnapshot& cur,
-                  std::size_t dirty) override {
-    if (dirty == spec::kDirtyNone) return;
-    if (dirty == spec::kDirtyAll) {
-      scan(t, cur);
-      return;
-    }
-    scan_row(t, cur, dirty);
+  void step(SimTime t, const GlobalSnapshot&, const GlobalSnapshot& cur,
+            std::size_t dirty) override {
+    spec::for_each_dirty_row(dirty, cur.procs.size(),
+                             [&](std::size_t j) { scan_row(t, cur, j); });
   }
   void finish(SimTime, const GlobalSnapshot&) override {
     for (std::size_t j = 0; j < eating_since_.size(); ++j) {
@@ -96,9 +79,6 @@ class CsTransientMonitor : public TmeMonitor {
       eating_since_[j] = kNever;
     }
   }
-  void scan(SimTime t, const GlobalSnapshot& s) {
-    for (std::size_t j = 0; j < s.procs.size(); ++j) scan_row(t, s, j);
-  }
   std::vector<SimTime> eating_since_;
 };
 
@@ -108,18 +88,10 @@ class RequestFrozenMonitor : public TmeMonitor {
  public:
   RequestFrozenMonitor() : TmeMonitor("Lspec/RequestSpec") {}
 
-  void step(SimTime t, const GlobalSnapshot& prev,
-            const GlobalSnapshot& cur) override {
-    for (std::size_t j = 0; j < cur.procs.size(); ++j) check(t, prev, cur, j);
-  }
-  void step_delta(SimTime t, const GlobalSnapshot& prev,
-                  const GlobalSnapshot& cur, std::size_t dirty) override {
-    if (dirty == spec::kDirtyNone) return;
-    if (dirty == spec::kDirtyAll) {
-      step(t, prev, cur);
-      return;
-    }
-    check(t, prev, cur, dirty);
+  void step(SimTime t, const GlobalSnapshot& prev, const GlobalSnapshot& cur,
+            std::size_t dirty) override {
+    spec::for_each_dirty_row(dirty, cur.procs.size(),
+                             [&](std::size_t j) { check(t, prev, cur, j); });
   }
 
  private:
@@ -139,31 +111,22 @@ class RequestFrozenMonitor : public TmeMonitor {
 ///
 /// This clause reports on EVERY observed state while a row is bad, not only
 /// on transitions into badness (the stabilization detector needs the exact
-/// time the violation ended). The delta path therefore keeps a per-row bad
-/// set: dirty rows update their flag, and as long as any row is bad the
-/// full reporting sweep runs — identical reports to the full scan, but O(1)
-/// per event on the (overwhelmingly common) all-clean path.
+/// time the violation ended). It therefore keeps a per-row bad set: dirty
+/// rows update their flag, and as long as any row is bad the full reporting
+/// sweep runs — identical reports to a full scan, but O(1) per event on the
+/// (overwhelmingly common) all-clean path.
 class ReleaseTracksClockMonitor : public TmeMonitor {
  public:
   explicit ReleaseTracksClockMonitor(std::size_t n)
       : TmeMonitor("Lspec/CsReleaseSpec"), bad_(n, 0) {}
 
   void begin(SimTime t, const GlobalSnapshot& s0) override {
-    update_all(s0);
-    report_bad(t, s0);
+    step(t, s0, s0, spec::kDirtyAll);
   }
-  void step(SimTime t, const GlobalSnapshot&,
-            const GlobalSnapshot& cur) override {
-    update_all(cur);
-    report_bad(t, cur);
-  }
-  void step_delta(SimTime t, const GlobalSnapshot&, const GlobalSnapshot& cur,
-                  std::size_t dirty) override {
-    if (dirty == spec::kDirtyAll) {
-      update_all(cur);
-    } else if (dirty != spec::kDirtyNone) {
-      update_row(cur, dirty);
-    }
+  void step(SimTime t, const GlobalSnapshot&, const GlobalSnapshot& cur,
+            std::size_t dirty) override {
+    spec::for_each_dirty_row(dirty, cur.procs.size(),
+                             [&](std::size_t j) { update_row(cur, j); });
     report_bad(t, cur);
   }
 
@@ -176,9 +139,6 @@ class ReleaseTracksClockMonitor : public TmeMonitor {
     bad_count_ += static_cast<std::size_t>(bad) -
                   static_cast<std::size_t>(bad_[j]);
     bad_[j] = bad;
-  }
-  void update_all(const GlobalSnapshot& s) {
-    for (std::size_t j = 0; j < s.procs.size(); ++j) update_row(s, j);
   }
   void report_bad(SimTime t, const GlobalSnapshot& s) {
     if (bad_count_ == 0) return;
@@ -200,19 +160,13 @@ class EntryTakenMonitor : public TmeMonitor {
   explicit EntryTakenMonitor(std::size_t n)
       : TmeMonitor("Lspec/CsEntrySpec"), enabled_since_(n, kNever) {}
 
-  void begin(SimTime t, const GlobalSnapshot& s0) override { scan(t, s0); }
-  void step(SimTime t, const GlobalSnapshot&,
-            const GlobalSnapshot& cur) override {
-    scan(t, cur);
+  void begin(SimTime t, const GlobalSnapshot& s0) override {
+    step(t, s0, s0, spec::kDirtyAll);
   }
-  void step_delta(SimTime t, const GlobalSnapshot&, const GlobalSnapshot& cur,
-                  std::size_t dirty) override {
-    if (dirty == spec::kDirtyNone) return;
-    if (dirty == spec::kDirtyAll) {
-      scan(t, cur);
-      return;
-    }
-    scan_row(t, cur, dirty);
+  void step(SimTime t, const GlobalSnapshot&, const GlobalSnapshot& cur,
+            std::size_t dirty) override {
+    spec::for_each_dirty_row(dirty, cur.procs.size(),
+                             [&](std::size_t j) { scan_row(t, cur, j); });
   }
   void finish(SimTime, const GlobalSnapshot&) override {
     for (std::size_t j = 0; j < enabled_since_.size(); ++j) {
@@ -236,9 +190,6 @@ class EntryTakenMonitor : public TmeMonitor {
     } else {
       enabled_since_[j] = kNever;
     }
-  }
-  void scan(SimTime t, const GlobalSnapshot& s) {
-    for (std::size_t j = 0; j < s.procs.size(); ++j) scan_row(t, s, j);
   }
   std::vector<SimTime> enabled_since_;
 };

@@ -2,7 +2,7 @@
 //
 // The TME Spec monitors (tme_monitors.hpp) judge the *derived* property the
 // end user cares about; the monitors here judge the clauses of Lspec
-// itself, built from the generic UNITY combinators in spec/unity.hpp:
+// itself, each a hand-written per-process-local spec::Monitor:
 //
 //   Flow Spec       - per process, the state flows t -> h -> e -> t: as a
 //                     global-state property, "h.j unless (e.j \/ t.j)" and

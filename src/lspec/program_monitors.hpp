@@ -65,7 +65,8 @@ class SendMonotonicityMonitor {
 
 /// Communication Spec: channels are FIFO — per directed pair, delivery
 /// order equals send order. Judged by the uids Network::send assigns;
-/// fabricated (fault-injected) messages carry uid 0 and are skipped.
+/// fabricated (fault-injected) messages carry uids from the reserved
+/// spurious range (net::kSpuriousUidBase and up) and are skipped.
 class FifoMonitor {
  public:
   FifoMonitor(net::Network& net, sim::Scheduler& sched);

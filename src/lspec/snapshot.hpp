@@ -133,7 +133,7 @@ class GlobalSnapshot {
 /// observation version counters (TmeProcess::obs_version,
 /// Network::vclock_version): a row is re-read only when its combined
 /// version moved, and last_dirty() summarizes the change against the
-/// previous snapshot for Monitor::step_delta.
+/// previous snapshot as Monitor::step's dirty hint.
 class SnapshotSource {
  public:
   SnapshotSource(std::vector<me::TmeProcess*> processes,
@@ -150,9 +150,9 @@ class SnapshotSource {
   const GlobalSnapshot& current() const { return buffers_[cur_]; }
   const GlobalSnapshot& previous() const { return buffers_[1 - cur_]; }
 
-  /// Reference path: allocate and fill a fresh snapshot, exactly like the
-  /// pre-delta pipeline did every event. Retained for golden-equivalence
-  /// tests (tests/test_snapshot_delta.cpp) and as the spec of capture().
+  /// The executable spec of capture(): allocate and fill a fresh snapshot,
+  /// every row read from the live state. tests/test_snapshot_delta.cpp
+  /// holds capture() equal to it after every event.
   GlobalSnapshot capture_full(SimTime t) const;
 
   std::size_t size() const { return processes_.size(); }

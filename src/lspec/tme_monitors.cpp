@@ -1,5 +1,6 @@
 #include "lspec/tme_monitors.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "common/contracts.hpp"
@@ -17,6 +18,14 @@ std::string pid_list(const GlobalSnapshot& s, me::TmeState state) {
   return out;
 }
 
+/// An all-claiming vector reads exactly like an empty one; the empty form
+/// spares the monitors a per-process lookup on their hot paths.
+std::vector<char> unless_all_claim(std::vector<char> claims) {
+  if (std::find(claims.begin(), claims.end(), 0) == claims.end())
+    claims.clear();
+  return claims;
+}
+
 }  // namespace
 
 // --- ME1 -------------------------------------------------------------------
@@ -26,16 +35,7 @@ Me1Monitor::Me1Monitor() : TmeMonitor("ME1") {}
 void Me1Monitor::begin(SimTime t, const GlobalSnapshot& s0) { check(t, s0); }
 
 void Me1Monitor::step(SimTime t, const GlobalSnapshot&,
-                      const GlobalSnapshot& cur) {
-  check(t, cur);
-}
-
-void Me1Monitor::step_delta(SimTime t, const GlobalSnapshot& prev,
-                            const GlobalSnapshot& cur, std::size_t dirty) {
-  if (!incremental_) {
-    step(t, prev, cur);
-    return;
-  }
+                      const GlobalSnapshot& cur, std::size_t dirty) {
   // While in violation every event must re-report (the stabilization
   // detector needs the exact end time); while clean, an untouched snapshot
   // cannot start one. check() itself is O(1) on the clean path thanks to
@@ -62,8 +62,13 @@ Me2Monitor::Me2Monitor(std::size_t n)
 void Me2Monitor::begin(SimTime t, const GlobalSnapshot& s0) { scan(t, s0); }
 
 void Me2Monitor::step(SimTime t, const GlobalSnapshot& prev,
-                      const GlobalSnapshot& cur) {
-  for (std::size_t j = 0; j < cur.procs.size(); ++j) step_row(t, prev, cur, j);
+                      const GlobalSnapshot& cur, std::size_t dirty) {
+  // All bookkeeping is per-row-local: an untouched row has no transition
+  // to count and its hungry episode neither opens nor closes (hungry_since_
+  // was set when the row last changed).
+  spec::for_each_dirty_row(dirty, cur.procs.size(), [&](std::size_t j) {
+    step_row(t, prev, cur, j);
+  });
 }
 
 void Me2Monitor::step_row(SimTime t, const GlobalSnapshot& prev,
@@ -77,23 +82,6 @@ void Me2Monitor::step_row(SimTime t, const GlobalSnapshot& prev,
     ++collapsed_entries_;
   }
   scan_row(t, cur, j);
-}
-
-void Me2Monitor::step_delta(SimTime t, const GlobalSnapshot& prev,
-                            const GlobalSnapshot& cur, std::size_t dirty) {
-  if (!incremental_) {
-    step(t, prev, cur);
-    return;
-  }
-  // All bookkeeping is per-row-local: an untouched row has no transition
-  // to count and its hungry episode neither opens nor closes (hungry_since_
-  // was set when the row last changed).
-  if (dirty == spec::kDirtyNone) return;
-  if (dirty == spec::kDirtyAll) {
-    step(t, prev, cur);
-    return;
-  }
-  step_row(t, prev, cur, dirty);
 }
 
 void Me2Monitor::scan(SimTime t, const GlobalSnapshot& s) {
@@ -130,8 +118,6 @@ void Me2Monitor::finish(SimTime, const GlobalSnapshot&) {
 
 // --- ME3 -------------------------------------------------------------------
 
-Me3Monitor::Me3Monitor(std::size_t n) : TmeMonitor("ME3"), open_(n) {}
-
 Me3Monitor::Me3Monitor(std::size_t n, std::vector<char> fcfs_claims)
     : TmeMonitor("ME3"), open_(n), claims_(std::move(fcfs_claims)) {
   GBX_EXPECTS(claims_.empty() || claims_.size() == n);
@@ -146,8 +132,13 @@ void Me3Monitor::begin(SimTime t, const GlobalSnapshot& s0) {
 }
 
 void Me3Monitor::step(SimTime t, const GlobalSnapshot& prev,
-                      const GlobalSnapshot& cur) {
-  for (std::size_t j = 0; j < cur.procs.size(); ++j) step_row(t, prev, cur, j);
+                      const GlobalSnapshot& cur, std::size_t dirty) {
+  // The monitor only acts on state *transitions*, which an untouched row
+  // cannot have; on_request/on_entry read only row j plus the open-request
+  // table, both unaffected by skipped clean rows.
+  spec::for_each_dirty_row(dirty, cur.procs.size(), [&](std::size_t j) {
+    step_row(t, prev, cur, j);
+  });
 }
 
 void Me3Monitor::step_row(SimTime t, const GlobalSnapshot& prev,
@@ -168,23 +159,6 @@ void Me3Monitor::step_row(SimTime t, const GlobalSnapshot& prev,
     on_entry(j, t, cur);
   }
   if (after == me::TmeState::kThinking) open_[j].open = false;
-}
-
-void Me3Monitor::step_delta(SimTime t, const GlobalSnapshot& prev,
-                            const GlobalSnapshot& cur, std::size_t dirty) {
-  if (!incremental_) {
-    step(t, prev, cur);
-    return;
-  }
-  // The monitor only acts on state *transitions*, which an untouched row
-  // cannot have; on_request/on_entry read only row j plus the open-request
-  // table, both unaffected by skipped clean rows.
-  if (dirty == spec::kDirtyNone) return;
-  if (dirty == spec::kDirtyAll) {
-    step(t, prev, cur);
-    return;
-  }
-  step_row(t, prev, cur, dirty);
 }
 
 namespace {
@@ -250,39 +224,33 @@ void Me3Monitor::on_entry(std::size_t j, SimTime t,
 
 // --- Invariant I -------------------------------------------------------------
 
-InvariantIMonitor::InvariantIMonitor() : TmeMonitor("InvariantI") {}
-
 InvariantIMonitor::InvariantIMonitor(std::vector<char> claims)
     : TmeMonitor("InvariantI"), claims_(std::move(claims)) {}
 
 void InvariantIMonitor::begin(SimTime t, const GlobalSnapshot& s0) {
-  rebuild_counts(s0);
   check(t, s0);
 }
 
-void InvariantIMonitor::step(SimTime t, const GlobalSnapshot&,
-                             const GlobalSnapshot& cur) {
-  check(t, cur);
-}
-
-void InvariantIMonitor::step_delta(SimTime t, const GlobalSnapshot& prev,
-                                   const GlobalSnapshot& cur,
-                                   std::size_t dirty) {
-  if (!incremental_) {
-    step(t, prev, cur);
-    return;
-  }
-  // While in violation every event must re-report (exact violation end
-  // time); the maintained per-believer bad counts make both the fold and
-  // the report O(N), so violating windows no longer pay the O(N²) sweep.
+void InvariantIMonitor::step(SimTime t, const GlobalSnapshot& prev,
+                             const GlobalSnapshot& cur, std::size_t dirty) {
   if (dirty == spec::kDirtyAll) {
-    rebuild_counts(cur);
+    // The plain full check. Dropping the counts keeps this path O(N²) per
+    // step; the next row-hinted step rebuilds them.
+    bad_k_count_.clear();
     check(t, cur);
     return;
   }
-  if (dirty != spec::kDirtyNone) fold_dirty_row(prev, cur, dirty);
+  // While clean, an untouched snapshot cannot start a violation. While in
+  // violation every event must re-report (exact violation end time); the
+  // maintained per-believer bad counts make both the fold and the report
+  // O(N), so violating windows do not pay the O(N²) sweep.
   if (dirty == spec::kDirtyNone && !in_violation_) return;
-  report_current(t, cur);
+  if (bad_k_count_.size() != cur.procs.size()) {
+    rebuild_counts(cur);
+  } else if (dirty != spec::kDirtyNone) {
+    fold_dirty_row(prev, cur, dirty);
+  }
+  check(t, cur);
 }
 
 void InvariantIMonitor::rebuild_counts(const GlobalSnapshot& s) {
@@ -303,10 +271,6 @@ void InvariantIMonitor::fold_dirty_row(const GlobalSnapshot& prev,
                                        const GlobalSnapshot& cur,
                                        std::size_t m) {
   const std::size_t n = cur.procs.size();
-  if (bad_k_count_.size() != n) {
-    rebuild_counts(cur);
-    return;
-  }
   // m as believer: REQm and knows row m both changed — recompute its count.
   if (claims(m)) {
     std::uint32_t c = 0;
@@ -327,27 +291,6 @@ void InvariantIMonitor::fold_dirty_row(const GlobalSnapshot& prev,
   }
 }
 
-void InvariantIMonitor::report_current(SimTime t, const GlobalSnapshot& s) {
-  bool bad = false;
-  for (std::size_t j = 0; j < s.procs.size() && !bad; ++j) {
-    if (!s.procs[j].hungry()) continue;
-    if (j < claims_.size() && claims_[j] == 0) continue;
-    if (bad_k_count_[j] == 0) continue;
-    for (std::size_t k = 0; k < s.procs.size(); ++k) {
-      if (k == j || !s.knows_earlier(j, k)) continue;
-      if (!clk::lt(s.procs[j].req, s.procs[k].req)) {
-        bad = true;
-        report(t, "process " + std::to_string(j) + " believes " +
-                      s.procs[j].req.to_string() + " lt REQ(" +
-                      std::to_string(k) + ")=" + s.procs[k].req.to_string() +
-                      ", which is false");
-        break;
-      }
-    }
-  }
-  in_violation_ = bad;
-}
-
 void InvariantIMonitor::check(SimTime t, const GlobalSnapshot& s) {
   bool bad = false;
   for (std::size_t j = 0; j < s.procs.size() && !bad; ++j) {
@@ -357,7 +300,9 @@ void InvariantIMonitor::check(SimTime t, const GlobalSnapshot& s) {
     // A process that does not claim view_entry_truth (its entry guard is
     // permission-backed, not view-backed) is exempt; MutualBeliefMonitor
     // covers it instead.
-    if (j < claims_.size() && claims_[j] == 0) continue;
+    if (!claims(j)) continue;
+    // Maintained counts skip a believer with no bad k in O(1).
+    if (!bad_k_count_.empty() && bad_k_count_[j] == 0) continue;
     for (std::size_t k = 0; k < s.procs.size(); ++k) {
       if (k == j || !s.knows_earlier(j, k)) continue;
       if (!clk::lt(s.procs[j].req, s.procs[k].req)) {
@@ -385,17 +330,7 @@ void MutualBeliefMonitor::begin(SimTime t, const GlobalSnapshot& s0) {
 }
 
 void MutualBeliefMonitor::step(SimTime t, const GlobalSnapshot&,
-                               const GlobalSnapshot& cur) {
-  check(t, cur);
-}
-
-void MutualBeliefMonitor::step_delta(SimTime t, const GlobalSnapshot& prev,
-                                     const GlobalSnapshot& cur,
-                                     std::size_t dirty) {
-  if (!incremental_) {
-    step(t, prev, cur);
-    return;
-  }
+                               const GlobalSnapshot& cur, std::size_t dirty) {
   if (in_violation_ || dirty == spec::kDirtyAll) {
     check(t, cur);
     return;
@@ -439,31 +374,20 @@ void MutualBeliefMonitor::check(SimTime t, const GlobalSnapshot& s) {
 
 // --- Battery -----------------------------------------------------------------
 
-TmeMonitors install_tme_monitors(TmeMonitorSet& set, std::size_t n) {
-  return install_tme_monitors(set, n, {});
-}
-
 TmeMonitors install_tme_monitors(TmeMonitorSet& set, std::size_t n,
                                  std::vector<char> view_entry_truth_claims,
                                  std::vector<char> fcfs_claims) {
-  bool all_claim = true;
-  for (char c : view_entry_truth_claims)
-    if (c == 0) all_claim = false;
-  bool all_fcfs = true;
-  for (char c : fcfs_claims)
-    if (c == 0) all_fcfs = false;
+  view_entry_truth_claims =
+      unless_all_claim(std::move(view_entry_truth_claims));
+  const bool some_opt_out = !view_entry_truth_claims.empty();
   TmeMonitors handles;
   handles.me1 = &set.add<Me1Monitor>();
   handles.me2 = &set.add<Me2Monitor>(n);
-  handles.me3 = all_fcfs ? &set.add<Me3Monitor>(n)
-                         : &set.add<Me3Monitor>(n, std::move(fcfs_claims));
-  if (all_claim) {
-    handles.invariant_i = &set.add<InvariantIMonitor>();
-  } else {
-    handles.invariant_i =
-        &set.add<InvariantIMonitor>(std::move(view_entry_truth_claims));
-    handles.mutual_belief = &set.add<MutualBeliefMonitor>();
-  }
+  handles.me3 =
+      &set.add<Me3Monitor>(n, unless_all_claim(std::move(fcfs_claims)));
+  handles.invariant_i =
+      &set.add<InvariantIMonitor>(std::move(view_entry_truth_claims));
+  if (some_opt_out) handles.mutual_belief = &set.add<MutualBeliefMonitor>();
   return handles;
 }
 

@@ -42,7 +42,6 @@
 
 #include "lspec/snapshot.hpp"
 #include "spec/monitor.hpp"
-#include "spec/unity.hpp"
 
 namespace graybox::lspec {
 
@@ -54,14 +53,8 @@ class Me1Monitor : public TmeMonitor {
  public:
   Me1Monitor();
   void begin(SimTime t, const GlobalSnapshot& s0) override;
-  void step(SimTime t, const GlobalSnapshot& prev,
-            const GlobalSnapshot& cur) override;
-  void step_delta(SimTime t, const GlobalSnapshot& prev,
-                  const GlobalSnapshot& cur, std::size_t dirty) override;
-
-  /// Reference mode: false routes every event through the full step()
-  /// (the pre-incremental behaviour); verdict-identical by contract.
-  void set_incremental(bool v) { incremental_ = v; }
+  void step(SimTime t, const GlobalSnapshot& prev, const GlobalSnapshot& cur,
+            std::size_t dirty) override;
 
   /// Number of distinct overlap episodes (entries into violation).
   std::uint64_t episodes() const { return episodes_; }
@@ -69,7 +62,6 @@ class Me1Monitor : public TmeMonitor {
  private:
   void check(SimTime t, const GlobalSnapshot& s);
   bool in_violation_ = false;
-  bool incremental_ = true;
   std::uint64_t episodes_ = 0;
 };
 
@@ -78,13 +70,9 @@ class Me2Monitor : public TmeMonitor {
  public:
   explicit Me2Monitor(std::size_t n);
   void begin(SimTime t, const GlobalSnapshot& s0) override;
-  void step(SimTime t, const GlobalSnapshot& prev,
-            const GlobalSnapshot& cur) override;
-  void step_delta(SimTime t, const GlobalSnapshot& prev,
-                  const GlobalSnapshot& cur, std::size_t dirty) override;
+  void step(SimTime t, const GlobalSnapshot& prev, const GlobalSnapshot& cur,
+            std::size_t dirty) override;
   void finish(SimTime t, const GlobalSnapshot& last) override;
-
-  void set_incremental(bool v) { incremental_ = v; }
 
   std::uint64_t served() const { return served_; }
   /// Collapsed t -> e entries counted as service (wait 0); see the file
@@ -101,7 +89,6 @@ class Me2Monitor : public TmeMonitor {
   void step_row(SimTime t, const GlobalSnapshot& prev,
                 const GlobalSnapshot& cur, std::size_t j);
   void scan_row(SimTime t, const GlobalSnapshot& s, std::size_t j);
-  bool incremental_ = true;
   std::vector<SimTime> hungry_since_;
   std::uint64_t served_ = 0;
   std::uint64_t collapsed_entries_ = 0;
@@ -111,7 +98,7 @@ class Me2Monitor : public TmeMonitor {
 
 /// ME3: FCFS via happened-before on request events.
 ///
-/// `fcfs_claims` (optional) marks which processes assert
+/// `fcfs_claims` (empty or size n) marks which processes assert
 /// SpecConformance::fcfs. An entry by a non-claiming process
 /// (Carvalho-Roucairol, whose leased fast path deliberately overtakes
 /// causally earlier requests) is exempt from the overtake check; entries
@@ -119,15 +106,10 @@ class Me2Monitor : public TmeMonitor {
 /// every process. Empty means every process claims.
 class Me3Monitor : public TmeMonitor {
  public:
-  explicit Me3Monitor(std::size_t n);
-  Me3Monitor(std::size_t n, std::vector<char> fcfs_claims);
+  explicit Me3Monitor(std::size_t n, std::vector<char> fcfs_claims = {});
   void begin(SimTime t, const GlobalSnapshot& s0) override;
-  void step(SimTime t, const GlobalSnapshot& prev,
-            const GlobalSnapshot& cur) override;
-  void step_delta(SimTime t, const GlobalSnapshot& prev,
-                  const GlobalSnapshot& cur, std::size_t dirty) override;
-
-  void set_incremental(bool v) { incremental_ = v; }
+  void step(SimTime t, const GlobalSnapshot& prev, const GlobalSnapshot& cur,
+            std::size_t dirty) override;
 
   std::uint64_t entries_checked() const { return entries_checked_; }
 
@@ -149,31 +131,29 @@ class Me3Monitor : public TmeMonitor {
 
   std::vector<OpenRequest> open_;
   std::vector<char> claims_;
-  bool incremental_ = true;
   std::uint64_t entries_checked_ = 0;
 };
 
 /// Invariant I (relation form): knows_earlier(j,k) => REQj lt REQk.
 ///
-/// `claims` (optional) marks which processes assert
-/// SpecConformance::view_entry_truth; the belief of a process that does not
-/// claim it (Carvalho-Roucairol, whose entry guard is permission-backed) is
-/// exempt from the per-view check. Empty means every process claims.
+/// `claims` marks which processes assert SpecConformance::view_entry_truth;
+/// the belief of a process that does not claim it (Carvalho-Roucairol,
+/// whose entry guard is permission-backed) is exempt from the per-view
+/// check. Empty means every process claims.
 class InvariantIMonitor : public TmeMonitor {
  public:
-  InvariantIMonitor();
-  explicit InvariantIMonitor(std::vector<char> claims);
+  explicit InvariantIMonitor(std::vector<char> claims = {});
   void begin(SimTime t, const GlobalSnapshot& s0) override;
-  void step(SimTime t, const GlobalSnapshot& prev,
-            const GlobalSnapshot& cur) override;
-  void step_delta(SimTime t, const GlobalSnapshot& prev,
-                  const GlobalSnapshot& cur, std::size_t dirty) override;
-
-  void set_incremental(bool v) { incremental_ = v; }
+  void step(SimTime t, const GlobalSnapshot& prev, const GlobalSnapshot& cur,
+            std::size_t dirty) override;
 
  private:
+  /// Report the first hungry claiming believer with a bad k, and its first
+  /// bad k. O(N²) with bad_k_count_ empty (the first state and every
+  /// kDirtyAll step); with the counts maintained, a violating state costs
+  /// O(N).
   void check(SimTime t, const GlobalSnapshot& s);
-  /// Recompute bad_k_count_ from scratch (O(N²)); begin and kDirtyAll only.
+  /// Recompute bad_k_count_ from scratch (O(N²)).
   void rebuild_counts(const GlobalSnapshot& s);
   /// Fold one dirty row into bad_k_count_: row m's believer count is
   /// recomputed (its req and knows row both changed, O(N)) and every other
@@ -182,10 +162,6 @@ class InvariantIMonitor : public TmeMonitor {
   /// computable from `prev` in O(1). O(N) total per dirty row.
   void fold_dirty_row(const GlobalSnapshot& prev, const GlobalSnapshot& cur,
                       std::size_t m);
-  /// Report exactly what check() would — the first hungry claiming believer
-  /// with a bad k, and its first bad k — but gated by the maintained
-  /// counts, so a violating event costs O(N) instead of O(N²).
-  void report_current(SimTime t, const GlobalSnapshot& s);
   bool claims(std::size_t j) const {
     return j >= claims_.size() || claims_[j] != 0;
   }
@@ -193,9 +169,10 @@ class InvariantIMonitor : public TmeMonitor {
   /// Per believer j (claiming only): #{k != j : knows_earlier(j, k) and
   /// not REQj lt REQk}. Maintained for every j regardless of h.j — the
   /// hungry gate is applied at report time, matching check()'s scan.
+  /// Empty while not maintained: before the first row-hinted step and
+  /// after every kDirtyAll step.
   std::vector<std::uint32_t> bad_k_count_;
   bool in_violation_ = false;
-  bool incremental_ = true;
 };
 
 /// Mutual Belief: (forall j != k :: h.j /\ h.k =>
@@ -209,12 +186,8 @@ class MutualBeliefMonitor : public TmeMonitor {
  public:
   MutualBeliefMonitor();
   void begin(SimTime t, const GlobalSnapshot& s0) override;
-  void step(SimTime t, const GlobalSnapshot& prev,
-            const GlobalSnapshot& cur) override;
-  void step_delta(SimTime t, const GlobalSnapshot& prev,
-                  const GlobalSnapshot& cur, std::size_t dirty) override;
-
-  void set_incremental(bool v) { incremental_ = v; }
+  void step(SimTime t, const GlobalSnapshot& prev, const GlobalSnapshot& cur,
+            std::size_t dirty) override;
 
   /// Distinct entries into violation (mirrors Me1Monitor::episodes).
   std::uint64_t episodes() const { return episodes_; }
@@ -223,31 +196,28 @@ class MutualBeliefMonitor : public TmeMonitor {
   void check(SimTime t, const GlobalSnapshot& s);
   bool row_may_violate(const GlobalSnapshot& s, std::size_t m) const;
   bool in_violation_ = false;
-  bool incremental_ = true;
   std::uint64_t episodes_ = 0;
 };
 
-/// Convenience: populate a monitor set with the full TME battery. Returns
-/// references to the individual monitors for stats queries.
+/// Handles to the TME battery's monitors, for stats queries.
 struct TmeMonitors {
   Me1Monitor* me1 = nullptr;
   Me2Monitor* me2 = nullptr;
   Me3Monitor* me3 = nullptr;
   InvariantIMonitor* invariant_i = nullptr;
-  /// Non-null only when the claim-aware overload below installed it.
+  /// Non-null only when some process opts out of view_entry_truth.
   MutualBeliefMonitor* mutual_belief = nullptr;
 };
-TmeMonitors install_tme_monitors(TmeMonitorSet& set, std::size_t n);
 
-/// Claim-aware battery: `view_entry_truth_claims[j]` is process j's
+/// Populate a monitor set with the TME battery: ME1, ME2, ME3 and
+/// Invariant I. `view_entry_truth_claims[j]` is process j's
 /// SpecConformance::view_entry_truth and `fcfs_claims[j]` its
-/// SpecConformance::fcfs. When every process claims (or a vector is empty)
-/// the corresponding monitor is exactly the one from the 4-monitor battery
-/// above; otherwise Invariant I / ME3 exempt the non-claiming processes and
-/// a MutualBeliefMonitor is appended as the 5th monitor (for
-/// view_entry_truth opt-outs only).
+/// SpecConformance::fcfs; an empty vector reads like an all-claiming one.
+/// Invariant I and ME3 exempt the non-claiming processes, and a
+/// MutualBeliefMonitor is appended as the 5th monitor when some process
+/// opts out of view_entry_truth.
 TmeMonitors install_tme_monitors(TmeMonitorSet& set, std::size_t n,
-                                 std::vector<char> view_entry_truth_claims,
+                                 std::vector<char> view_entry_truth_claims = {},
                                  std::vector<char> fcfs_claims = {});
 
 }  // namespace graybox::lspec

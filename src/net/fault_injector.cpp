@@ -1,5 +1,7 @@
 #include "net/fault_injector.hpp"
 
+#include <optional>
+
 #include "common/contracts.hpp"
 
 namespace graybox::net {
@@ -136,31 +138,6 @@ FaultInjector::FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
       rng_(rng),
       corrupt_process_(std::move(corrupt_process)) {}
 
-FaultInjector::Target FaultInjector::pick_in_flight() {
-  const std::size_t total = net_.in_flight();
-  if (total == 0) return Target{nullptr, 0};
-  std::size_t pick = rng_.index(total);
-  const std::size_t n = net_.size();
-  for (ProcessId from = 0; from < n; ++from) {
-    for (ProcessId to = 0; to < n; ++to) {
-      if (from == to) continue;
-      Channel& ch = net_.channel(from, to);
-      if (pick < ch.in_flight()) return Target{&ch, pick};
-      pick -= ch.in_flight();
-    }
-  }
-  GBX_ASSERT(false && "in_flight total inconsistent with channels");
-  return Target{nullptr, 0};
-}
-
-std::pair<ProcessId, ProcessId> FaultInjector::pick_pair() {
-  GBX_EXPECTS(net_.size() >= 2);
-  const auto from = static_cast<ProcessId>(rng_.index(net_.size()));
-  auto to = static_cast<ProcessId>(rng_.index(net_.size() - 1));
-  if (to >= from) ++to;
-  return {from, to};
-}
-
 clk::Timestamp FaultInjector::random_timestamp() {
   // Log-uniform magnitude: shifting a raw 64-bit draw by a random amount
   // covers everything from 0 to astronomically large counters, exercising
@@ -231,14 +208,99 @@ void FaultInjector::taint_in_flight(Channel& ch, std::size_t index,
 }
 
 bool FaultInjector::inject(FaultKind kind) {
+  // Draw a target from the injector's RNG, then apply it through
+  // inject_targeted, the one application path (which draws any content
+  // randomness: corrupt payloads, spurious messages, process corruption).
+  TargetedFault f;
+  f.code = static_cast<std::uint8_t>(kind);
+  const std::size_t n = net_.size();
+  // Aim f at a channel drawn in proportion to `weight` (channels in (from,
+  // to) order) and return the drawn unit's offset inside it; nullopt, with
+  // nothing drawn, when every weight is 0.
+  auto draw_channel = [&](auto weight) -> std::optional<std::uint32_t> {
+    std::size_t total = 0;
+    for (ProcessId from = 0; from < n; ++from)
+      for (ProcessId to = 0; to < n; ++to)
+        if (from != to) total += weight(net_.channel(from, to));
+    if (total == 0) return std::nullopt;
+    std::size_t pick = rng_.index(total);
+    for (ProcessId from = 0; from < n; ++from) {
+      for (ProcessId to = 0; to < n; ++to) {
+        if (from == to) continue;
+        const std::size_t w = weight(net_.channel(from, to));
+        if (pick < w) {
+          f.a = from;
+          f.b = to;
+          return static_cast<std::uint32_t>(pick);
+        }
+        pick -= w;
+      }
+    }
+    GBX_ASSERT(false && "channel weights changed while drawing");
+    return std::nullopt;
+  };
+  switch (kind) {
+    case FaultKind::kMessageDrop:
+    case FaultKind::kMessageDuplicate:
+    case FaultKind::kMessageCorrupt: {
+      // A uniformly random in-flight message across all channels.
+      const auto index =
+          draw_channel([](const Channel& ch) { return ch.in_flight(); });
+      if (!index) return false;
+      f.index = *index;
+      break;
+    }
+    case FaultKind::kMessageReorder: {
+      // A uniformly random channel holding at least two messages, then two
+      // distinct positions in it.
+      if (!draw_channel([](const Channel& ch) -> std::size_t {
+            return ch.in_flight() >= 2 ? 1 : 0;
+          }))
+        return false;
+      const std::size_t backlog = net_.channel(f.a, f.b).in_flight();
+      f.index = static_cast<std::uint32_t>(rng_.index(backlog));
+      f.index2 = static_cast<std::uint32_t>(rng_.index(backlog - 1));
+      if (f.index2 >= f.index) ++f.index2;
+      break;
+    }
+    case FaultKind::kSpuriousMessage: {
+      if (n < 2) return false;
+      f.a = static_cast<ProcessId>(rng_.index(n));
+      f.b = static_cast<ProcessId>(rng_.index(n - 1));
+      if (f.b >= f.a) ++f.b;
+      break;
+    }
+    case FaultKind::kProcessCorrupt:
+      if (corrupt_process_ == nullptr) return false;
+      f.a = static_cast<ProcessId>(rng_.index(n));
+      break;
+    case FaultKind::kChannelClear:
+      // Clearing an empty channel perturbs nothing; only nonempty channels
+      // are targets, so a false return really means "no fault applied".
+      if (!draw_channel([](const Channel& ch) -> std::size_t {
+            return ch.empty() ? 0 : 1;
+          }))
+        return false;
+      break;
+  }
+  return inject_targeted(f);
+}
+
+bool FaultInjector::inject_targeted(const TargetedFault& f) {
+  if (f.code >= kFaultKindCount) return false;
+  const auto kind = static_cast<FaultKind>(f.code);
+  // Message and channel faults name a channel: two distinct pids in range.
+  const bool channel_named =
+      f.a < net_.size() && f.b < net_.size() && f.a != f.b;
   ProcessId fault_pid = kNoProcess;
   std::uint64_t dropped = 0;
   obs::ProvenanceId id = obs::kNoProvenance;
   switch (kind) {
     case FaultKind::kMessageDrop: {
-      Target t = pick_in_flight();
-      if (t.channel == nullptr) return false;
-      t.channel->fault_drop(t.index);
+      if (!channel_named) return false;
+      Channel& ch = net_.channel(f.a, f.b);
+      if (f.index >= ch.in_flight()) return false;
+      ch.fault_drop(f.index);
       // The carrier is destroyed; the minted id only marks the injection
       // (its blast radius is the silence the drop causes, not spread).
       id = mint(kind);
@@ -246,124 +308,18 @@ bool FaultInjector::inject(FaultKind kind) {
       break;
     }
     case FaultKind::kMessageDuplicate: {
-      Target t = pick_in_flight();
-      if (t.channel == nullptr) return false;
-      t.channel->fault_duplicate(t.index);
-      // The duplicate (placed right behind the original) is the faulty
-      // artifact; the original message stays clean.
-      id = mint(kind);
-      taint_in_flight(*t.channel, t.index + 1, id);
-      break;
-    }
-    case FaultKind::kMessageCorrupt: {
-      Target t = pick_in_flight();
-      if (t.channel == nullptr) return false;
-      const Message& original = t.channel->contents()[t.index];
-      Message corrupted = random_message(original.from, original.to);
-      t.channel->fault_corrupt(t.index, corrupted);
-      id = mint(kind);
-      taint_in_flight(*t.channel, t.index, id);
-      break;
-    }
-    case FaultKind::kMessageReorder: {
-      // Reorder needs a channel holding at least two messages; pick among
-      // those (weighted by backlog) rather than failing on a random pick.
-      std::vector<Channel*> eligible;
-      const std::size_t n = net_.size();
-      for (ProcessId from = 0; from < n; ++from) {
-        for (ProcessId to = 0; to < n; ++to) {
-          if (from == to) continue;
-          Channel& ch = net_.channel(from, to);
-          if (ch.in_flight() >= 2) eligible.push_back(&ch);
-        }
-      }
-      if (eligible.empty()) return false;
-      Channel& ch = *eligible[rng_.index(eligible.size())];
-      const std::size_t a = rng_.index(ch.in_flight());
-      std::size_t b = rng_.index(ch.in_flight() - 1);
-      if (b >= a) ++b;
-      ch.fault_swap(a, b);
-      // Both swapped messages are now out of FIFO order.
-      id = mint(kind);
-      taint_in_flight(ch, a, id);
-      taint_in_flight(ch, b, id);
-      break;
-    }
-    case FaultKind::kSpuriousMessage: {
-      if (net_.size() < 2) return false;
-      const auto [from, to] = pick_pair();
-      Message fabricated = random_message(from, to);
-      id = mint(kind);
-      if (id != obs::kNoProvenance) {
-        fabricated.taint.add(id);
-        prov_->note_message_taint(fabricated.taint);
-      }
-      net_.channel(from, to).fault_inject(fabricated);
-      break;
-    }
-    case FaultKind::kProcessCorrupt: {
-      if (corrupt_process_ == nullptr) return false;
-      const auto pid = static_cast<ProcessId>(rng_.index(net_.size()));
-      corrupt_process_(pid, rng_);
-      fault_pid = pid;
-      id = mint(kind, pid);
-      if (prov_ != nullptr) prov_->taint_process(pid, id);
-      break;
-    }
-    case FaultKind::kChannelClear: {
-      // Clearing an empty channel perturbs nothing; only nonempty channels
-      // are targets, so a false return really means "no fault applied".
-      std::vector<Channel*> eligible;
-      const std::size_t n = net_.size();
-      for (ProcessId from = 0; from < n; ++from) {
-        for (ProcessId to = 0; to < n; ++to) {
-          if (from == to) continue;
-          Channel& ch = net_.channel(from, to);
-          if (!ch.empty()) eligible.push_back(&ch);
-        }
-      }
-      if (eligible.empty()) return false;
-      Channel& ch = *eligible[rng_.index(eligible.size())];
-      dropped = ch.in_flight();
-      ch.fault_clear();
-      id = mint(kind);
-      break;
-    }
-  }
-  note(static_cast<std::uint8_t>(kind), fault_pid, dropped, id);
-  return true;
-}
-
-bool FaultInjector::inject_targeted(const TargetedFault& f) {
-  if (f.code >= kFaultKindCount) return false;
-  const auto kind = static_cast<FaultKind>(f.code);
-  ProcessId fault_pid = kNoProcess;
-  std::uint64_t dropped = 0;
-  obs::ProvenanceId id = obs::kNoProvenance;
-  switch (kind) {
-    case FaultKind::kMessageDrop: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
-      Channel& ch = net_.channel(f.a, f.b);
-      if (f.index >= ch.in_flight()) return false;
-      ch.fault_drop(f.index);
-      id = mint(kind);
-      dropped = 1;
-      break;
-    }
-    case FaultKind::kMessageDuplicate: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
+      if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
       ch.fault_duplicate(f.index);
+      // The duplicate (placed right behind the original) is the faulty
+      // artifact; the original message stays clean.
       id = mint(kind);
       taint_in_flight(ch, f.index + 1, id);
       break;
     }
     case FaultKind::kMessageCorrupt: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
+      if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
       const Message& original = ch.contents()[f.index];
@@ -374,21 +330,20 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       break;
     }
     case FaultKind::kMessageReorder: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
+      if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index == f.index2 || f.index >= ch.in_flight() ||
           f.index2 >= ch.in_flight())
         return false;
       ch.fault_swap(f.index, f.index2);
+      // Both swapped messages are now out of FIFO order.
       id = mint(kind);
       taint_in_flight(ch, f.index, id);
       taint_in_flight(ch, f.index2, id);
       break;
     }
     case FaultKind::kSpuriousMessage: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
+      if (!channel_named) return false;
       Message fabricated = random_message(f.a, f.b);
       id = mint(kind);
       if (id != obs::kNoProvenance) {
@@ -407,8 +362,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       break;
     }
     case FaultKind::kChannelClear: {
-      if (f.a >= net_.size() || f.b >= net_.size() || f.a == f.b)
-        return false;
+      if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (ch.empty()) return false;
       dropped = ch.in_flight();

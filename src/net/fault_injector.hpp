@@ -104,9 +104,10 @@ class FaultInjector {
   FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
                 CorruptProcessFn corrupt_process);
 
-  /// Apply one fault of the given kind right now. Returns false when the
-  /// kind has no applicable target (e.g. a message fault with no message in
-  /// flight); no fault is recorded in that case.
+  /// Apply one fault of the given kind right now: draw a random target,
+  /// then apply it with inject_targeted. Returns false when the kind has no
+  /// applicable target (e.g. a message fault with no message in flight); no
+  /// fault is recorded in that case.
   bool inject(FaultKind kind);
 
   /// Apply one fault of a random enabled kind. Kinds whose targets are
@@ -171,15 +172,6 @@ class FaultInjector {
   }
 
  private:
-  struct Target {
-    Channel* channel;
-    std::size_t index;
-  };
-  /// Pick a uniformly random in-flight message across all channels; null
-  /// channel if none in flight.
-  Target pick_in_flight();
-  /// Pick a random ordered process pair (requires n >= 2).
-  std::pair<ProcessId, ProcessId> pick_pair();
   clk::Timestamp random_timestamp();
   /// Account one applied fault: bump the per-code aggregate and emit bus
   /// events. `pid` names the corrupted process (process faults only);

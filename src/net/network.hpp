@@ -63,8 +63,8 @@ class Network {
 
   /// Reference mode: stamp every outgoing message with a full dense clock
   /// (the pre-sparse encoding) instead of per-channel deltas. The two
-  /// encodings produce bit-identical receiver clocks; golden-equivalence
-  /// tests and the in-binary before/after benchmark flip this switch.
+  /// encodings produce bit-identical receiver clocks. The harness sets it
+  /// from HarnessConfig::reference_substrate.
   void set_dense_stamps(bool dense) { dense_stamps_ = dense; }
   bool dense_stamps() const { return dense_stamps_; }
 

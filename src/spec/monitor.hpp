@@ -5,20 +5,22 @@
 // feeding each consecutive state pair to a set of monitors. A monitor
 // receives:
 //
-//   begin(t, s0)        - the first observed state,
-//   step(t, prev, cur)  - every subsequent transition, and
-//   finish(t, last)     - end of observation, where liveness obligations
-//                         still outstanding become violations.
+//   begin(t, s0)               - the first observed state,
+//   step(t, prev, cur, dirty)  - every subsequent transition, and
+//   finish(t, last)            - end of observation, where liveness
+//                                obligations still outstanding become
+//                                violations.
 //
 // Monitors are templated on the snapshot type S so the framework is
 // independent of TME; src/lspec instantiates S = lspec::GlobalSnapshot.
 //
 // Delta observation: the simulator mutates (at most) one process per event,
-// so the observation pipeline can tell monitors WHICH part of the state
-// changed. step_delta(t, prev, cur, dirty) carries that hint; the default
-// implementation ignores it and falls back to step(), so monitors that need
-// the full state pair (global pairwise properties) are unaffected, while
-// per-process-local monitors override it and skip the unchanged rows.
+// so the observation pipeline can tell monitors WHICH rows of the state
+// changed. `dirty` carries that hint. kDirtyAll promises nothing and is
+// every monitor's full check (the copying observe() and the harness's
+// reference substrate always pass it); per-process-local monitors use a
+// narrower hint to skip the unchanged rows, and monitors that do not index
+// rows ignore it.
 #pragma once
 
 #include <functional>
@@ -38,11 +40,23 @@ namespace graybox::spec {
 /// observability layer that consumes it.
 using ViolationHook = std::function<void(SimTime, std::size_t)>;
 
-/// Dirty hints for step_delta. Anything else is the index of the single
+/// Dirty hints for Monitor::step. Anything else is the index of the single
 /// changed process; rows outside the hint are bit-identical between prev
 /// and cur.
 inline constexpr std::size_t kDirtyAll = static_cast<std::size_t>(-1);
 inline constexpr std::size_t kDirtyNone = static_cast<std::size_t>(-2);
+
+/// Call fn(j) for every row of an n-row state that `dirty` may have
+/// changed: none, the one named row, or all n.
+template <typename Fn>
+void for_each_dirty_row(std::size_t dirty, std::size_t n, Fn&& fn) {
+  if (dirty == kDirtyNone) return;
+  if (dirty != kDirtyAll) {
+    fn(dirty);
+    return;
+  }
+  for (std::size_t j = 0; j < n; ++j) fn(j);
+}
 
 template <typename S>
 class Monitor {
@@ -56,17 +70,13 @@ class Monitor {
   const std::string& name() const { return name_; }
 
   virtual void begin(SimTime /*t*/, const S& /*s0*/) {}
-  virtual void step(SimTime t, const S& prev, const S& cur) = 0;
+  /// One transition, with the dirty hint (see kDirtyAll/kDirtyNone above).
+  /// Skipping rows outside the hint is sound only for properties that are
+  /// per-row local in the rows they *read* as well as the rows they report
+  /// on, and must report exactly what the kDirtyAll step would.
+  virtual void step(SimTime t, const S& prev, const S& cur,
+                    std::size_t dirty) = 0;
   virtual void finish(SimTime /*t*/, const S& /*last*/) {}
-
-  /// Transition with a dirtiness hint (see kDirtyAll/kDirtyNone above).
-  /// Overriding is sound only for properties that are per-row local in the
-  /// rows they *read* as well as the rows they report on; everything else
-  /// keeps this fallback and sees the full pair.
-  virtual void step_delta(SimTime t, const S& prev, const S& cur,
-                          std::size_t /*dirty*/) {
-    step(t, prev, cur);
-  }
 
   /// Retained violation records (capped at kMaxRetained; counters below
   /// keep exact totals when a long-lived breach floods the monitor).
@@ -146,14 +156,15 @@ class MonitorSet {
     return names;
   }
 
-  /// Feed the state observed at time t. The first call becomes begin().
-  /// Copies `state` into the set's previous-state slot.
+  /// Feed the state observed at time t. The first call becomes begin();
+  /// later calls step with kDirtyAll. Copies `state` into the set's
+  /// previous-state slot.
   void observe(SimTime t, const S& state) {
     if (!started_) {
       for (auto& m : monitors_) m->begin(t, state);
       started_ = true;
     } else {
-      for (auto& m : monitors_) m->step_delta(t, previous_, state, kDirtyAll);
+      for (auto& m : monitors_) m->step(t, previous_, state, kDirtyAll);
     }
     previous_ = state;
     last_ = &previous_;
@@ -162,13 +173,13 @@ class MonitorSet {
 
   /// Zero-copy observation: `state` must outlive the next observe_ref /
   /// finish call (the snapshot source's double buffer guarantees exactly
-  /// that). `dirty` is the hint forwarded to step_delta.
+  /// that). `dirty` is the hint forwarded to Monitor::step.
   void observe_ref(SimTime t, const S& state, std::size_t dirty) {
     if (!started_) {
       for (auto& m : monitors_) m->begin(t, state);
       started_ = true;
     } else {
-      for (auto& m : monitors_) m->step_delta(t, *last_, state, dirty);
+      for (auto& m : monitors_) m->step(t, *last_, state, dirty);
     }
     last_ = &state;
     observed_ += 1;

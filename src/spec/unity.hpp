@@ -13,8 +13,8 @@
 // work admitted, channels flushed) an open obligation is a genuine liveness
 // failure such as the deadlock of Section 4, not an artifact of stopping.
 //
-// Predicates are std::function over the snapshot type; src/lspec composes
-// the concrete TME clauses from these.
+// Predicates are std::function over the snapshot type. These monitors judge
+// whole states, so they ignore Monitor::step's dirty-row hint.
 #pragma once
 
 #include <functional>
@@ -35,7 +35,7 @@ class UnlessMonitor : public Monitor<S> {
   UnlessMonitor(std::string name, Pred<S> p, Pred<S> q)
       : Monitor<S>(std::move(name)), p_(std::move(p)), q_(std::move(q)) {}
 
-  void step(SimTime t, const S& prev, const S& cur) override {
+  void step(SimTime t, const S& prev, const S& cur, std::size_t) override {
     if (p_(prev) && !q_(prev)) {
       if (!p_(cur) && !q_(cur))
         this->report(t, "p held without q, then both p and q fell");
@@ -52,7 +52,7 @@ class StableMonitor : public Monitor<S> {
   StableMonitor(std::string name, Pred<S> p)
       : Monitor<S>(std::move(name)), p_(std::move(p)) {}
 
-  void step(SimTime t, const S& prev, const S& cur) override {
+  void step(SimTime t, const S& prev, const S& cur, std::size_t) override {
     if (p_(prev) && !p_(cur)) this->report(t, "stable predicate fell");
   }
 
@@ -67,7 +67,9 @@ class InvariantMonitor : public Monitor<S> {
       : Monitor<S>(std::move(name)), q_(std::move(q)) {}
 
   void begin(SimTime t, const S& s0) override { check(t, s0); }
-  void step(SimTime t, const S&, const S& cur) override { check(t, cur); }
+  void step(SimTime t, const S&, const S& cur, std::size_t) override {
+    check(t, cur);
+  }
 
  private:
   void check(SimTime t, const S& s) {
@@ -93,7 +95,7 @@ class LeadsToMonitor : public Monitor<S> {
     if (q_(s0)) discharge();
   }
 
-  void step(SimTime t, const S&, const S& cur) override {
+  void step(SimTime t, const S&, const S& cur, std::size_t) override {
     // Order matters: q discharges obligations including one opened by this
     // same state satisfying p (q "then or later" includes "then").
     if (p_(cur)) open(t);
@@ -136,15 +138,16 @@ template <typename S>
 class LeadsToAlwaysMonitor : public Monitor<S> {
  public:
   LeadsToAlwaysMonitor(std::string name, Pred<S> p, Pred<S> q)
-      : Monitor<S>(this->compose_name(name)),
+      : Monitor<S>(name),
         leads_(name + "/leads-to", p, q),
         stable_(name + "/stable", std::move(q)) {}
 
   void begin(SimTime t, const S& s0) override { leads_.begin(t, s0); }
 
-  void step(SimTime t, const S& prev, const S& cur) override {
-    leads_.step(t, prev, cur);
-    stable_.step(t, prev, cur);
+  void step(SimTime t, const S& prev, const S& cur,
+            std::size_t dirty) override {
+    leads_.step(t, prev, cur, dirty);
+    stable_.step(t, prev, cur, dirty);
     merge(t);
   }
 
@@ -154,8 +157,6 @@ class LeadsToAlwaysMonitor : public Monitor<S> {
   }
 
  private:
-  static std::string compose_name(const std::string& n) { return n; }
-
   void merge(SimTime) {
     for (std::size_t i = reported_leads_; i < leads_.violations().size(); ++i)
       this->report(leads_.violations()[i].time, leads_.violations()[i].detail);
@@ -188,7 +189,7 @@ class TransitionMonitor : public Monitor<S> {
   TransitionMonitor(std::string name, CheckFn check)
       : Monitor<S>(std::move(name)), check_(std::move(check)) {}
 
-  void step(SimTime t, const S& prev, const S& cur) override {
+  void step(SimTime t, const S& prev, const S& cur, std::size_t) override {
     if (auto detail = check_(prev, cur)) this->report(t, std::move(*detail));
   }
 
@@ -206,7 +207,9 @@ class StateMonitor : public Monitor<S> {
       : Monitor<S>(std::move(name)), check_(std::move(check)) {}
 
   void begin(SimTime t, const S& s0) override { run(t, s0); }
-  void step(SimTime t, const S&, const S& cur) override { run(t, cur); }
+  void step(SimTime t, const S&, const S& cur, std::size_t) override {
+    run(t, cur);
+  }
 
  private:
   void run(SimTime t, const S& s) {

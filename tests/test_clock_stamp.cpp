@@ -11,10 +11,12 @@
 //      across 2..300 components, random change patterns, and the
 //      absorb_older unions the fault-repair path builds.
 //   2. Dual-harness runs across the full fault matrix: the same seed with
-//      reference_dense_clocks on and off must produce identical monitor
-//      verdicts, stats, CS schedules, and stabilization reports. The same
-//      battery pins reference_full_sweep_monitors at N=64, certifying the
-//      incremental monitor paths verdict-identical under every fault kind.
+//      HarnessConfig::reference_substrate off and on (dense wire clocks, and
+//      every monitor stepped with kDirtyAll) must produce identical monitor
+//      verdicts, stats, CS schedules, and stabilization reports. At N=64
+//      the same battery certifies the monitors' dirty-row paths — TME and
+//      Lspec clause monitors alike — verdict-identical to their full checks
+//      under every fault kind.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,9 +27,8 @@
 
 #include "clock/clock_stamp.hpp"
 #include "clock/vector_clock.hpp"
-#include "core/harness.hpp"
-#include "core/stabilization.hpp"
 #include "net/fault_injector.hpp"
+#include "observed_run.hpp"
 #include "protocol_param.hpp"
 
 namespace graybox {
@@ -277,95 +278,16 @@ TEST(ClockStampFuzz, AbsorbOlderEqualsFoldingBothInOrder) {
   }
 }
 
-// --- Dual-harness equivalence: sparse wire stamps vs dense reference ------
+// --- Dual-harness equivalence: shipping substrate vs reference -----------
 
-struct ObservedRun {
-  std::vector<std::pair<SimTime, std::size_t>> cs_schedule;
-  std::vector<std::string> monitor_names;
-  std::vector<std::uint64_t> totals;
-  std::vector<SimTime> first_times;
-  std::vector<SimTime> last_times;
-  std::vector<std::string> retained;
-  core::RunStats stats;
-  core::StabilizationReport report;
-};
-
-enum class Reference { kDenseClocks, kFullSweepMonitors };
-
-ObservedRun run_once(const std::string& algo, std::size_t n, net::FaultMix mix,
-                     std::size_t burst, std::uint64_t seed, Reference which,
-                     bool reference_on, SimTime horizon) {
-  core::HarnessConfig config;
-  config.n = n;
-  config.algorithm = algo;
-  config.wrapped = true;
-  config.wrapper.resend_period = 20;
-  config.client.think_mean = n >= 32 ? 8 * static_cast<SimTime>(n) : 40;
-  config.client.eat_mean = 8;
-  config.seed = seed;
-  if (which == Reference::kDenseClocks) {
-    config.reference_dense_clocks = reference_on;
-  } else {
-    config.reference_full_sweep_monitors = reference_on;
-  }
-
-  core::SystemHarness h(config);
-
-  ObservedRun out;
-  std::vector<bool> was_eating(config.n, false);
-  h.scheduler().add_observer([&](SimTime t) {
-    for (std::size_t j = 0; j < config.n; ++j) {
-      const bool eating =
-          h.process(static_cast<ProcessId>(j)).state() == me::TmeState::kEating;
-      if (eating && !was_eating[j]) out.cs_schedule.emplace_back(t, j);
-      was_eating[j] = eating;
-    }
-  });
-
-  h.start();
-  h.run_for(horizon / 4);
-  if (burst > 0) h.faults().burst(burst, mix);
-  h.run_for(horizon);
-  h.drain(horizon);
-
-  for (const auto& m : h.monitors().monitors()) {
-    out.monitor_names.push_back(m->name());
-    out.totals.push_back(m->total_violations());
-    out.first_times.push_back(m->first_violation());
-    out.last_times.push_back(m->last_violation());
-    for (const auto& v : m->violations()) out.retained.push_back(v.to_string());
-  }
-  out.stats = h.stats();
-  out.report = h.stabilization_report();
-  return out;
-}
-
-void expect_equivalent(const ObservedRun& a, const ObservedRun& b) {
-  EXPECT_EQ(a.cs_schedule, b.cs_schedule);
-  ASSERT_EQ(a.monitor_names, b.monitor_names);
-  EXPECT_EQ(a.totals, b.totals);
-  EXPECT_EQ(a.first_times, b.first_times);
-  EXPECT_EQ(a.last_times, b.last_times);
-  EXPECT_EQ(a.retained, b.retained);
-  EXPECT_EQ(a.stats.duration, b.stats.duration);
-  EXPECT_EQ(a.stats.cs_entries, b.stats.cs_entries);
-  EXPECT_EQ(a.stats.requests_issued, b.stats.requests_issued);
-  EXPECT_EQ(a.stats.messages_sent, b.stats.messages_sent);
-  EXPECT_EQ(a.stats.wrapper_messages, b.stats.wrapper_messages);
-  EXPECT_EQ(a.stats.me1_violations, b.stats.me1_violations);
-  EXPECT_EQ(a.stats.me3_violations, b.stats.me3_violations);
-  EXPECT_EQ(a.stats.invariant_violations, b.stats.invariant_violations);
-  EXPECT_EQ(a.stats.me2_served, b.stats.me2_served);
-  EXPECT_EQ(a.stats.me2_max_wait, b.stats.me2_max_wait);
-  EXPECT_EQ(a.stats.lspec_clause_violations, b.stats.lspec_clause_violations);
-  EXPECT_EQ(a.stats.faults_injected, b.stats.faults_injected);
-  EXPECT_EQ(a.stats.events_executed, b.stats.events_executed);
-  EXPECT_EQ(a.report.stabilized, b.report.stabilized);
-  EXPECT_EQ(a.report.starvation, b.report.starvation);
-  EXPECT_EQ(a.report.last_fault, b.report.last_fault);
-  EXPECT_EQ(a.report.last_safety_violation, b.report.last_safety_violation);
-  EXPECT_EQ(a.report.latency, b.report.latency);
-  EXPECT_EQ(a.report.violations_total, b.report.violations_total);
+void expect_equivalent_runs(const std::string& algo, std::size_t n,
+                            net::FaultMix mix, std::size_t burst,
+                            std::uint64_t seed, SimTime horizon) {
+  const test::RunShape shape{mix, burst, horizon / 4, horizon, horizon};
+  core::HarnessConfig config = test::equivalence_config(algo, n, seed);
+  const test::ObservedRun shipping = test::observe_run(config, shape);
+  config.reference_substrate = true;
+  test::expect_equivalent(shipping, test::observe_run(config, shape));
 }
 
 // Sparse stamps vs dense wire clocks, full fault matrix. Every fault kind
@@ -379,12 +301,7 @@ class SparseVsDenseByFaultKind
 TEST_P(SparseVsDenseByFaultKind, IdenticalVerdicts) {
   const auto [protocol, kind, seed] = GetParam();
   const std::string algo = test::registry_name(protocol);
-  const auto mix = net::FaultMix::only(kind);
-  const auto sparse = run_once(algo, 4, mix, 6, seed,
-                               Reference::kDenseClocks, false, 3000);
-  const auto dense = run_once(algo, 4, mix, 6, seed,
-                              Reference::kDenseClocks, true, 3000);
-  expect_equivalent(sparse, dense);
+  expect_equivalent_runs(algo, 4, net::FaultMix::only(kind), 6, seed, 3000);
 }
 
 std::string matrix_name(
@@ -416,41 +333,25 @@ INSTANTIATE_TEST_SUITE_P(
     matrix_name);
 
 TEST(SparseVsDense, MixedBurstCarvalhoRoucairol) {
-  const auto sparse =
-      run_once("carvalho-roucairol", 5, net::FaultMix::all(), 15, 3,
-               Reference::kDenseClocks, false, 3000);
-  const auto dense =
-      run_once("carvalho-roucairol", 5, net::FaultMix::all(), 15, 3,
-               Reference::kDenseClocks, true, 3000);
-  expect_equivalent(sparse, dense);
+  expect_equivalent_runs("carvalho-roucairol", 5, net::FaultMix::all(), 15, 3,
+                         3000);
 }
 
 TEST(SparseVsDense, N64MixedBurst) {
   // The scale the delta encoding exists for: at N=64 dense stamps copy 64
   // components per message; the sparse run must still be bit-identical.
-  const auto sparse = run_once("ricart-agrawala", 64,
-                               net::FaultMix::all(), 12, 9,
-                               Reference::kDenseClocks, false, 1200);
-  const auto dense = run_once("ricart-agrawala", 64,
-                              net::FaultMix::all(), 12, 9,
-                              Reference::kDenseClocks, true, 1200);
-  expect_equivalent(sparse, dense);
+  expect_equivalent_runs("ricart-agrawala", 64, net::FaultMix::all(), 12, 9,
+                         1200);
 }
 
-// --- Incremental monitors vs full sweeps at N=64, full fault matrix -------
+// --- Dirty-row monitor paths vs full checks at N=64, full fault matrix ----
 
 class IncrementalVsFullSweep
     : public ::testing::TestWithParam<net::FaultKind> {};
 
 TEST_P(IncrementalVsFullSweep, IdenticalVerdictsAtN64) {
-  const auto mix = net::FaultMix::only(GetParam());
-  const auto incremental =
-      run_once("ricart-agrawala", 64, mix, 10, 13,
-               Reference::kFullSweepMonitors, false, 900);
-  const auto full =
-      run_once("ricart-agrawala", 64, mix, 10, 13,
-               Reference::kFullSweepMonitors, true, 900);
-  expect_equivalent(incremental, full);
+  expect_equivalent_runs("ricart-agrawala", 64,
+                         net::FaultMix::only(GetParam()), 10, 13, 900);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -472,15 +373,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(IncrementalVsFullSweep, MutualBeliefMonitorCoveredAtN64) {
   // Carvalho-Roucairol installs the 5th monitor (MutualBelief); its
-  // incremental guard needs its own equivalence run.
-  const auto mix = net::FaultMix::all();
-  const auto incremental =
-      run_once("carvalho-roucairol", 64, mix, 10, 17,
-               Reference::kFullSweepMonitors, false, 900);
-  const auto full =
-      run_once("carvalho-roucairol", 64, mix, 10, 17,
-               Reference::kFullSweepMonitors, true, 900);
-  expect_equivalent(incremental, full);
+  // dirty-row guard needs its own equivalence run.
+  expect_equivalent_runs("carvalho-roucairol", 64, net::FaultMix::all(), 10,
+                         17, 900);
 }
 
 }  // namespace

@@ -1,123 +1,127 @@
-// Golden equivalence of the two observation pipelines.
+// The delta snapshot pipeline, checked directly and end to end.
 //
-// The zero-copy delta path (SnapshotSource::capture + Monitor::step_delta)
-// must be observationally indistinguishable from the legacy allocate-and-
-// copy full-capture path it replaced: monitors judge the SAME sequence of
-// global states, so every verdict — per-monitor totals, first/last
-// violation times, even the retained violation records — has to match
-// byte-for-byte. These tests run each configuration twice, once per
-// pipeline, across the full fault matrix, and diff everything observable.
+// SnapshotSource::capture re-reads only the rows whose observation version
+// moved and reports the change as last_dirty(); monitors then visit only
+// the dirty rows. Two checks hold that pipeline to its reference:
 //
-// Monitors never feed back into the simulation, so both runs of a seed
-// execute the identical event sequence; the CS schedule comparison at the
-// bottom is the cross-check that this premise holds.
+//   * Capture: a second SnapshotSource on the same processes and network
+//     checks, after every event, that capture() equals capture_full() field
+//     for field (cached counts and knows_all_earlier included), and that
+//     every row outside last_dirty() equals the previous capture.
+//   * Verdicts: the same seed with HarnessConfig::reference_substrate off
+//     and on (every monitor stepped with kDirtyAll, its full check) must
+//     judge identically — per-monitor totals, first/last violation times,
+//     retained records, stats, CS schedules (tests/observed_run.hpp).
+//
+// Both run across the full fault matrix.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 #include <vector>
 
-#include "core/harness.hpp"
-#include "core/stabilization.hpp"
+#include "lspec/snapshot.hpp"
 #include "net/fault_injector.hpp"
+#include "observed_run.hpp"
 #include "protocol_param.hpp"
 
 namespace graybox::core {
 namespace {
 
-struct ObservedRun {
-  // (time, process) for every thinking/hungry -> eating transition.
-  std::vector<std::pair<SimTime, std::size_t>> cs_schedule;
-  // Per monitor, in installation order.
-  std::vector<std::string> monitor_names;
-  std::vector<std::uint64_t> totals;
-  std::vector<SimTime> first_times;
-  std::vector<SimTime> last_times;
-  // Retained records flattened as strings (time + clause + detail).
-  std::vector<std::string> retained;
-  RunStats stats;
-  StabilizationReport report;
-};
+using lspec::GlobalSnapshot;
 
-ObservedRun run_once(const std::string& algo, net::FaultMix mix,
-                     std::size_t burst, std::uint64_t seed,
-                     bool reference_pipeline) {
-  HarnessConfig config;
-  config.n = 4;
-  config.algorithm = algo;
-  config.wrapped = true;
-  config.wrapper.resend_period = 20;
-  config.client.think_mean = 40;
-  config.client.eat_mean = 8;
-  config.seed = seed;
-  config.reference_full_capture = reference_pipeline;
-
-  SystemHarness h(config);
-
-  ObservedRun out;
-  std::vector<bool> was_eating(config.n, false);
-  h.scheduler().add_observer([&](SimTime t) {
-    for (std::size_t j = 0; j < config.n; ++j) {
-      const bool eating =
-          h.process(static_cast<ProcessId>(j)).state() == me::TmeState::kEating;
-      if (eating && !was_eating[j]) out.cs_schedule.emplace_back(t, j);
-      was_eating[j] = eating;
-    }
-  });
-
-  h.start();
-  h.run_for(400);
-  if (burst > 0) h.faults().burst(burst, mix);
-  h.run_for(3000);
-  h.drain(2000);
-
-  for (const auto& m : h.monitors().monitors()) {
-    out.monitor_names.push_back(m->name());
-    out.totals.push_back(m->total_violations());
-    out.first_times.push_back(m->first_violation());
-    out.last_times.push_back(m->last_violation());
-    for (const auto& v : m->violations()) out.retained.push_back(v.to_string());
+/// First difference between row j of `a` and row j of `b`; empty if none.
+std::string row_diff(const GlobalSnapshot& a, const GlobalSnapshot& b,
+                     std::size_t j) {
+  const std::string row = "row " + std::to_string(j) + ": ";
+  const lspec::ProcessSnapshot& pa = a.procs[j];
+  const lspec::ProcessSnapshot& pb = b.procs[j];
+  if (pa.state != pb.state) return row + "state";
+  if (!(pa.req == pb.req)) return row + "req";
+  if (!(pa.clock_now == pb.clock_now)) return row + "clock_now";
+  for (std::size_t k = 0; k < a.size(); ++k) {
+    if (a.knows_earlier(j, k) != b.knows_earlier(j, k))
+      return row + "knows_earlier[" + std::to_string(k) + "]";
+    if (a.vc_row(j)[k] != b.vc_row(j)[k])
+      return row + "vc[" + std::to_string(k) + "]";
   }
-  out.stats = h.stats();
-  out.report = h.stabilization_report();
-  return out;
+  if (a.knows_all_earlier(j) != b.knows_all_earlier(j))
+    return row + "knows_all_earlier";
+  return {};
 }
 
-void expect_equivalent(const ObservedRun& delta, const ObservedRun& full) {
-  // Same dynamics: the event sequence did not depend on the pipeline.
-  EXPECT_EQ(delta.cs_schedule, full.cs_schedule);
+std::vector<me::TmeProcess*> processes_of(SystemHarness& h) {
+  std::vector<me::TmeProcess*> processes;
+  for (ProcessId pid = 0; pid < h.config().n; ++pid)
+    processes.push_back(&h.process(pid));
+  return processes;
+}
 
-  // Same verdicts, monitor by monitor.
-  ASSERT_EQ(delta.monitor_names, full.monitor_names);
-  EXPECT_EQ(delta.totals, full.totals);
-  EXPECT_EQ(delta.first_times, full.first_times);
-  EXPECT_EQ(delta.last_times, full.last_times);
-  EXPECT_EQ(delta.retained, full.retained);
+/// A second SnapshotSource on a harness's processes and network, checking
+/// every capture against capture_full() and the previous capture. Only the
+/// first mismatch is kept, so a broken capture reports once, not per event.
+class CaptureCheck {
+ public:
+  explicit CaptureCheck(SystemHarness& h)
+      : source_(processes_of(h), h.network()) {
+    h.scheduler().add_observer([this](SimTime t) { check(t); });
+  }
+  // The scheduler observer holds `this`.
+  CaptureCheck(const CaptureCheck&) = delete;
+  CaptureCheck& operator=(const CaptureCheck&) = delete;
 
-  // Same aggregate stats (observe_ns is wall-clock and excluded).
-  EXPECT_EQ(delta.stats.duration, full.stats.duration);
-  EXPECT_EQ(delta.stats.cs_entries, full.stats.cs_entries);
-  EXPECT_EQ(delta.stats.requests_issued, full.stats.requests_issued);
-  EXPECT_EQ(delta.stats.messages_sent, full.stats.messages_sent);
-  EXPECT_EQ(delta.stats.wrapper_messages, full.stats.wrapper_messages);
-  EXPECT_EQ(delta.stats.me1_violations, full.stats.me1_violations);
-  EXPECT_EQ(delta.stats.me3_violations, full.stats.me3_violations);
-  EXPECT_EQ(delta.stats.invariant_violations, full.stats.invariant_violations);
-  EXPECT_EQ(delta.stats.me2_served, full.stats.me2_served);
-  EXPECT_EQ(delta.stats.me2_max_wait, full.stats.me2_max_wait);
-  EXPECT_EQ(delta.stats.lspec_clause_violations,
-            full.stats.lspec_clause_violations);
-  EXPECT_EQ(delta.stats.faults_injected, full.stats.faults_injected);
-  EXPECT_EQ(delta.stats.events_executed, full.stats.events_executed);
+  std::uint64_t captures() const { return captures_; }
+  std::uint64_t mismatches() const { return mismatches_; }
+  const std::string& first_mismatch() const { return first_; }
 
-  // Same stabilization verdict.
-  EXPECT_EQ(delta.report.stabilized, full.report.stabilized);
-  EXPECT_EQ(delta.report.starvation, full.report.starvation);
-  EXPECT_EQ(delta.report.last_fault, full.report.last_fault);
-  EXPECT_EQ(delta.report.last_safety_violation,
-            full.report.last_safety_violation);
-  EXPECT_EQ(delta.report.latency, full.report.latency);
-  EXPECT_EQ(delta.report.violations_total, full.report.violations_total);
+ private:
+  void check(SimTime t) {
+    const GlobalSnapshot& cur = source_.capture(t);
+    const GlobalSnapshot full = source_.capture_full(t);
+    ++captures_;
+    if (cur.time != full.time) fail(t, "time");
+    if (cur.in_flight != full.in_flight) fail(t, "in_flight");
+    if (cur.eating_count() != full.eating_count()) fail(t, "eating_count");
+    if (cur.hungry_count() != full.hungry_count()) fail(t, "hungry_count");
+    for (std::size_t j = 0; j < cur.size(); ++j) {
+      const std::string diff = row_diff(cur, full, j);
+      if (!diff.empty()) fail(t, "vs capture_full, " + diff);
+    }
+    // Rows the hint leaves out must not have moved since the last capture.
+    const std::size_t dirty = source_.last_dirty();
+    if (dirty == spec::kDirtyAll) return;
+    for (std::size_t j = 0; j < cur.size(); ++j) {
+      if (j == dirty) continue;
+      const std::string diff = row_diff(cur, source_.previous(), j);
+      if (!diff.empty()) fail(t, "clean row moved, " + diff);
+    }
+  }
+
+  void fail(SimTime t, const std::string& what) {
+    if (mismatches_++ == 0) first_ = "t=" + std::to_string(t) + " " + what;
+  }
+
+  lspec::SnapshotSource source_;
+  std::uint64_t captures_ = 0;
+  std::uint64_t mismatches_ = 0;
+  std::string first_;
+};
+
+/// Both checks on one 4-process configuration. Returns the shipping run.
+test::ObservedRun check_pipeline(const std::string& algo, net::FaultMix mix,
+                                 std::size_t burst, std::uint64_t seed) {
+  const test::RunShape shape{mix, burst, 400, 3000, 2000};
+  HarnessConfig config = test::equivalence_config(algo, 4, seed);
+
+  SystemHarness h(config);
+  const CaptureCheck capture(h);
+  const test::ObservedRun shipping = test::observe_run(h, shape);
+  EXPECT_EQ(capture.captures(), shipping.stats.events_executed);
+  EXPECT_EQ(capture.mismatches(), 0u) << capture.first_mismatch();
+
+  config.reference_substrate = true;
+  test::expect_equivalent(shipping, test::observe_run(config, shape));
+  return shipping;
 }
 
 // --- Full fault matrix: each kind alone, per algorithm --------------------
@@ -128,11 +132,8 @@ class DeltaVsFullByFaultKind
 
 TEST_P(DeltaVsFullByFaultKind, IdenticalVerdicts) {
   const auto [protocol, kind, seed] = GetParam();
-  const std::string algo = test::registry_name(protocol);
-  const auto mix = net::FaultMix::only(kind);
-  const auto delta = run_once(algo, mix, 6, seed, false);
-  const auto full = run_once(algo, mix, 6, seed, true);
-  expect_equivalent(delta, full);
+  check_pipeline(test::registry_name(protocol), net::FaultMix::only(kind), 6,
+                 seed);
 }
 
 std::string matrix_name(
@@ -166,38 +167,23 @@ INSTANTIATE_TEST_SUITE_P(
 // --- Mixed bursts, fault-free runs, and the fragile implementation --------
 
 TEST(DeltaVsFull, MixedBurstRicartAgrawala) {
-  const auto delta =
-      run_once("ricart-agrawala", net::FaultMix::all(), 15, 3, false);
-  const auto full =
-      run_once("ricart-agrawala", net::FaultMix::all(), 15, 3, true);
-  expect_equivalent(delta, full);
+  check_pipeline("ricart-agrawala", net::FaultMix::all(), 15, 3);
 }
 
 TEST(DeltaVsFull, MixedBurstLamport) {
-  const auto delta =
-      run_once("lamport", net::FaultMix::all(), 15, 4, false);
-  const auto full =
-      run_once("lamport", net::FaultMix::all(), 15, 4, true);
-  expect_equivalent(delta, full);
+  check_pipeline("lamport", net::FaultMix::all(), 15, 4);
 }
 
 TEST(DeltaVsFull, FaultFreeRunsAreCleanOnBothPaths) {
-  const auto delta =
-      run_once("ricart-agrawala", net::FaultMix::all(), 0, 5, false);
-  const auto full =
-      run_once("ricart-agrawala", net::FaultMix::all(), 0, 5, true);
-  expect_equivalent(delta, full);
-  for (const auto total : delta.totals) EXPECT_EQ(total, 0u);
+  const test::ObservedRun run =
+      check_pipeline("ricart-agrawala", net::FaultMix::all(), 0, 5);
+  for (const auto total : run.totals) EXPECT_EQ(total, 0u);
 }
 
 // Fragile drops messages under contention by design: violations without any
 // injected fault, exercising the monitors' steady-state reporting paths.
 TEST(DeltaVsFull, FragileImplementationMatchesEvenWhenUnstable) {
-  const auto delta =
-      run_once("fragile-ra", net::FaultMix::all(), 10, 6, false);
-  const auto full =
-      run_once("fragile-ra", net::FaultMix::all(), 10, 6, true);
-  expect_equivalent(delta, full);
+  check_pipeline("fragile-ra", net::FaultMix::all(), 10, 6);
 }
 
 }  // namespace

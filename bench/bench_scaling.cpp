@@ -1,11 +1,11 @@
 // E14 — substrate scaling study: N in {16, 64, 128, 256}.
 //
 // The N=256 tentpole claims the monitoring substrate's per-event cost grows
-// with the number of *dirty rows*, not with N² — sparse clock stamps on the
-// wire, row-sparse snapshot matrices, and incremental clause monitors. This
-// bench measures, per (N, algorithm, bare/wrapped) cell under a
-// contention-heavy client (think_mean = 8N keeps the request rate per tick
-// roughly constant as N grows):
+// with the number of *dirty rows*, not with N² — row-sparse snapshot
+// matrices and incremental monitors. This bench measures, per (N,
+// algorithm, bare/wrapped) cell under a contention-heavy client
+// (think_mean = 8N keeps the request rate per tick roughly constant as N
+// grows):
 //
 //   * events/sec — end-to-end simulator throughput (wall-clock, volatile);
 //   * observe_ns/event — the monitoring hot path alone (volatile);
@@ -13,8 +13,8 @@
 //
 // It also runs the PR-gating before/after pair at N=256 wrapped
 // Ricart-Agrawala: the same cell on the reference substrate
-// (HarnessConfig::reference_substrate: dense wire clocks and every monitor
-// stepped with kDirtyAll, its full check) must be >= 5x slower on
+// (HarnessConfig::reference_substrate: every monitor stepped with
+// kDirtyAll, its full check) must be >= 5x slower on
 // events/sec. Both halves live in this binary so the comparison is one
 // build, one machine, one invocation — PR 6's bench_substrate_micro style.
 //

@@ -194,7 +194,7 @@ void BM_ChannelEnqueue(benchmark::State& state) {
   net::Message msg;
   msg.from = 0;
   msg.to = 1;
-  msg.vc = clk::ClockStamp::dense(clk::VectorClock(0, 12));  // realistic payload
+  msg.vc = clk::VectorClock(0, 12);  // realistic payload
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       net::Message m = msg;
@@ -218,7 +218,7 @@ void BM_ChannelEnqueueReference(benchmark::State& state) {
   net::Message msg;
   msg.from = 0;
   msg.to = 1;
-  msg.vc = clk::ClockStamp::dense(clk::VectorClock(0, 12));
+  msg.vc = clk::VectorClock(0, 12);
   for (auto _ : state) {
     for (int i = 0; i < 64; ++i) {
       queue.push_back(msg);

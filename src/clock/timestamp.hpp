@@ -17,6 +17,7 @@
 #include <iosfwd>
 #include <string>
 
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace graybox::clk {
@@ -38,5 +39,12 @@ struct Timestamp {
 constexpr bool lt(const Timestamp& a, const Timestamp& b) { return a < b; }
 
 std::ostream& operator<<(std::ostream& os, const Timestamp& ts);
+
+/// An arbitrary timestamp for state and message corruption, drawn in a
+/// fixed order: a shift in [0, 63], a raw 64-bit counter shifted right by
+/// it, then a pid in [0, n). The log-uniform counter covers everything from
+/// 0 to astronomically large values, exercising both the "corrupted low"
+/// (deadlock-prone) and "corrupted high" (clock-jump) recovery paths.
+Timestamp random_timestamp(Rng& rng, std::size_t n);
 
 }  // namespace graybox::clk

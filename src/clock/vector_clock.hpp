@@ -70,24 +70,6 @@ class VectorClock {
 
   ProcessId owner() const { return pid_; }
 
-  /// Overwrite one component. Used by delta-stamp materialization and by
-  /// fault repairs that overlay newer entries onto an older dense clock.
-  void set_component(std::size_t i, std::uint64_t v) {
-    GBX_EXPECTS(i < size_);
-    data()[i] = v;
-  }
-
-  /// Max-in one received component, without the tick that witness()
-  /// performs. Returns true when the component advanced. Folding a delta
-  /// stamp entrywise and then ticking is bit-identical to witness() on the
-  /// corresponding dense clock.
-  bool fold(std::size_t i, std::uint64_t v) {
-    GBX_EXPECTS(i < size_);
-    if (v <= data()[i]) return false;
-    data()[i] = v;
-    return true;
-  }
-
   std::string to_string() const;
 
   friend bool operator==(const VectorClock& a, const VectorClock& b);

@@ -93,7 +93,6 @@ SystemHarness::SystemHarness(HarnessConfig config)
 
   net_ = std::make_unique<net::Network>(sched_, config_.n, config_.delay,
                                         net_rng);
-  net_->set_dense_stamps(config_.reference_substrate);
   net_->set_event_bus(bus_.get());
   net_->set_provenance(provenance_.get());
 

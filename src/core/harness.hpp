@@ -96,14 +96,12 @@ struct HarnessConfig {
   /// Entry Specs). Requires install_monitors.
   bool install_lspec_monitors = true;
 
-  /// Run the reference observation substrate: stamp every message with a
-  /// full dense vector clock (the pre-sparse wire encoding) instead of
-  /// per-channel deltas, and step every monitor with spec::kDirtyAll (its
-  /// full check) instead of the snapshot's dirty-row hint. Identical
-  /// receiver clocks and verdicts by contract — tests/test_clock_stamp.cpp
-  /// and tests/test_snapshot_delta.cpp diff whole runs with it on and off
-  /// under the full fault matrix — so excluded from config_digest. Those
-  /// tests and the E14 before/after pair set it.
+  /// Run the reference observation substrate: step every monitor with
+  /// spec::kDirtyAll (its full check) instead of the snapshot's dirty-row
+  /// hint. Identical verdicts by contract — tests/test_snapshot_delta.cpp
+  /// diffs whole runs with it on and off under the full fault matrix — so
+  /// excluded from config_digest. Those tests and the E14 before/after pair
+  /// set it.
   bool reference_substrate = false;
 
   /// Retain this many typed events in the observability bus (sends,

@@ -124,7 +124,7 @@ void LamportMe::handle(const net::Message& msg) {
 void LamportMe::do_corrupt(Rng& rng) {
   corrupt_base(rng);
   for (ProcessId k = 0; k < peers(); ++k) {
-    if (rng.chance(0.5)) last_heard_[k] = random_timestamp(rng);
+    if (rng.chance(0.5)) last_heard_[k] = clk::random_timestamp(rng, peers());
   }
   // Arbitrary queue corruption: drop entries, plant fabricated ones
   // (possibly duplicated pids), scramble order.
@@ -133,7 +133,7 @@ void LamportMe::do_corrupt(Rng& rng) {
   for (std::size_t i = 0; i < plant; ++i) {
     QueueEntry entry;
     entry.pid = static_cast<ProcessId>(rng.index(peers()));
-    entry.ts = random_timestamp(rng);
+    entry.ts = clk::random_timestamp(rng, peers());
     queue_.push_back(entry);
   }
   for (std::size_t i = queue_.size(); i > 1; --i)

@@ -107,7 +107,7 @@ void RicartAgrawala::handle(const net::Message& msg) {
 void RicartAgrawala::do_corrupt(Rng& rng) {
   corrupt_base(rng);
   for (ProcessId k = 0; k < peers(); ++k) {
-    if (rng.chance(0.5)) view_[k] = random_timestamp(rng);
+    if (rng.chance(0.5)) view_[k] = clk::random_timestamp(rng, peers());
     if (rng.chance(0.5)) received_[k] = rng.chance(0.5) ? 1 : 0;
   }
 }

@@ -111,17 +111,9 @@ void TmeProcess::send(ProcessId to, net::MsgType type, clk::Timestamp ts) {
   net_.send(pid_, to, type, ts, /*from_wrapper=*/false);
 }
 
-clk::Timestamp TmeProcess::random_timestamp(Rng& rng) const {
-  const int shift = static_cast<int>(rng.uniform(0, 63));
-  clk::Timestamp ts;
-  ts.counter = rng.next() >> shift;
-  ts.pid = static_cast<ProcessId>(rng.index(peers()));
-  return ts;
-}
-
 void TmeProcess::corrupt_base(Rng& rng) {
   state_ = static_cast<TmeState>(rng.uniform(0, 2));
-  req_ = random_timestamp(rng);
+  req_ = clk::random_timestamp(rng, peers());
   lc_.corrupt(rng.next() >> rng.uniform(0, 63));
 }
 

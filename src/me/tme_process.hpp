@@ -175,9 +175,6 @@ class TmeProcess {
   /// corrupt_state and then corrupt their own.
   void corrupt_base(Rng& rng);
 
-  /// Draw an arbitrary timestamp for corruption (log-uniform magnitude).
-  clk::Timestamp random_timestamp(Rng& rng) const;
-
   clk::LogicalClock& mutable_clock() { return lc_; }
   net::Network& network() { return net_; }
 

@@ -38,40 +38,9 @@ void Channel::on_tick(std::uint64_t epoch) {
 
 void Channel::fault_drop(std::size_t index) {
   GBX_EXPECTS(index < queue_.size());
-  const bool chained = in_stamp_chain(index);
-  const clk::ClockStamp removed = std::move(queue_[index].vc);
   queue_.erase(index);
   adjust_in_flight(-1);
   ++dropped_by_fault_;
-  if (chained) repair_removed_stamp(removed, index);
-}
-
-void Channel::repair_removed_stamp(const clk::ClockStamp& removed,
-                                   std::size_t first_successor) {
-  for (std::size_t i = first_successor; i < queue_.size(); ++i) {
-    if (!in_stamp_chain(i)) continue;
-    queue_[i].vc.absorb_older(removed);
-    return;
-  }
-  carry_stamp(removed);
-}
-
-void Channel::carry_stamp(const clk::ClockStamp& removed) {
-  if (force_dense_next_) return;
-  if (removed.is_dense()) {
-    force_dense_next_ = true;
-    carry_comps_.clear();
-    return;
-  }
-  for (const auto& e : removed.entries()) {
-    if (std::find(carry_comps_.begin(), carry_comps_.end(), e.comp) ==
-        carry_comps_.end())
-      carry_comps_.push_back(e.comp);
-  }
-  if (carry_comps_.size() > kCarryCap) {
-    force_dense_next_ = true;
-    carry_comps_.clear();
-  }
 }
 
 void Channel::fault_duplicate(std::size_t index) {
@@ -105,32 +74,6 @@ void Channel::fault_taint(std::size_t index, obs::ProvenanceId id) {
 void Channel::fault_swap(std::size_t a, std::size_t b) {
   GBX_EXPECTS(a < queue_.size());
   GBX_EXPECTS(b < queue_.size());
-  const std::size_t lo = std::min(a, b);
-  const std::size_t hi = std::max(a, b);
-  if (lo != hi) {
-    // After the swap, q[hi] is delivered before everything in [lo, hi) and
-    // q[lo] after it; repair stamps so every fold still covers its window.
-    if (in_stamp_chain(hi)) {
-      // q[hi] jumps ahead: it absorbs every chained window it overtakes.
-      // Once folded, the receiver dominates all of them (same-sender clocks
-      // are componentwise monotone), so the overtaken stamps fold as no-ops
-      // exactly like they would against a dense q[hi].
-      for (std::size_t i = hi; i-- > lo;) {
-        if (!in_stamp_chain(i)) continue;
-        queue_[hi].vc.absorb_older(queue_[i].vc);
-        if (queue_[hi].vc.is_dense()) break;  // now self-contained
-      }
-    } else if (in_stamp_chain(lo)) {
-      // A fabricated message jumps ahead of chained q[lo], which now trails
-      // (lo, hi): the first chained successor in between inherits its
-      // window. (With none, the chained order is unchanged — no repair.)
-      for (std::size_t i = lo + 1; i < hi; ++i) {
-        if (!in_stamp_chain(i)) continue;
-        queue_[i].vc.absorb_older(queue_[lo].vc);
-        break;
-      }
-    }
-  }
   std::swap(queue_[a], queue_[b]);
 }
 
@@ -151,10 +94,6 @@ void Channel::fault_inject(const Message& msg) {
 }
 
 void Channel::fault_clear() {
-  // Every chained stamp vanishes with no successor left to absorb it (the
-  // queue empties), so their windows ride on the next genuine send.
-  for (std::size_t i = 0; i < queue_.size() && !force_dense_next_; ++i)
-    if (in_stamp_chain(i)) carry_stamp(queue_[i].vc);
   dropped_by_fault_ += queue_.size();
   adjust_in_flight(-static_cast<std::ptrdiff_t>(queue_.size()));
   queue_.clear();

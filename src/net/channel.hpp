@@ -26,7 +26,6 @@
 #pragma once
 
 #include <functional>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "net/delay.hpp"
@@ -140,48 +139,7 @@ class Channel {
   void set_choice_tag(std::uint64_t tag) { choice_tag_ = tag; }
   std::uint64_t choice_tag() const { return choice_tag_; }
 
-  // --- Sparse-stamp bookkeeping (driven by Network::send) ----------------
-
-  /// Carry entries past this and the next send falls back to dense.
-  static constexpr std::size_t kCarryCap = 32;
-
-  /// Sender vclock version at the last genuine enqueue; a delta stamp
-  /// carries exactly the components modified after this version. Partitioned
-  /// sends never enqueue, so the window simply spans them.
-  std::uint64_t stamp_baseline() const { return stamp_baseline_; }
-
-  /// Components that must ride on the next genuine send even if unmodified
-  /// since the baseline: inherited from dropped/cleared delta stamps that
-  /// had no queued successor to absorb them. Their *current* values are
-  /// exactly what a dense stamp would carry for them.
-  const std::vector<std::uint32_t>& carry_comps() const { return carry_comps_; }
-
-  /// True when the next genuine send must be dense (a dense stamp was
-  /// dropped with no queued successor, or the carry set overflowed).
-  bool force_dense_next() const { return force_dense_next_; }
-
-  /// Called by Network::send after stamping a genuine message, right before
-  /// enqueueing it: advances the baseline and clears the consumed carry.
-  void note_genuine_stamp(std::uint64_t sender_version) {
-    stamp_baseline_ = sender_version;
-    carry_comps_.clear();
-    force_dense_next_ = false;
-  }
-
  private:
-  /// Restore the stamp chain after the genuine message carrying `removed`
-  /// left the queue (drop/clear): the first genuine successor (starting at
-  /// `first_successor`) absorbs it; with no successor it becomes carry
-  /// state for the next send. Spurious (fault-injected) messages are never
-  /// part of the chain — folding a removed stamp at an injected message's
-  /// delivery time would advance the receiver earlier than the dense
-  /// reference does.
-  void repair_removed_stamp(const clk::ClockStamp& removed,
-                            std::size_t first_successor);
-  void carry_stamp(const clk::ClockStamp& removed);
-  bool in_stamp_chain(std::size_t index) const {
-    return !queue_[index].vc.empty() && !is_spurious_uid(queue_[index].uid);
-  }
   void schedule_tick(SimTime arrival);
   void on_tick(std::uint64_t epoch);
   void adjust_in_flight(std::ptrdiff_t delta) {
@@ -209,9 +167,6 @@ class Channel {
   std::uint64_t choice_tag_ = 0;
   /// Fallback spurious-uid source for channels outside a Network.
   std::uint64_t local_spurious_uid_ = kSpuriousUidBase;
-  std::uint64_t stamp_baseline_ = 0;
-  std::vector<std::uint32_t> carry_comps_;
-  bool force_dense_next_ = false;
 };
 
 }  // namespace graybox::net

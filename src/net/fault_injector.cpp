@@ -138,24 +138,12 @@ FaultInjector::FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
       rng_(rng),
       corrupt_process_(std::move(corrupt_process)) {}
 
-clk::Timestamp FaultInjector::random_timestamp() {
-  // Log-uniform magnitude: shifting a raw 64-bit draw by a random amount
-  // covers everything from 0 to astronomically large counters, exercising
-  // both the "corrupted low" (deadlock-prone) and "corrupted high"
-  // (clock-jump) recovery paths.
-  const int shift = static_cast<int>(rng_.uniform(0, 63));
-  clk::Timestamp ts;
-  ts.counter = rng_.next() >> shift;
-  ts.pid = static_cast<ProcessId>(rng_.index(net_.size()));
-  return ts;
-}
-
 Message FaultInjector::random_message(ProcessId from, ProcessId to) {
   Message msg;
   msg.type = static_cast<MsgType>(rng_.uniform(0, 2));
   msg.from = from;
   msg.to = to;
-  msg.ts = random_timestamp();
+  msg.ts = clk::random_timestamp(rng_, net_.size());
   return msg;
 }
 

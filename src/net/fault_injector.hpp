@@ -172,7 +172,6 @@ class FaultInjector {
   }
 
  private:
-  clk::Timestamp random_timestamp();
   /// Account one applied fault: bump the per-code aggregate and emit bus
   /// events. `pid` names the corrupted process (process faults only);
   /// `dropped` counts messages destroyed; `id` is the fault's minted

@@ -13,8 +13,10 @@ FaultProcess::FaultProcess(sim::Scheduler& sched, FaultInjector& injector,
       injector_(injector),
       n_(n),
       config_(config),
-      callbacks_(std::move(callbacks)) {
+      callbacks_(std::move(callbacks)),
+      down_(n, 0) {
   GBX_EXPECTS(n_ >= 1);
+  GBX_EXPECTS(config_.partition_mean <= 0 || n_ <= 64);
   GBX_EXPECTS(config_.downtime_mean > 0);
   GBX_EXPECTS(config_.partition_hold_mean > 0);
   // Fixed split order: stream RNGs by index, then lifecycle durations.
@@ -96,14 +98,14 @@ void FaultProcess::fire_crash() {
       std::max<SimTime>(1, lifecycle_rng_.exponential(config_.downtime_mean));
   if (callbacks_.crash == nullptr) return;
   if (down_count_ >= config_.max_down) return;
-  if ((down_mask_ >> pid) & 1u) return;
+  if (down_[pid]) return;
   if (!callbacks_.crash(pid)) return;
-  down_mask_ |= std::uint64_t{1} << pid;
+  down_[pid] = 1;
   ++down_count_;
   note(kFaultCodeProcessCrash, pid);
   sched_.schedule_at(sched_.now() + down, [this, pid] {
-    if (((down_mask_ >> pid) & 1u) == 0) return;
-    down_mask_ &= ~(std::uint64_t{1} << pid);
+    if (!down_[pid]) return;
+    down_[pid] = 0;
     --down_count_;
     if (callbacks_.recover) callbacks_.recover(pid);
     note(kFaultCodeProcessRecover, pid);

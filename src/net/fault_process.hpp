@@ -61,6 +61,7 @@ struct FaultProcessConfig {
   /// left to stabilize).
   std::size_t max_down = 1;
   /// Mean gap between partition arrivals (random bipartition each time).
+  /// Partition masks are 64-bit, so a nonzero value requires n <= 64.
   double partition_mean = 0;
   /// Mean time a partition holds before healing.
   double partition_hold_mean = 200;
@@ -102,6 +103,7 @@ class FaultProcess {
 
   /// `n` is the process count (crash targets and partition masks are drawn
   /// from it). Streams draw from RNGs split off `rng` in a fixed order.
+  /// Requires n <= 64 when the partition stream is enabled.
   FaultProcess(sim::Scheduler& sched, FaultInjector& injector, std::size_t n,
                FaultProcessConfig config, Rng rng, Callbacks callbacks = {});
 
@@ -158,9 +160,9 @@ class FaultProcess {
   bool record_schedule_ = false;
   std::vector<FaultArrival> schedule_;
   std::uint64_t arrivals_fired_ = 0;
-  /// Bitmask of processes this FaultProcess has crashed and not yet
-  /// recovered (its own view; manual harness crashes are not tracked).
-  std::uint64_t down_mask_ = 0;
+  /// Per pid: crashed by this FaultProcess and not yet recovered (its own
+  /// view; manual harness crashes are not tracked).
+  std::vector<char> down_;
   std::size_t down_count_ = 0;
   bool partition_active_ = false;
 };

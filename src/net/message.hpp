@@ -18,8 +18,8 @@
 #include <cstdint>
 #include <string>
 
-#include "clock/clock_stamp.hpp"
 #include "clock/timestamp.hpp"
+#include "clock/vector_clock.hpp"
 #include "common/types.hpp"
 #include "obs/provenance.hpp"
 
@@ -60,11 +60,9 @@ struct Message {
 
   /// Monitor-side causal metadata maintained by the Network, never read by
   /// the programs under test. Used by the ME3 (FCFS) monitor to decide
-  /// Lamport's happened-before relation exactly. Usually a sparse delta
-  /// over the previous stamp enqueued on the same channel; dense only when
-  /// the changed set is large (or in reference mode). Fabricated messages
-  /// carry an empty stamp.
-  clk::ClockStamp vc{};
+  /// Lamport's happened-before relation exactly. The sender's full vector
+  /// clock after its send tick; fabricated messages carry an empty clock.
+  clk::VectorClock vc{};
 
   /// Monitor-side fault provenance, never read by the programs under test.
   /// Network::send stamps the sender's active taint here; the fault

@@ -60,7 +60,6 @@ Network::Network(sim::Scheduler& sched, std::size_t n, DelayModel delay,
   vclocks_.reserve(n);
   for (ProcessId pid = 0; pid < n; ++pid) vclocks_.emplace_back(pid, n);
   vclock_versions_.assign(n, 0);
-  mod_seq_.assign(n * n, 0);
   for (auto& ch : channels_) {
     if (!ch) continue;
     ch->set_in_flight_counter(&in_flight_);
@@ -89,8 +88,8 @@ void Network::send(ProcessId from, ProcessId to, MsgType type,
   msg.from_wrapper = from_wrapper;
   msg.uid = next_uid_++;
   vclocks_[from].tick();
-  const std::uint64_t version = ++vclock_versions_[from];
-  mod_seq_[static_cast<std::size_t>(from) * n_ + from] = version;
+  ++vclock_versions_[from];
+  msg.vc = vclocks_[from];
   if (prov_ != nullptr) {
     msg.taint = prov_->process_taint(from);
     if (!msg.taint.empty()) prov_->note_message_taint(msg.taint);
@@ -118,35 +117,7 @@ void Network::send(ProcessId from, ProcessId to, MsgType type,
     return;
   }
 
-  Channel& ch = channel(from, to);
-  build_stamp(ch, msg, from);
-  ch.note_genuine_stamp(version);
-  ch.enqueue(std::move(msg));
-}
-
-void Network::build_stamp(const Channel& ch, Message& msg, ProcessId from) {
-  const clk::VectorClock& clock = vclocks_[from];
-  if (!dense_stamps_ && !ch.force_dense_next()) {
-    clk::ClockStamp delta = clk::ClockStamp::delta(from, n_);
-    const std::uint64_t base = ch.stamp_baseline();
-    const std::uint64_t* seq = &mod_seq_[static_cast<std::size_t>(from) * n_];
-    bool fits = true;
-    for (std::size_t c = 0; c < n_ && fits; ++c)
-      if (seq[c] > base)
-        fits = delta.add_entry(static_cast<std::uint32_t>(c),
-                               clock.component(c));
-    // Carry components inherited from dropped stamps ride along at their
-    // *current* values — exactly what a dense stamp would say about them.
-    for (std::uint32_t c : ch.carry_comps()) {
-      if (!fits) break;
-      if (seq[c] <= base) fits = delta.add_entry(c, clock.component(c));
-    }
-    if (fits) {
-      msg.vc = std::move(delta);
-      return;
-    }
-  }
-  msg.vc = clk::ClockStamp::dense(clock);
+  channel(from, to).enqueue(std::move(msg));
 }
 
 void Network::set_partition(std::uint64_t mask) {
@@ -157,7 +128,7 @@ void Network::set_partition(std::uint64_t mask) {
 void Network::local_event(ProcessId pid) {
   GBX_EXPECTS(pid < n_);
   vclocks_[pid].tick();
-  mod_seq_[static_cast<std::size_t>(pid) * n_ + pid] = ++vclock_versions_[pid];
+  ++vclock_versions_[pid];
 }
 
 const clk::VectorClock& Network::vclock(ProcessId pid) const {
@@ -184,27 +155,15 @@ void Network::add_delivery_observer(MessageObserver obs) {
 void Network::deliver(const Message& msg) {
   GBX_EXPECTS(msg.to < n_);
   ++total_delivered_;
-  // Fabricated (fault-injected) messages carry empty stamps; folding
-  // requires matching sizes, so only merge genuine ones. Folding a delta
-  // entrywise, or a dense stamp componentwise, and then ticking is exactly
-  // the old VectorClock::witness — mod_seq_ additionally records which
-  // components moved, to drive future delta stamps from this receiver.
+  // Fabricated (fault-injected) messages carry an empty clock; witnessing
+  // requires matching sizes, so they only tick the receiver.
   clk::VectorClock& clock = vclocks_[msg.to];
-  const std::uint64_t version = vclock_versions_[msg.to] + 1;
-  std::uint64_t* seq = &mod_seq_[static_cast<std::size_t>(msg.to) * n_];
   if (msg.vc.size() == n_) {
-    if (msg.vc.is_delta()) {
-      for (const auto& e : msg.vc.entries())
-        if (clock.fold(e.comp, e.value)) seq[e.comp] = version;
-    } else {
-      const clk::VectorClock& other = msg.vc.dense_clock();
-      for (std::size_t c = 0; c < n_; ++c)
-        if (clock.fold(c, other.component(c))) seq[c] = version;
-    }
+    clock.witness(msg.vc);
+  } else {
+    clock.tick();
   }
-  clock.tick();
-  seq[msg.to] = version;
-  vclock_versions_[msg.to] = version;
+  ++vclock_versions_[msg.to];
   last_delivery_time_ = sched_.now();
   if (bus_) bus_->record(message_event(obs::EventKind::kDeliver, msg));
   for (const auto& obs : delivery_observers_) obs(msg);

@@ -61,13 +61,6 @@ class Network {
     return vclock_versions_[pid];
   }
 
-  /// Reference mode: stamp every outgoing message with a full dense clock
-  /// (the pre-sparse encoding) instead of per-channel deltas. The two
-  /// encodings produce bit-identical receiver clocks. The harness sets it
-  /// from HarnessConfig::reference_substrate.
-  void set_dense_stamps(bool dense) { dense_stamps_ = dense; }
-  bool dense_stamps() const { return dense_stamps_; }
-
   /// Directed channel from -> to. Requires from != to.
   Channel& channel(ProcessId from, ProcessId to);
   const Channel& channel(ProcessId from, ProcessId to) const;
@@ -124,10 +117,6 @@ class Network {
  private:
   std::size_t channel_index(ProcessId from, ProcessId to) const;
   void deliver(const Message& msg);
-  /// Stamp `msg` for the channel from -> to: a delta of the components
-  /// modified since the channel's baseline (plus its carry set), falling
-  /// back to dense when forced or too large.
-  void build_stamp(const Channel& ch, Message& msg, ProcessId from);
 
   sim::Scheduler& sched_;
   std::size_t n_;
@@ -135,13 +124,6 @@ class Network {
   std::vector<Handler> handlers_;
   std::vector<clk::VectorClock> vclocks_;
   std::vector<std::uint64_t> vclock_versions_;
-  /// Flat n*n: mod_seq_[pid * n + c] is the value vclock_version(pid) had
-  /// when component c of pid's clock last changed. Drives delta stamps:
-  /// a send on a channel carries exactly the components whose mod-seq
-  /// exceeds the channel's baseline (the sender version at its previous
-  /// genuine enqueue).
-  std::vector<std::uint64_t> mod_seq_;
-  bool dense_stamps_ = false;
   std::size_t in_flight_ = 0;
   std::vector<MessageObserver> send_observers_;
   std::vector<MessageObserver> delivery_observers_;

@@ -1,8 +1,8 @@
 // Whole-run equivalence of the observation substrate and its reference.
 //
-// HarnessConfig::reference_substrate stamps every message with a dense
-// vector clock and steps every monitor with spec::kDirtyAll, its full
-// check. Neither may change what a run observes: the same seed with the
+// HarnessConfig::reference_substrate steps every monitor with
+// spec::kDirtyAll, its full check, instead of the snapshot's dirty-row
+// hint. That may not change what a run observes: the same seed with the
 // switch off and on must yield identical CS schedules, per-monitor verdicts
 // (totals, first/last times, retained records), stats and stabilization
 // reports. Monitors never feed back into the simulation, so both runs

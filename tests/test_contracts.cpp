@@ -131,6 +131,22 @@ TEST(Contracts, ProcessRejectsOutOfRangePeerQueries) {
       "precondition");
 }
 
+TEST(Contracts, FaultProcessRejectsPartitionsAboveSixtyFourProcesses) {
+  // Partition masks are 64-bit; the partition stream is refused up front
+  // rather than building a mask that cannot name every process.
+  EXPECT_DEATH(
+      {
+        sim::Scheduler sched;
+        net::Network net(sched, 65, net::DelayModel::fixed(1), Rng(1));
+        net::FaultInjector injector(sched, net, Rng(2),
+                                    [](ProcessId, Rng&) {});
+        net::FaultProcessConfig fp;
+        fp.partition_mean = 100;
+        net::FaultProcess load(sched, injector, 65, fp, Rng(3));
+      },
+      "precondition");
+}
+
 TEST(UmbrellaHeader, ExposesEveryLayer) {
   // Touch one symbol per layer so a missing include in graybox.hpp fails
   // this test at compile time.

@@ -5,6 +5,7 @@
 // values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/report.hpp"
@@ -93,6 +94,31 @@ TEST(FaultProcess, DisabledByDefaultDrawsNothing) {
   EXPECT_FALSE(h.fault_load().running());
   EXPECT_EQ(h.fault_load().arrivals_fired(), 0u);
   EXPECT_EQ(h.stats().faults_injected, 0u);
+}
+
+TEST(FaultProcess, CrashStreamReachesPidsAboveSixtyThree) {
+  // Crash targets are drawn from all n pids, so with room for everyone to
+  // be down and nobody recovering, every pid eventually goes down — also
+  // the ones past a 64-bit word.
+  constexpr std::size_t kN = 128;
+  sim::Scheduler sched;
+  net::Network net(sched, kN, net::DelayModel::fixed(1), Rng(1));
+  net::FaultInjector injector(sched, net, Rng(2), [](ProcessId, Rng&) {});
+  net::FaultProcessConfig fp;
+  fp.crash_mean = 2;
+  fp.max_down = kN;
+  fp.downtime_mean = 1e9;
+  std::vector<char> down(kN, 0);
+  net::FaultProcess::Callbacks lifecycle;
+  lifecycle.crash = [&down](ProcessId pid) {
+    down.at(pid) = 1;
+    return true;
+  };
+  net::FaultProcess load(sched, injector, kN, fp, Rng(3), lifecycle);
+  load.start();
+  sched.run_until(20000);
+  EXPECT_EQ(std::count(down.begin(), down.end(), 1),
+            static_cast<std::ptrdiff_t>(kN));
 }
 
 TEST(FaultProcess, StreamsStopAtEnd) {

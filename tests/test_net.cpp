@@ -21,6 +21,14 @@ Message make_msg(ProcessId from, ProcessId to, std::uint64_t counter,
   return m;
 }
 
+/// A clock of `pid` in a system of `n` that has ticked once: what a send
+/// stamps, and distinguishable from a fabricated message's empty clock.
+clk::VectorClock clocked(ProcessId pid, std::size_t n) {
+  clk::VectorClock vc(pid, n);
+  vc.tick();
+  return vc;
+}
+
 // --- Channel ---------------------------------------------------------------
 
 class ChannelTest : public ::testing::Test {
@@ -81,26 +89,37 @@ TEST_F(ChannelTest, DropRemovesExactlyOne) {
 
 TEST_F(ChannelTest, DuplicateDeliversTwice) {
   auto ch = make_channel(DelayModel::fixed(10));
-  ch->enqueue(make_msg(0, 1, 1));
+  Message original = make_msg(0, 1, 1);
+  original.vc = clocked(0, 3);
+  ch->enqueue(original);
   ch->fault_duplicate(0);
   sched.run_all();
   ASSERT_EQ(delivered.size(), 2u);
   EXPECT_EQ(delivered[0].ts.counter, 1u);
   EXPECT_EQ(delivered[1].ts.counter, 1u);
+  EXPECT_EQ(delivered[0].vc, original.vc);
+  EXPECT_EQ(delivered[1].vc, original.vc);
 }
 
 TEST_F(ChannelTest, CorruptRewritesPayloadKeepsIdentity) {
   auto ch = make_channel(DelayModel::fixed(10));
   Message original = make_msg(0, 1, 1);
   original.uid = 77;
+  original.vc = clocked(0, 3);
+  original.taint.add(5);
   ch->enqueue(original);
+  // A corrupt payload carries no clock and no taint of its own.
   Message corrupted = make_msg(0, 1, 999, MsgType::kRelease);
   ch->fault_corrupt(0, corrupted);
   sched.run_all();
   ASSERT_EQ(delivered.size(), 1u);
   EXPECT_EQ(delivered[0].ts.counter, 999u);
   EXPECT_EQ(delivered[0].type, MsgType::kRelease);
-  EXPECT_EQ(delivered[0].uid, 77u);  // physical identity preserved
+  // Physical identity and causal metadata preserved.
+  EXPECT_EQ(delivered[0].uid, 77u);
+  EXPECT_EQ(delivered[0].vc, original.vc);
+  ASSERT_EQ(delivered[0].taint.size(), 1u);
+  EXPECT_TRUE(delivered[0].taint.contains(5));
 }
 
 TEST_F(ChannelTest, SwapReordersDelivery) {
@@ -386,11 +405,10 @@ TEST_F(NetworkTest, AssignsUniqueIncreasingUids) {
 TEST_F(NetworkTest, ThreadsVectorClocksThroughMessages) {
   net.send(0, 1, MsgType::kRequest, clk::Timestamp{1, 0});
   sched.run_all();
-  // After delivery, 1's vclock dominates 0's at-send clock (materialized
-  // from the sparse stamp: unlisted components were zero at send time).
+  // After delivery, 1's vclock dominates 0's at-send clock.
   ASSERT_EQ(received[1].size(), 1u);
   EXPECT_EQ(received[1][0].vc.size(), net.size());
-  EXPECT_TRUE(received[1][0].vc.to_clock().happened_before(net.vclock(1)));
+  EXPECT_TRUE(received[1][0].vc.happened_before(net.vclock(1)));
 }
 
 TEST_F(NetworkTest, LocalEventTicksClock) {

@@ -13,7 +13,10 @@
 //     judge identically — per-monitor totals, first/last violation times,
 //     retained records, stats, CS schedules (tests/observed_run.hpp).
 //
-// Both run across the full fault matrix.
+// Both run across the full fault matrix at N=4. The verdict check alone
+// also runs on other seeds and sizes: the N=4 fault matrix again, a
+// five-process Carvalho-Roucairol burst, and N=64, where most rows stay
+// clean between events.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -184,6 +187,88 @@ TEST(DeltaVsFull, FaultFreeRunsAreCleanOnBothPaths) {
 // injected fault, exercising the monitors' steady-state reporting paths.
 TEST(DeltaVsFull, FragileImplementationMatchesEvenWhenUnstable) {
   check_pipeline("fragile-ra", net::FaultMix::all(), 10, 6);
+}
+
+// --- Verdicts alone: dirty-row monitors vs kDirtyAll ----------------------
+//
+// The SparseVsDense* and IncrementalVsFullSweep* names are kept as stable
+// test ids; both compare the dirty-row monitors against kDirtyAll.
+
+void expect_equivalent_runs(const std::string& algo, std::size_t n,
+                            net::FaultMix mix, std::size_t burst,
+                            std::uint64_t seed, SimTime horizon) {
+  const test::RunShape shape{mix, burst, horizon / 4, horizon, horizon};
+  HarnessConfig config = test::equivalence_config(algo, n, seed);
+  const test::ObservedRun shipping = test::observe_run(config, shape);
+  config.reference_substrate = true;
+  test::expect_equivalent(shipping, test::observe_run(config, shape));
+}
+
+class SparseVsDenseByFaultKind
+    : public ::testing::TestWithParam<
+          std::tuple<test::Protocol, net::FaultKind, std::uint64_t>> {};
+
+TEST_P(SparseVsDenseByFaultKind, IdenticalVerdicts) {
+  const auto [protocol, kind, seed] = GetParam();
+  const std::string algo = test::registry_name(protocol);
+  expect_equivalent_runs(algo, 4, net::FaultMix::only(kind), 6, seed, 3000);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, SparseVsDenseByFaultKind,
+    ::testing::Combine(
+        ::testing::Values(test::Protocol::kRicartAgrawala,
+                          test::Protocol::kLamport),
+        ::testing::Values(net::FaultKind::kMessageDrop,
+                          net::FaultKind::kMessageDuplicate,
+                          net::FaultKind::kMessageCorrupt,
+                          net::FaultKind::kMessageReorder,
+                          net::FaultKind::kSpuriousMessage,
+                          net::FaultKind::kProcessCorrupt,
+                          net::FaultKind::kChannelClear),
+        ::testing::Values(11u)),
+    matrix_name);
+
+TEST(SparseVsDense, MixedBurstCarvalhoRoucairol) {
+  expect_equivalent_runs("carvalho-roucairol", 5, net::FaultMix::all(), 15, 3,
+                         3000);
+}
+
+TEST(SparseVsDense, N64MixedBurst) {
+  expect_equivalent_runs("ricart-agrawala", 64, net::FaultMix::all(), 12, 9,
+                         1200);
+}
+
+class IncrementalVsFullSweep
+    : public ::testing::TestWithParam<net::FaultKind> {};
+
+TEST_P(IncrementalVsFullSweep, IdenticalVerdictsAtN64) {
+  expect_equivalent_runs("ricart-agrawala", 64,
+                         net::FaultMix::only(GetParam()), 10, 13, 900);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    FaultMatrix, IncrementalVsFullSweep,
+    ::testing::Values(net::FaultKind::kMessageDrop,
+                      net::FaultKind::kMessageDuplicate,
+                      net::FaultKind::kMessageCorrupt,
+                      net::FaultKind::kMessageReorder,
+                      net::FaultKind::kSpuriousMessage,
+                      net::FaultKind::kProcessCorrupt,
+                      net::FaultKind::kChannelClear),
+    [](const ::testing::TestParamInfo<net::FaultKind>& info) {
+      std::string name = net::to_string(info.param);
+      for (auto& c : name) {
+        if (c == '-') c = '_';
+      }
+      return name;
+    });
+
+TEST(IncrementalVsFullSweep, MutualBeliefMonitorCoveredAtN64) {
+  // Carvalho-Roucairol installs the 5th monitor (MutualBelief); its
+  // dirty-row guard needs its own equivalence run.
+  expect_equivalent_runs("carvalho-roucairol", 64, net::FaultMix::all(), 10,
+                         17, 900);
 }
 
 }  // namespace

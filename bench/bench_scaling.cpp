@@ -1,8 +1,9 @@
 // E14 — substrate scaling study: N in {16, 64, 128, 256}.
 //
-// The N=256 tentpole claims the monitoring substrate's per-event cost grows
-// with the number of *dirty rows*, not with N² — row-sparse snapshot
-// matrices and incremental monitors. This bench measures, per (N,
+// The monitoring substrate's per-event cost grows with the number of
+// *changed rows*, not with N²: the network's touched-pid list tells a fixed
+// previous/current snapshot pair which rows to re-read, and the monitors
+// update incrementally from that hint. This bench measures, per (N,
 // algorithm, bare/wrapped) cell under a contention-heavy client
 // (think_mean = 8N keeps the request rate per tick roughly constant as N
 // grows):

@@ -334,7 +334,8 @@ void BM_ObserveDeltaDirtyRotation(benchmark::State& state) {
     ++t;
     rig.procs[t % n]->poll();  // dirties exactly one observation row
     const lspec::GlobalSnapshot& cur = rig.source->capture(t);
-    rig.monitors.observe_ref(t, cur, rig.source->last_dirty());
+    rig.monitors.observe_ref(t, rig.source->previous(), cur,
+                             rig.source->last_dirty());
   }
   set_observation_counters(state);
 }
@@ -352,7 +353,8 @@ void BM_ObserveDeltaSteadyState(benchmark::State& state) {
   for (auto _ : state) {
     ++t;
     const lspec::GlobalSnapshot& cur = rig.source->capture(t);
-    rig.monitors.observe_ref(t, cur, rig.source->last_dirty());
+    rig.monitors.observe_ref(t, rig.source->previous(), cur,
+                             rig.source->last_dirty());
   }
   set_observation_counters(state);
 }

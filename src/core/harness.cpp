@@ -192,14 +192,13 @@ SystemHarness::SystemHarness(HarnessConfig config)
           lspec::install_lspec_clause_monitors(monitor_set_, config_.n);
     }
     // The observation hot path: one snapshot + monitor pass per executed
-    // event. The capture reuses the source's double buffer and tells the
+    // event. The capture re-reads only the touched rows and tells the
     // monitors which process row changed; the reference substrate hands
     // every monitor kDirtyAll, its full check, instead.
     sched_.add_observer([this](SimTime t) {
-      if (monitor_set_.empty()) return;  // nothing to feed: skip capture
       const auto start = std::chrono::steady_clock::now();
       const lspec::GlobalSnapshot& cur = snapshots_->capture(t);
-      monitor_set_.observe_ref(t, cur,
+      monitor_set_.observe_ref(t, snapshots_->previous(), cur,
                                config_.reference_substrate
                                    ? spec::kDirtyAll
                                    : snapshots_->last_dirty());
@@ -283,6 +282,11 @@ me::Client& SystemHarness::client(ProcessId pid) {
 wrapper::GrayboxWrapper* SystemHarness::wrapper(ProcessId pid) {
   GBX_EXPECTS(pid < wrappers_.size());
   return wrappers_[pid].get();
+}
+
+const lspec::SnapshotSource& SystemHarness::snapshots() const {
+  GBX_EXPECTS(snapshots_ != nullptr);
+  return *snapshots_;
 }
 
 wrapper::LocalWrapper* SystemHarness::local_wrapper(ProcessId pid) {

@@ -254,6 +254,9 @@ class SystemHarness {
   const lspec::LspecClauseMonitors& lspec_monitors() const {
     return lspec_handles_;
   }
+  /// The snapshot pair the monitors step on. Requires
+  /// config.install_monitors.
+  const lspec::SnapshotSource& snapshots() const;
   lspec::StructuralSpecMonitor& structural_monitor() { return *structural_; }
   lspec::SendMonotonicityMonitor& send_monitor() { return *send_mono_; }
   lspec::FifoMonitor& fifo_monitor() { return *fifo_; }

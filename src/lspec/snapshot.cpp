@@ -8,31 +8,18 @@ namespace graybox::lspec {
 
 void GlobalSnapshot::resize(std::size_t n) {
   procs.assign(n, ProcessSnapshot{});
-  row_slot_.assign(n, -1);
-  knows_pool_.clear();
-  vc_pool_.clear();
-  zero_vc_row_.assign(n, 0);
+  knows_.assign(n * n, 0);
+  vc_.assign(n * n, 0);
   counts_valid_ = false;
   eating_count_ = 0;
   hungry_count_ = 0;
   knows_true_.clear();
 }
 
-std::int32_t GlobalSnapshot::materialize_row(std::size_t j) {
-  GBX_EXPECTS(j < procs.size());
-  std::int32_t slot = row_slot_[j];
-  if (slot >= 0) return slot;
-  const std::size_t n = procs.size();
-  slot = static_cast<std::int32_t>(knows_pool_.size() / n);
-  knows_pool_.resize(knows_pool_.size() + n, 0);
-  vc_pool_.resize(vc_pool_.size() + n, 0);
-  row_slot_[j] = slot;
-  return slot;
-}
-
 void GlobalSnapshot::set_knows_earlier(std::size_t j, std::size_t k,
                                        bool value) {
-  char& cell = knows_row_mut(j)[k];
+  GBX_EXPECTS(j < procs.size() && k < procs.size());
+  char& cell = knows_[j * procs.size() + k];
   const char next = value ? 1 : 0;
   if (counts_valid_ && next != cell)
     knows_true_[j] = static_cast<std::uint16_t>(knows_true_[j] + next -
@@ -44,7 +31,8 @@ void GlobalSnapshot::set_vc(std::size_t j, const clk::VectorClock& vc) {
   GBX_EXPECTS(j < procs.size());
   GBX_EXPECTS(vc.size() == procs.size());
   const auto& components = vc.components();
-  std::copy(components.begin(), components.end(), vc_row_mut(j));
+  std::copy(components.begin(), components.end(),
+            vc_.data() + j * procs.size());
 }
 
 std::size_t GlobalSnapshot::eating_count() const {
@@ -88,18 +76,30 @@ void GlobalSnapshot::enable_counts() {
   counts_valid_ = true;
 }
 
+void GlobalSnapshot::copy_rows(const GlobalSnapshot& from,
+                               std::span<const ProcessId> rows) {
+  GBX_EXPECTS(counts_valid_ && from.counts_valid_);
+  GBX_EXPECTS(from.size() == size());
+  const std::size_t n = procs.size();
+  time = from.time;
+  in_flight = from.in_flight;
+  eating_count_ = from.eating_count_;
+  hungry_count_ = from.hungry_count_;
+  for (const ProcessId j : rows) {
+    procs[j] = from.procs[j];
+    knows_true_[j] = from.knows_true_[j];
+    std::copy_n(from.knows_.data() + j * n, n, knows_.data() + j * n);
+    std::copy_n(from.vc_.data() + j * n, n, vc_.data() + j * n);
+  }
+}
+
 SnapshotSource::SnapshotSource(std::vector<me::TmeProcess*> processes,
-                               const net::Network& net)
+                               net::Network& net)
     : processes_(std::move(processes)), net_(net) {
   GBX_EXPECTS(!processes_.empty());
   GBX_EXPECTS(processes_.size() == net_.size());
   for (const auto* p : processes_) GBX_EXPECTS(p != nullptr);
-  const std::size_t n = processes_.size();
-  for (std::size_t b = 0; b < 2; ++b) {
-    buffers_[b].resize(n);
-    buffers_[b].enable_counts();
-    row_versions_[b].assign(n, 0);
-  }
+  for (ProcessId pid = 0; pid < processes_.size(); ++pid) net_.touch(pid);
 }
 
 void SnapshotSource::write_row(GlobalSnapshot& snap, std::size_t j) const {
@@ -118,8 +118,8 @@ void SnapshotSource::write_row(GlobalSnapshot& snap, std::size_t j) const {
   ps.req = p.req();
   ps.clock_now = p.clock().now();
   snap.set_vc(j, net_.vclock(static_cast<ProcessId>(j)));
-  char* knows = snap.knows_row_mut(j);
   const std::size_t n = processes_.size();
+  char* knows = snap.knows_.data() + j * n;
   std::uint16_t row_true = 0;
   for (std::size_t k = 0; k < n; ++k) {
     const char v =
@@ -131,43 +131,31 @@ void SnapshotSource::write_row(GlobalSnapshot& snap, std::size_t j) const {
 }
 
 const GlobalSnapshot& SnapshotSource::capture(SimTime t) {
-  const std::size_t n = processes_.size();
-  const std::size_t back = 1 - cur_;
-  GlobalSnapshot& snap = buffers_[back];
-  snap.time = t;
-  snap.in_flight = net_.in_flight();
-
-  std::size_t dirty_count = 0;
-  std::size_t dirty_id = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    const std::uint64_t v = row_version(j);
-    // Dirty relative to the snapshot the monitors saw last (the current
-    // buffer). Row versions never decrease, so equality means untouched.
-    if (!primed_ || v != row_versions_[cur_][j]) {
-      ++dirty_count;
-      dirty_id = j;
-    }
-    // The back buffer is two captures old: rewrite its row whenever the
-    // live version moved past what that buffer recorded (a superset of the
-    // dirty set above).
-    if (!primed_ || v != row_versions_[back][j]) {
-      write_row(snap, j);
-      row_versions_[back][j] = v;
-    }
+  if (cur_.size() == 0) {
+    const std::size_t n = processes_.size();
+    prev_.resize(n);
+    prev_.enable_counts();
+    cur_.resize(n);
+    cur_.enable_counts();
   }
+  // previous() becomes the last capture: it differs from current() only in
+  // the rows that capture re-read.
+  prev_.copy_rows(cur_, reread_);
+  // current() becomes the live state: it differs from the last capture
+  // only in the touched rows.
+  net_.take_touched(reread_);
+  for (const ProcessId j : reread_) write_row(cur_, j);
+  cur_.time = t;
+  cur_.in_flight = net_.in_flight();
 
-  if (!primed_) {
-    last_dirty_ = spec::kDirtyAll;
-    primed_ = true;
-  } else if (dirty_count == 0) {
+  if (reread_.empty()) {
     last_dirty_ = spec::kDirtyNone;
-  } else if (dirty_count == 1) {
-    last_dirty_ = dirty_id;
+  } else if (reread_.size() == 1) {
+    last_dirty_ = reread_.front();
   } else {
     last_dirty_ = spec::kDirtyAll;
   }
-  cur_ = back;
-  return snap;
+  return cur_;
 }
 
 GlobalSnapshot SnapshotSource::capture_full(SimTime t) const {

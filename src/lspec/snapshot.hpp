@@ -9,15 +9,11 @@
 // snapshots is by construction checkable without implementation knowledge.
 //
 // Storage: the per-process scalar observables live in one contiguous
-// ProcessSnapshot array; the two per-pair relations (knows_earlier, vector
-// clocks) are row-sparse — a row is backed by pool storage only once
-// something writes it, and unmaterialized rows read as all-false/all-zero,
-// exactly their dense zero-initialized contents. resize() is O(N); a row
-// materializes at most once (first write), so steady-state captures into a
-// sized snapshot allocate nothing. SnapshotSource keeps a double buffer of
-// these and, using the observation version counters maintained by
-// TmeProcess and Network, re-reads only the rows that actually changed
-// since the previous event — O(dirty rows) per event instead of O(N²).
+// ProcessSnapshot array, the two per-pair relations (knows_earlier, vector
+// clocks) in one dense N×N array each. resize() is the only allocation.
+// SnapshotSource keeps a fixed previous/current pair of these and re-reads
+// only the rows the network's touched-pid list names (Network::touch) —
+// O(changed rows) per event instead of O(N²).
 //
 // Aggregate counts (eating/hungry totals, per-row knows-true counts) are
 // cached so the monitors' hot-path guards are O(1). The cache is only
@@ -64,19 +60,14 @@ class GlobalSnapshot {
   /// knows_earlier[j][k] = "REQj lt j.REQk" as process j reads it; the own
   /// index (k == j) is always false.
   bool knows_earlier(std::size_t j, std::size_t k) const {
-    const std::int32_t slot = row_slot_[j];
-    return slot >= 0 &&
-           knows_pool_[static_cast<std::size_t>(slot) * procs.size() + k] != 0;
+    return knows_[j * procs.size() + k] != 0;
   }
   void set_knows_earlier(std::size_t j, std::size_t k, bool value);
 
   /// Monitor-side causal clock of process j (components, after its latest
-  /// event). Unmaterialized rows read as all-zero.
+  /// event).
   std::span<const std::uint64_t> vc_row(std::size_t j) const {
-    const std::int32_t slot = row_slot_[j];
-    if (slot < 0) return {zero_vc_row_.data(), procs.size()};
-    return {vc_pool_.data() + static_cast<std::size_t>(slot) * procs.size(),
-            procs.size()};
+    return {vc_.data() + j * procs.size(), procs.size()};
   }
   void set_vc(std::size_t j, const clk::VectorClock& vc);
 
@@ -97,25 +88,14 @@ class GlobalSnapshot {
   /// incrementally; resize() disables it again.
   void enable_counts();
 
-  std::int32_t materialize_row(std::size_t j);
-  // materialize_row may grow the pools, so it must be sequenced before
-  // data() is read.
-  char* knows_row_mut(std::size_t j) {
-    const auto slot = static_cast<std::size_t>(materialize_row(j));
-    return knows_pool_.data() + slot * procs.size();
-  }
-  std::uint64_t* vc_row_mut(std::size_t j) {
-    const auto slot = static_cast<std::size_t>(materialize_row(j));
-    return vc_pool_.data() + slot * procs.size();
-  }
+  /// Become equal to `from`, given the two differ at most in `rows`
+  /// (scalars and cached counts included). Both must be the same size with
+  /// the count cache enabled.
+  void copy_rows(const GlobalSnapshot& from, std::span<const ProcessId> rows);
 
-  /// Row-sparse N×N relations: row j lives at pool offset row_slot_[j] * n
-  /// once materialized, -1 before.
-  std::vector<std::int32_t> row_slot_;
-  std::vector<char> knows_pool_;
-  std::vector<std::uint64_t> vc_pool_;
-  /// Shared all-zero row backing vc_row() of unmaterialized rows.
-  std::vector<std::uint64_t> zero_vc_row_;
+  /// Dense N×N relations, row j at offset j * N.
+  std::vector<char> knows_;
+  std::vector<std::uint64_t> vc_;
 
   bool counts_valid_ = false;
   std::size_t eating_count_ = 0;
@@ -126,55 +106,47 @@ class GlobalSnapshot {
 
 /// Captures GlobalSnapshots from live processes and the network.
 ///
-/// The delta path — capture() — writes into an internal double buffer:
-/// the returned reference and the previously returned reference stay valid
-/// and distinct across consecutive calls, which is what lets MonitorSet
-/// observe by reference with no copy. Row rewrites are driven by the
-/// observation version counters (TmeProcess::obs_version,
-/// Network::vclock_version): a row is re-read only when its combined
-/// version moved, and last_dirty() summarizes the change against the
-/// previous snapshot as Monitor::step's dirty hint.
+/// The delta path — capture() — keeps two snapshots in fixed roles:
+/// current() is the latest capture and previous() the one before it, and
+/// they differ exactly in the rows the latest capture re-read. Each capture
+/// first copies those rows of current() into previous(), then takes the
+/// network's touched-pid list and re-reads just those rows from the live
+/// processes into current(). last_dirty() names that change as
+/// Monitor::step's dirty hint. A network has one touched list, so it feeds
+/// one SnapshotSource.
 class SnapshotSource {
  public:
-  SnapshotSource(std::vector<me::TmeProcess*> processes,
-                 const net::Network& net);
+  /// Touches every pid, so the first capture reads every row.
+  SnapshotSource(std::vector<me::TmeProcess*> processes, net::Network& net);
 
-  /// Delta capture into the double buffer. Returns the new current
-  /// snapshot; the previous one remains readable via previous().
+  /// Delta capture. Returns current(); previous() now holds the capture
+  /// before it.
   const GlobalSnapshot& capture(SimTime t);
 
   /// Dirty summary of the latest capture() relative to the snapshot before
   /// it: spec::kDirtyNone, a single process id, or spec::kDirtyAll.
   std::size_t last_dirty() const { return last_dirty_; }
 
-  const GlobalSnapshot& current() const { return buffers_[cur_]; }
-  const GlobalSnapshot& previous() const { return buffers_[1 - cur_]; }
+  const GlobalSnapshot& current() const { return cur_; }
+  const GlobalSnapshot& previous() const { return prev_; }
 
   /// The executable spec of capture(): allocate and fill a fresh snapshot,
   /// every row read from the live state. tests/test_snapshot_delta.cpp
   /// holds capture() equal to it after every event.
   GlobalSnapshot capture_full(SimTime t) const;
 
-  std::size_t size() const { return processes_.size(); }
-
  private:
-  /// Combined observation version of row j; strictly increases whenever
-  /// any observable of process j (including its monitor-side vclock)
-  /// changes, because both summands are monotone.
-  std::uint64_t row_version(std::size_t j) const {
-    return processes_[j]->obs_version() +
-           net_.vclock_version(static_cast<ProcessId>(j));
-  }
   void write_row(GlobalSnapshot& snap, std::size_t j) const;
 
   std::vector<me::TmeProcess*> processes_;
-  const net::Network& net_;
-  GlobalSnapshot buffers_[2];
-  /// Per-buffer: the row version each buffer's row j was written at.
-  std::vector<std::uint64_t> row_versions_[2];
-  std::size_t cur_ = 0;
+  net::Network& net_;
+  /// Sized at the first capture, not in the constructor, so building a
+  /// harness does not pay for the N×N pair (1.2 MB at N=256).
+  GlobalSnapshot prev_;
+  GlobalSnapshot cur_;
+  /// The rows the latest capture re-read, i.e. where prev_ and cur_ differ.
+  std::vector<ProcessId> reread_;
   std::size_t last_dirty_ = spec::kDirtyAll;
-  bool primed_ = false;
 };
 
 }  // namespace graybox::lspec

@@ -60,8 +60,8 @@ void TmeProcess::maybe_enter() {
 void TmeProcess::after_event() {
   refresh_thinking_req();
   maybe_enter();
-  // Every program event ends here, so one bump covers request/release/
-  // poll/on_message for the snapshot source's dirty tracking.
+  // Every program event ends here, so one touch covers request/release/
+  // poll/on_message for the snapshot source.
   mark_observably_changed();
 }
 

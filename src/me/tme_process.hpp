@@ -101,7 +101,7 @@ class TmeProcess {
   /// type-valid value. Does NOT count as a program transition: no state
   /// change callback fires, and no enabled action runs until the next
   /// event reaches the process. Dispatches to do_corrupt() so the
-  /// observation version below is bumped for every implementation.
+  /// snapshot source hears of the change for every implementation.
   void corrupt_state(Rng& rng) {
     do_corrupt(rng);
     mark_observably_changed();
@@ -123,14 +123,6 @@ class TmeProcess {
     lc_.corrupt(counter);
     mark_observably_changed();
   }
-
-  /// Monotone counter bumped whenever this process's graybox observables
-  /// (state, REQ, clock, knows_earlier inputs) may have changed — after
-  /// every program event and every fault. The snapshot source compares it
-  /// against the version it last captured to re-read only dirty rows.
-  /// Conservative by design: a bump with no actual change only costs a
-  /// redundant row copy, never correctness.
-  std::uint64_t obs_version() const { return obs_version_; }
 
   virtual std::string_view algorithm() const = 0;
 
@@ -164,9 +156,13 @@ class TmeProcess {
   virtual void handle(const net::Message& msg) = 0;    // message semantics
   virtual void do_corrupt(Rng& rng) = 0;               // randomize all state
 
-  /// Subclass fault setters call this after mutating their whitebox
-  /// variables outside the program-event paths.
-  void mark_observably_changed() { ++obs_version_; }
+  /// Touch this process in the network's change list (Network::touch):
+  /// its graybox observables (state, REQ, clock, knows_earlier inputs) may
+  /// have changed. Runs after every program event and every fault;
+  /// subclass fault setters call it after mutating their whitebox
+  /// variables outside the program-event paths. Conservative by design: a
+  /// touch with no actual change only costs a redundant row re-read.
+  void mark_observably_changed() { net_.touch(pid_); }
 
   /// Send helper used by subclasses (tags messages as program traffic).
   void send(ProcessId to, net::MsgType type, clk::Timestamp ts);
@@ -193,7 +189,6 @@ class TmeProcess {
   clk::Timestamp req_{};
   std::uint64_t cs_entries_ = 0;
   std::uint64_t messages_sent_ = 0;
-  std::uint64_t obs_version_ = 1;
   std::vector<StateChangeFn> state_observers_;
   obs::EventBus* bus_ = nullptr;
   obs::ProvenanceTracker* prov_ = nullptr;

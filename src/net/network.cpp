@@ -59,7 +59,7 @@ Network::Network(sim::Scheduler& sched, std::size_t n, DelayModel delay,
   }
   vclocks_.reserve(n);
   for (ProcessId pid = 0; pid < n; ++pid) vclocks_.emplace_back(pid, n);
-  vclock_versions_.assign(n, 0);
+  touched_flag_.assign(n, 0);
   for (auto& ch : channels_) {
     if (!ch) continue;
     ch->set_in_flight_counter(&in_flight_);
@@ -88,7 +88,7 @@ void Network::send(ProcessId from, ProcessId to, MsgType type,
   msg.from_wrapper = from_wrapper;
   msg.uid = next_uid_++;
   vclocks_[from].tick();
-  ++vclock_versions_[from];
+  touch(from);
   msg.vc = vclocks_[from];
   if (prov_ != nullptr) {
     msg.taint = prov_->process_taint(from);
@@ -128,7 +128,13 @@ void Network::set_partition(std::uint64_t mask) {
 void Network::local_event(ProcessId pid) {
   GBX_EXPECTS(pid < n_);
   vclocks_[pid].tick();
-  ++vclock_versions_[pid];
+  touch(pid);
+}
+
+void Network::take_touched(std::vector<ProcessId>& out) {
+  out.clear();
+  out.swap(touched_);
+  for (const ProcessId pid : out) touched_flag_[pid] = 0;
 }
 
 const clk::VectorClock& Network::vclock(ProcessId pid) const {
@@ -163,7 +169,7 @@ void Network::deliver(const Message& msg) {
   } else {
     clock.tick();
   }
-  ++vclock_versions_[msg.to];
+  touch(msg.to);
   last_delivery_time_ = sched_.now();
   if (bus_) bus_->record(message_event(obs::EventKind::kDeliver, msg));
   for (const auto& obs : delivery_observers_) obs(msg);

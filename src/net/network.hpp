@@ -54,12 +54,21 @@ class Network {
   /// after the process's most recent event).
   const clk::VectorClock& vclock(ProcessId pid) const;
 
-  /// Monotone counter bumped whenever vclock(pid) changes (send, delivery,
-  /// local event). The snapshot source's dirty tracking compares it against
-  /// the version it last captured.
-  std::uint64_t vclock_version(ProcessId pid) const {
-    return vclock_versions_[pid];
+  /// Observation's one change signal: note that some snapshot observable
+  /// of `pid` may have changed. The network touches on every change to
+  /// vclock(pid) (send, local event, delivery — to a crashed receiver too);
+  /// TmeProcess touches after every program event and fault. Deduplicated,
+  /// so the list never holds more than size() pids.
+  void touch(ProcessId pid) {
+    if (touched_flag_[pid]) return;
+    touched_flag_[pid] = 1;
+    touched_.push_back(pid);
   }
+
+  /// Hand the pids touched since the last call to `out` (first-touch
+  /// order; `out`'s old contents are dropped) and start a new list. The
+  /// snapshot source calls this once per capture.
+  void take_touched(std::vector<ProcessId>& out);
 
   /// Directed channel from -> to. Requires from != to.
   Channel& channel(ProcessId from, ProcessId to);
@@ -77,7 +86,10 @@ class Network {
   std::uint64_t partition_mask() const { return partition_mask_; }
   /// True when `a` and `b` are currently on opposite partition sides.
   bool partitioned(ProcessId a, ProcessId b) const {
-    return (((partition_mask_ >> a) ^ (partition_mask_ >> b)) & 1u) != 0;
+    // Shift only under a partition: that alone guarantees n <= 64, and a
+    // shift by a pid >= 64 is undefined.
+    return partition_mask_ != 0 &&
+           (((partition_mask_ >> a) ^ (partition_mask_ >> b)) & 1u) != 0;
   }
   /// Messages lost to a partition at send time (accounted like drops).
   std::uint64_t dropped_by_partition() const { return dropped_by_partition_; }
@@ -123,7 +135,8 @@ class Network {
   std::vector<std::unique_ptr<Channel>> channels_;  // n*n, diagonal unused
   std::vector<Handler> handlers_;
   std::vector<clk::VectorClock> vclocks_;
-  std::vector<std::uint64_t> vclock_versions_;
+  std::vector<ProcessId> touched_;
+  std::vector<char> touched_flag_;  ///< per pid: currently in touched_
   std::size_t in_flight_ = 0;
   std::vector<MessageObserver> send_observers_;
   std::vector<MessageObserver> delivery_observers_;

@@ -266,7 +266,7 @@ bool Scheduler::step_bounded(SimTime limit) {
       now_ = t;
       ++executed_;
       fn();
-      dispatch_observers();
+      for (Observer& obs : observers_) obs(now_);
       executed_one = true;
       break;
     }
@@ -276,18 +276,6 @@ bool Scheduler::step_bounded(SimTime limit) {
     b.head = 0;
     clear_occupied(idx);
   }
-}
-
-void Scheduler::dispatch_observers() {
-  dispatching_observers_ = true;
-  // Index loop: an observer may register further observers, which fire
-  // starting with the next event.
-  const std::size_t count = observers_.size();
-  for (std::size_t i = 0; i < count; ++i) {
-    if (observers_[i].fn) observers_[i].fn(now_);
-  }
-  dispatching_observers_ = false;
-  std::erase_if(observers_, [](const ObserverSlot& s) { return !s.fn; });
 }
 
 void Scheduler::run_until(SimTime t) {
@@ -304,31 +292,9 @@ void Scheduler::run_all(std::uint64_t max_events) {
   }
 }
 
-ObserverId Scheduler::add_observer(Observer obs) {
+void Scheduler::add_observer(Observer obs) {
   GBX_EXPECTS(obs != nullptr);
-  const ObserverId id = next_observer_id_++;
-  observers_.push_back(ObserverSlot{id, std::move(obs)});
-  return id;
-}
-
-bool Scheduler::remove_observer(ObserverId id) {
-  for (auto it = observers_.begin(); it != observers_.end(); ++it) {
-    if (it->id != id) continue;
-    if (dispatching_observers_) {
-      it->fn = nullptr;  // reclaimed after the dispatch round
-    } else {
-      observers_.erase(it);
-    }
-    return true;
-  }
-  return false;
-}
-
-std::size_t Scheduler::observer_count() const {
-  std::size_t count = 0;
-  for (const auto& slot : observers_)
-    if (slot.fn) ++count;
-  return count;
+  observers_.push_back(std::move(obs));
 }
 
 }  // namespace graybox::sim

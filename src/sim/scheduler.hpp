@@ -46,9 +46,6 @@ namespace graybox::sim {
 /// Encodes (generation << 32 | slot); 0 is never a valid handle.
 using EventId = std::uint64_t;
 
-/// Handle for a registered observer; usable with Scheduler::remove_observer.
-using ObserverId = std::uint64_t;
-
 /// Same-tick choice hook for systematic exploration (src/mc). When two or
 /// more live events are ready at the current tick the scheduler asks the
 /// hook which one runs next instead of taking insertion order. With no hook
@@ -133,16 +130,10 @@ class Scheduler {
   /// Total number of events executed so far.
   std::uint64_t executed() const { return executed_; }
 
-  /// Register a post-event observer (monitor hook). Observers fire in
-  /// registration order; the returned handle removes one again.
-  ObserverId add_observer(Observer obs);
-
-  /// Unregister an observer. Safe to call from within an observer callback
-  /// (the slot is emptied immediately and reclaimed after the dispatch
-  /// round). Returns false for an unknown or already-removed handle.
-  bool remove_observer(ObserverId id);
-
-  std::size_t observer_count() const;
+  /// Register a post-event observer (monitor hook) for the scheduler's
+  /// lifetime. Observers fire in registration order. Register before
+  /// running, not from inside an observer.
+  void add_observer(Observer obs);
 
   /// Cancelled-but-not-yet-reclaimed queue entries. Cancellation itself is
   /// O(1) (the slot is freed immediately; only the 8-byte queue entry
@@ -193,10 +184,6 @@ class Scheduler {
       return a.seq > b.seq;
     }
   };
-  struct ObserverSlot {
-    ObserverId id;
-    Observer fn;  // empty after removal
-  };
 
   std::uint32_t alloc_slot();
   void free_slot(std::uint32_t slot);
@@ -232,7 +219,6 @@ class Scheduler {
 
   /// Execute the earliest pending event if its time is <= limit.
   bool step_bounded(SimTime limit);
-  void dispatch_observers();
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
@@ -247,14 +233,12 @@ class Scheduler {
   std::size_t bucket_stale_ = 0;
   std::size_t spill_stale_ = 0;
   std::uint64_t next_seq_ = 1;
-  std::vector<ObserverSlot> observers_;
+  std::vector<Observer> observers_;
   ChoiceHook* choice_hook_ = nullptr;
   /// Scratch for the hook call; member so the hot path never allocates
   /// once it has grown to the largest same-tick tie seen.
   std::vector<std::uint64_t> choice_tags_;
-  bool dispatching_observers_ = false;
   SimTime now_ = 0;
-  ObserverId next_observer_id_ = 1;
   std::uint64_t executed_ = 0;
 };
 

@@ -171,17 +171,19 @@ class MonitorSet {
     observed_ += 1;
   }
 
-  /// Zero-copy observation: `state` must outlive the next observe_ref /
-  /// finish call (the snapshot source's double buffer guarantees exactly
-  /// that). `dirty` is the hint forwarded to Monitor::step.
-  void observe_ref(SimTime t, const S& state, std::size_t dirty) {
+  /// Zero-copy observation of the transition prev -> cur; the first call
+  /// begins on `cur` and ignores `prev`. `dirty` is the hint forwarded to
+  /// Monitor::step. finish() reads the last `cur`, so it must stay valid
+  /// until then.
+  void observe_ref(SimTime t, const S& prev, const S& cur,
+                   std::size_t dirty) {
     if (!started_) {
-      for (auto& m : monitors_) m->begin(t, state);
+      for (auto& m : monitors_) m->begin(t, cur);
       started_ = true;
     } else {
-      for (auto& m : monitors_) m->step(t, *last_, state, dirty);
+      for (auto& m : monitors_) m->step(t, prev, cur, dirty);
     }
-    last_ = &state;
+    last_ = &cur;
     observed_ += 1;
   }
 

@@ -4,14 +4,12 @@ namespace graybox::wrapper {
 
 GrayboxWrapper::GrayboxWrapper(sim::Scheduler& sched, net::Network& net,
                                me::TmeProcess& process, WrapperConfig config)
-    : sched_(sched),
-      net_(net),
+    : net_(net),
       process_(process),
       config_(config),
       timer_(sched, config.resend_period, [this] { evaluate(); }) {}
 
 void GrayboxWrapper::evaluate() {
-  (void)sched_;
   // Guard: h.j. Internal consistency is Lspec's obligation (the paper shows
   // no level-1 wrapper is needed), so W only repairs *mutual* consistency,
   // and only while this process is actually competing for the CS.

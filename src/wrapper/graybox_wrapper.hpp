@@ -77,7 +77,6 @@ class GrayboxWrapper {
   void set_provenance(obs::ProvenanceTracker* prov) { prov_ = prov; }
 
  private:
-  sim::Scheduler& sched_;
   net::Network& net_;
   me::TmeProcess& process_;
   WrapperConfig config_;

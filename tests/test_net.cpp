@@ -494,6 +494,41 @@ TEST_F(NetworkTest, PartitionLeavesInFlightMessagesAlone) {
   EXPECT_EQ(net.dropped_by_partition(), 0u);
 }
 
+TEST(NetworkPartition, ConnectedSendsReachPidsAbove64) {
+  // With no partition set, partitioned() must not shift the mask by a pid:
+  // at N=128 a shift by 64 or more is undefined behaviour (UBSan aborts).
+  sim::Scheduler sched;
+  Network net(sched, 128, DelayModel::fixed(1), Rng(5));
+  std::vector<ProcessId> from_of(128, 128);
+  for (ProcessId pid = 0; pid < 128; ++pid) {
+    net.set_handler(pid, [&from_of, pid](const Message& m) {
+      from_of[pid] = m.from;
+    });
+  }
+  net.send(100, 3, MsgType::kRequest, clk::Timestamp{1, 100});
+  net.send(3, 100, MsgType::kReply, clk::Timestamp{2, 3});
+  net.send(127, 64, MsgType::kRelease, clk::Timestamp{3, 127});
+  sched.run_all();
+  EXPECT_EQ(from_of[3], 100u);
+  EXPECT_EQ(from_of[100], 3u);
+  EXPECT_EQ(from_of[64], 127u);
+  EXPECT_EQ(net.dropped_by_partition(), 0u);
+}
+
+TEST_F(NetworkTest, TouchListsEachChangedPidOnceUntilTaken) {
+  std::vector<ProcessId> touched;
+  net.send(0, 1, MsgType::kRequest, clk::Timestamp{1, 0});  // touches 0
+  net.local_event(0);                                       // deduplicated
+  net.touch(2);
+  net.take_touched(touched);
+  EXPECT_EQ(touched, (std::vector<ProcessId>{0, 2}));
+  sched.run_all();  // the delivery touches the receiver
+  net.take_touched(touched);
+  EXPECT_EQ(touched, (std::vector<ProcessId>{1}));
+  net.take_touched(touched);
+  EXPECT_TRUE(touched.empty());
+}
+
 TEST_F(NetworkTest, MessageToString) {
   Message m = make_msg(0, 1, 9);
   m.from_wrapper = true;

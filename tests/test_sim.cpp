@@ -230,45 +230,6 @@ TEST(Scheduler, CompactionPreservesOrderAndCancellation) {
   EXPECT_EQ(order, (std::vector<int>{1, 3}));
 }
 
-TEST(Scheduler, RemoveObserverByHandle) {
-  Scheduler sched;
-  int a_count = 0, b_count = 0;
-  const ObserverId a = sched.add_observer([&](SimTime) { ++a_count; });
-  sched.add_observer([&](SimTime) { ++b_count; });
-  EXPECT_EQ(sched.observer_count(), 2u);
-
-  sched.schedule_at(1, [] {});
-  sched.run_all();
-  EXPECT_EQ(a_count, 1);
-  EXPECT_EQ(b_count, 1);
-
-  EXPECT_TRUE(sched.remove_observer(a));
-  EXPECT_FALSE(sched.remove_observer(a));  // already gone
-  EXPECT_EQ(sched.observer_count(), 1u);
-
-  sched.schedule_at(2, [] {});
-  sched.run_all();
-  EXPECT_EQ(a_count, 1);  // no longer invoked
-  EXPECT_EQ(b_count, 2);
-}
-
-TEST(Scheduler, ObserverMayRemoveItselfDuringDispatch) {
-  Scheduler sched;
-  int once = 0, always = 0;
-  ObserverId self = 0;
-  self = sched.add_observer([&](SimTime) {
-    ++once;
-    EXPECT_TRUE(sched.remove_observer(self));
-  });
-  sched.add_observer([&](SimTime) { ++always; });
-  sched.schedule_at(1, [] {});
-  sched.schedule_at(2, [] {});
-  sched.run_all();
-  EXPECT_EQ(once, 1);    // fired once, then unhooked itself mid-dispatch
-  EXPECT_EQ(always, 2);  // the later slot was still dispatched both times
-  EXPECT_EQ(sched.observer_count(), 1u);
-}
-
 // --- PeriodicTimer -------------------------------------------------------
 
 TEST(PeriodicTimer, FiresEveryPeriod) {

@@ -1,22 +1,22 @@
 // The delta snapshot pipeline, checked directly and end to end.
 //
-// SnapshotSource::capture re-reads only the rows whose observation version
-// moved and reports the change as last_dirty(); monitors then visit only
-// the dirty rows. Two checks hold that pipeline to its reference:
+// SnapshotSource::capture re-reads only the rows the network's touched-pid
+// list names and reports the change as last_dirty(); monitors then visit
+// only the dirty rows. Two checks hold that pipeline to its reference:
 //
-//   * Capture: a second SnapshotSource on the same processes and network
-//     checks, after every event, that capture() equals capture_full() field
-//     for field (cached counts and knows_all_earlier included), and that
-//     every row outside last_dirty() equals the previous capture.
+//   * Capture: after every event, the harness's own snapshot pair is
+//     checked: the capture equals capture_full() field for field (cached
+//     counts and knows_all_earlier included), and every row outside
+//     last_dirty() equals previous().
 //   * Verdicts: the same seed with HarnessConfig::reference_substrate off
 //     and on (every monitor stepped with kDirtyAll, its full check) must
 //     judge identically — per-monitor totals, first/last violation times,
 //     retained records, stats, CS schedules (tests/observed_run.hpp).
 //
-// Both run across the full fault matrix at N=4. The verdict check alone
-// also runs on other seeds and sizes: the N=4 fault matrix again, a
-// five-process Carvalho-Roucairol burst, and N=64, where most rows stay
-// clean between events.
+// Both run across the full fault matrix at N=4, and under a crash/recover
+// stream. The verdict check alone also runs on other seeds and sizes: the
+// N=4 fault matrix again, a five-process Carvalho-Roucairol burst, and
+// N=64, where most rows stay clean between events.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -53,20 +53,13 @@ std::string row_diff(const GlobalSnapshot& a, const GlobalSnapshot& b,
   return {};
 }
 
-std::vector<me::TmeProcess*> processes_of(SystemHarness& h) {
-  std::vector<me::TmeProcess*> processes;
-  for (ProcessId pid = 0; pid < h.config().n; ++pid)
-    processes.push_back(&h.process(pid));
-  return processes;
-}
-
-/// A second SnapshotSource on a harness's processes and network, checking
-/// every capture against capture_full() and the previous capture. Only the
-/// first mismatch is kept, so a broken capture reports once, not per event.
+/// Checks a harness's own snapshot pair after every event against
+/// capture_full() and previous(). Registered after the harness's observer,
+/// so it sees each capture right after the monitors do. Only the first
+/// mismatch is kept, so a broken capture reports once, not per event.
 class CaptureCheck {
  public:
-  explicit CaptureCheck(SystemHarness& h)
-      : source_(processes_of(h), h.network()) {
+  explicit CaptureCheck(SystemHarness& h) : source_(h.snapshots()) {
     h.scheduler().add_observer([this](SimTime t) { check(t); });
   }
   // The scheduler observer holds `this`.
@@ -79,7 +72,7 @@ class CaptureCheck {
 
  private:
   void check(SimTime t) {
-    const GlobalSnapshot& cur = source_.capture(t);
+    const GlobalSnapshot& cur = source_.current();
     const GlobalSnapshot full = source_.capture_full(t);
     ++captures_;
     if (cur.time != full.time) fail(t, "time");
@@ -104,18 +97,15 @@ class CaptureCheck {
     if (mismatches_++ == 0) first_ = "t=" + std::to_string(t) + " " + what;
   }
 
-  lspec::SnapshotSource source_;
+  const lspec::SnapshotSource& source_;
   std::uint64_t captures_ = 0;
   std::uint64_t mismatches_ = 0;
   std::string first_;
 };
 
-/// Both checks on one 4-process configuration. Returns the shipping run.
-test::ObservedRun check_pipeline(const std::string& algo, net::FaultMix mix,
-                                 std::size_t burst, std::uint64_t seed) {
-  const test::RunShape shape{mix, burst, 400, 3000, 2000};
-  HarnessConfig config = test::equivalence_config(algo, 4, seed);
-
+/// Both checks on one configuration. Returns the shipping run.
+test::ObservedRun check_pipeline(HarnessConfig config,
+                                 const test::RunShape& shape) {
   SystemHarness h(config);
   const CaptureCheck capture(h);
   const test::ObservedRun shipping = test::observe_run(h, shape);
@@ -125,6 +115,13 @@ test::ObservedRun check_pipeline(const std::string& algo, net::FaultMix mix,
   config.reference_substrate = true;
   test::expect_equivalent(shipping, test::observe_run(config, shape));
   return shipping;
+}
+
+/// Both checks on one 4-process burst run.
+test::ObservedRun check_pipeline(const std::string& algo, net::FaultMix mix,
+                                 std::size_t burst, std::uint64_t seed) {
+  return check_pipeline(test::equivalence_config(algo, 4, seed),
+                        {mix, burst, 400, 3000, 2000});
 }
 
 // --- Full fault matrix: each kind alone, per algorithm --------------------
@@ -187,6 +184,20 @@ TEST(DeltaVsFull, FaultFreeRunsAreCleanOnBothPaths) {
 // injected fault, exercising the monitors' steady-state reporting paths.
 TEST(DeltaVsFull, FragileImplementationMatchesEvenWhenUnstable) {
   check_pipeline("fragile-ra", net::FaultMix::all(), 10, 6);
+}
+
+// A delivery to a crashed process still moves its vector clock, but the
+// harness swallows the message before the process runs, so the network's
+// touch in deliver() is the only sign that the row changed.
+TEST(DeltaVsFull, CrashRecoverStreamTouchesCrashedReceivers) {
+  HarnessConfig config = test::equivalence_config("ricart-agrawala", 4, 8);
+  config.fault_process.crash_mean = 300;
+  config.fault_process.downtime_mean = 150;
+  config.fault_process.end = 3400;  // quiet drain
+  const test::ObservedRun run =
+      check_pipeline(config, {net::FaultMix::all(), 0, 400, 3000, 2000});
+  EXPECT_GT(run.stats.crashes, 0u);
+  EXPECT_GT(run.stats.deliveries_to_crashed, 0u);
 }
 
 // --- Verdicts alone: dirty-row monitors vs kDirtyAll ----------------------

@@ -291,7 +291,7 @@ struct ObservationRig {
     }
     source.emplace(raw, net);
     lspec::install_tme_monitors(monitors, n);
-    lspec::install_lspec_clause_monitors(monitors, n);
+    lspec::install_lspec_clause_monitors(monitors);
   }
 
   sim::Scheduler sched;

@@ -187,10 +187,8 @@ SystemHarness::SystemHarness(HarnessConfig config)
     }
     tme_handles_ = lspec::install_tme_monitors(
         monitor_set_, config_.n, std::move(claims), std::move(fcfs_claims));
-    if (config_.install_lspec_monitors) {
-      lspec_handles_ =
-          lspec::install_lspec_clause_monitors(monitor_set_, config_.n);
-    }
+    lspec_begin_ = monitor_set_.size();
+    lspec::install_lspec_clause_monitors(monitor_set_);
     // The observation hot path: one snapshot + monitor pass per executed
     // event. The capture re-reads only the touched rows and tells the
     // monitors which process row changed; the reference substrate hands
@@ -461,7 +459,9 @@ RunStats SystemHarness::stats() const {
     stats.me2_served = tm.me2->served();
     stats.me2_max_wait = tm.me2->max_wait();
   }
-  stats.lspec_clause_violations = lspec_handles_.total_violations();
+  const auto& all = monitor_set_.monitors();
+  for (std::size_t i = lspec_begin_; i < all.size(); ++i)
+    stats.lspec_clause_violations += all[i]->total_violations();
   stats.observe_ns = observe_ns_;
   const auto& codes = faults_->code_stats();
   stats.crashes = codes[net::kFaultCodeProcessCrash].count;

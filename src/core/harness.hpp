@@ -88,13 +88,10 @@ struct HarnessConfig {
   /// Master seed; every stochastic component gets an independent stream.
   std::uint64_t seed = 1;
 
-  /// Install the snapshot-based TME monitors (disable for pure-throughput
-  /// microbenchmarks where monitoring cost would dominate).
+  /// Install the snapshot-based monitors: the TME battery, then the
+  /// per-clause Lspec monitors (disable for pure-throughput microbenchmarks
+  /// where monitoring cost would dominate).
   bool install_monitors = true;
-
-  /// Also install the per-clause Lspec monitors (Flow/CS/Request/Release/
-  /// Entry Specs). Requires install_monitors.
-  bool install_lspec_monitors = true;
 
   /// Run the reference observation substrate: step every monitor with
   /// spec::kDirtyAll (its full check) instead of the snapshot's dirty-row
@@ -251,9 +248,6 @@ class SystemHarness {
 
   lspec::TmeMonitorSet& monitors() { return monitor_set_; }
   const lspec::TmeMonitors& tme_monitors() const { return tme_handles_; }
-  const lspec::LspecClauseMonitors& lspec_monitors() const {
-    return lspec_handles_;
-  }
   /// The snapshot pair the monitors step on. Requires
   /// config.install_monitors.
   const lspec::SnapshotSource& snapshots() const;
@@ -337,7 +331,9 @@ class SystemHarness {
   std::unique_ptr<lspec::SnapshotSource> snapshots_;
   lspec::TmeMonitorSet monitor_set_;
   lspec::TmeMonitors tme_handles_;
-  lspec::LspecClauseMonitors lspec_handles_;
+  /// Set index of the first Lspec clause monitor; they follow the TME
+  /// battery.
+  std::size_t lspec_begin_ = 0;
   std::unique_ptr<obs::EventBus> bus_;
   /// Null unless config.provenance; owns per-process taint and the
   /// per-fault BlastRadius rows. Declared before the components holding a

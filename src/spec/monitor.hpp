@@ -202,17 +202,6 @@ class MonitorSet {
     return monitors_;
   }
 
-  /// All retained violations across monitors, unsorted.
-  std::vector<Violation> all_violations() const {
-    std::vector<Violation> all;
-    std::size_t retained = 0;
-    for (const auto& m : monitors_) retained += m->violations().size();
-    all.reserve(retained);
-    for (const auto& m : monitors_)
-      all.insert(all.end(), m->violations().begin(), m->violations().end());
-    return all;
-  }
-
   /// Exact total violations across monitors.
   std::uint64_t total_violations() const {
     std::uint64_t total = 0;

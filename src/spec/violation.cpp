@@ -7,20 +7,4 @@ std::string Violation::to_string() const {
          (detail.empty() ? "" : ": " + detail);
 }
 
-SimTime last_violation_time(const std::vector<Violation>& violations) {
-  SimTime last = kNever;
-  for (const auto& v : violations) {
-    if (last == kNever || v.time > last) last = v.time;
-  }
-  return last;
-}
-
-std::size_t violations_at_or_after(const std::vector<Violation>& violations,
-                                   SimTime t) {
-  std::size_t count = 0;
-  for (const auto& v : violations)
-    if (v.time >= t) ++count;
-  return count;
-}
-
 }  // namespace graybox::spec

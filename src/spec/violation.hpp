@@ -8,7 +8,6 @@
 #pragma once
 
 #include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
@@ -24,14 +23,5 @@ struct Violation {
 
   std::string to_string() const;
 };
-
-/// Latest violation time in a list; kNever when empty. (Note kNever acts as
-/// "-infinity" here: no violation means any suffix is clean, and callers
-/// compare with `violations_before(t)` style predicates instead.)
-SimTime last_violation_time(const std::vector<Violation>& violations);
-
-/// Count of violations at or after `t`.
-std::size_t violations_at_or_after(const std::vector<Violation>& violations,
-                                   SimTime t);
 
 }  // namespace graybox::spec

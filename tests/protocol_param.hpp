@@ -7,12 +7,13 @@
 
 namespace graybox::test {
 
-enum class Protocol { kRicartAgrawala, kLamport, kFragile };
+/// New values go last: a value's bytes are part of existing test ids.
+enum class Protocol { kRicartAgrawala, kLamport, kFragile, kCarvalhoRoucairol };
 
 /// The protocol's me::ProtocolRegistry name.
 inline const char* registry_name(Protocol p) {
   constexpr const char* kNames[] = {"ricart-agrawala", "lamport",
-                                    "fragile-ra"};
+                                    "fragile-ra", "carvalho-roucairol"};
   return kNames[static_cast<int>(p)];
 }
 

@@ -1,6 +1,10 @@
-// Unit tests for the generic UNITY monitor framework, driven with a simple
-// integer snapshot type.
+// Unit tests for the monitor framework and the row-local UNITY operators,
+// driven with a state of plain integer rows.
 #include <gtest/gtest.h>
+
+#include <deque>
+#include <string>
+#include <vector>
 
 #include "spec/monitor.hpp"
 #include "spec/unity.hpp"
@@ -8,259 +12,221 @@
 namespace graybox::spec {
 namespace {
 
-struct IntState {
-  int x = 0;
+/// One int per row: row j is process j's observable.
+struct Rows {
+  std::vector<int> x;
+  std::size_t size() const { return x.size(); }
 };
 
-using Set = MonitorSet<IntState>;
+using Set = MonitorSet<Rows>;
 
-void feed(Set& set, std::initializer_list<int> values, SimTime start = 0) {
+/// Feed whole states through the copying observe() (hint kDirtyAll).
+void feed(Set& set, std::initializer_list<Rows> states, SimTime start = 0) {
   SimTime t = start;
-  for (const int v : values) set.observe(t++, IntState{v});
+  for (const Rows& s : states) set.observe(t++, s);
 }
 
-Pred<IntState> equals(int v) {
-  return [v](const IntState& s) { return s.x == v; };
-}
-Pred<IntState> at_least(int v) {
-  return [v](const IntState& s) { return s.x >= v; };
-}
-
-// --- Unless ---------------------------------------------------------------
-
-TEST(UnlessMonitor, HoldsWhenPPersists) {
+/// Drives a set through observe_ref() with explicit dirty hints. The deque
+/// keeps each state at a stable address, as observe_ref() requires.
+struct HintedRun {
   Set set;
-  auto& m = set.add<UnlessMonitor<IntState>>("u", at_least(1), equals(99));
-  feed(set, {1, 2, 3});
-  EXPECT_TRUE(m.clean());
+  std::deque<Rows> states;
+
+  void observe(SimTime t, Rows cur, std::size_t dirty) {
+    states.push_back(std::move(cur));
+    const Rows& prev = states.size() > 1 ? states[states.size() - 2]
+                                         : states.back();
+    set.observe_ref(t, prev, states.back(), dirty);
+  }
+};
+
+const auto kNonDecreasing = [](const Rows& prev, const Rows& cur,
+                               std::size_t j) { return cur.x[j] >= prev.x[j]; };
+const auto kFell = [](const Rows& prev, const Rows& cur, std::size_t j) {
+  return "row " + std::to_string(j) + " fell " + std::to_string(prev.x[j]) +
+         " -> " + std::to_string(cur.x[j]);
+};
+
+auto at_least(int v) {
+  return [v](const Rows& s, std::size_t j) { return s.x[j] >= v; };
+}
+auto equals(int v) {
+  return [v](const Rows& s, std::size_t j) { return s.x[j] == v; };
+}
+const auto kRowDetail = [](const Rows&, std::size_t j) {
+  return "row " + std::to_string(j);
+};
+
+std::vector<std::string> details(const Monitor<Rows>& m) {
+  std::vector<std::string> out;
+  for (const Violation& v : m.violations()) out.push_back(v.to_string());
+  return out;
 }
 
-TEST(UnlessMonitor, HoldsWhenQTakesOver) {
-  Set set;
-  auto& m = set.add<UnlessMonitor<IntState>>("u", equals(1), equals(99));
-  feed(set, {1, 99, 0});
-  EXPECT_TRUE(m.clean());
-}
+// --- unless ---------------------------------------------------------------
 
-TEST(UnlessMonitor, ViolatedWhenBothFall) {
+TEST(RowUnless, ReportsEachBadStepWithItsDetail) {
   Set set;
-  auto& m = set.add<UnlessMonitor<IntState>>("u", equals(1), equals(99));
-  feed(set, {1, 5});
-  EXPECT_FALSE(m.clean());
-  EXPECT_EQ(m.total_violations(), 1u);
-  EXPECT_EQ(m.last_violation(), 1u);
-}
-
-TEST(UnlessMonitor, NotTriggeredWhenPNeverHolds) {
-  Set set;
-  auto& m = set.add<UnlessMonitor<IntState>>("u", equals(1), equals(99));
-  feed(set, {5, 6, 7});
-  EXPECT_TRUE(m.clean());
-}
-
-TEST(UnlessMonitor, QAlreadyTrueDisablesObligation) {
-  // p /\ q in the current state: "p unless q" says nothing about the next.
-  Set set;
-  auto& m = set.add<UnlessMonitor<IntState>>("u", at_least(99), equals(99));
-  feed(set, {99, 0});
-  EXPECT_TRUE(m.clean());
-}
-
-// --- Stable ----------------------------------------------------------------
-
-TEST(StableMonitor, CleanWhilePredicatePersists) {
-  Set set;
-  auto& m = set.add<StableMonitor<IntState>>("s", at_least(1));
-  feed(set, {0, 1, 2, 3});
-  EXPECT_TRUE(m.clean());
-}
-
-TEST(StableMonitor, ViolatedWhenPredicateFalls) {
-  Set set;
-  auto& m = set.add<StableMonitor<IntState>>("s", at_least(2));
-  feed(set, {3, 4, 1});
-  EXPECT_EQ(m.total_violations(), 1u);
-  EXPECT_EQ(m.last_violation(), 2u);
-}
-
-TEST(StableMonitor, EachFallReported) {
-  Set set;
-  auto& m = set.add<StableMonitor<IntState>>("s", at_least(2));
-  feed(set, {3, 1, 3, 1});
+  auto& m = unless(set, "u", kNonDecreasing, kFell);
+  feed(set, {{{1, 1}}, {{2, 0}}, {{0, 0}}, {{0, 3}}});
   EXPECT_EQ(m.total_violations(), 2u);
+  EXPECT_EQ(details(m), (std::vector<std::string>{"[1] u: row 1 fell 1 -> 0",
+                                                  "[2] u: row 0 fell 2 -> 0"}));
 }
 
-// --- Invariant ----------------------------------------------------------------
-
-TEST(InvariantMonitor, ChecksFirstState) {
-  Set set;
-  auto& m = set.add<InvariantMonitor<IntState>>("i", at_least(1));
-  feed(set, {0});
-  EXPECT_EQ(m.total_violations(), 1u);
-  EXPECT_EQ(m.first_violation(), 0u);
+TEST(RowUnless, VisitsOnlyTheHintedRows) {
+  int visits = 0;
+  HintedRun run;
+  unless(
+      run.set, "u",
+      [&visits](const Rows& prev, const Rows& cur, std::size_t j) {
+        ++visits;
+        return cur.x[j] >= prev.x[j];
+      },
+      kFell);
+  run.observe(0, {{0, 0, 0, 0}}, kDirtyAll);
+  EXPECT_EQ(visits, 0);  // the first state is no step
+  run.observe(1, {{0, 0, 1, 0}}, 2);
+  EXPECT_EQ(visits, 1);
+  run.observe(2, {{0, 0, 1, 0}}, kDirtyNone);
+  EXPECT_EQ(visits, 1);
+  run.observe(3, {{0, 0, 1, 0}}, kDirtyAll);
+  EXPECT_EQ(visits, 5);
+  EXPECT_TRUE(run.set.clean());
 }
 
-TEST(InvariantMonitor, ChecksEveryState) {
+// --- invariant ------------------------------------------------------------
+
+TEST(RowInvariant, ChecksFirstState) {
   Set set;
-  auto& m = set.add<InvariantMonitor<IntState>>("i", at_least(1));
-  feed(set, {1, 0, 1, 0});
+  auto& m = invariant(set, "i", at_least(0), kRowDetail);
+  feed(set, {{{-1, 0, -2}}});
+  EXPECT_EQ(details(m),
+            (std::vector<std::string>{"[0] i: row 0", "[0] i: row 2"}));
+}
+
+TEST(RowInvariant, ChecksEveryState) {
+  Set set;
+  auto& m = invariant(set, "i", at_least(1), kRowDetail);
+  feed(set, {{{1}}, {{0}}, {{1}}, {{0}}});
   EXPECT_EQ(m.total_violations(), 2u);
+  EXPECT_EQ(m.first_violation(), 1u);
+  EXPECT_EQ(m.last_violation(), 3u);
 }
 
-TEST(InvariantMonitor, CleanRun) {
+TEST(RowInvariant, CleanRun) {
   Set set;
-  auto& m = set.add<InvariantMonitor<IntState>>("i", at_least(0));
-  feed(set, {0, 5, 3});
+  auto& m = invariant(set, "i", at_least(0), kRowDetail);
+  feed(set, {{{0, 4}}, {{5, 4}}, {{3, 0}}});
   EXPECT_TRUE(m.clean());
 }
 
-// --- LeadsTo -------------------------------------------------------------------
+TEST(RowInvariant, BadRowOutsideTheHintKeepsReporting) {
+  // Steps that name other rows, or none, still report the bad row: the
+  // last violation time is the last state in which it was bad.
+  HintedRun run;
+  auto& m = invariant(run.set, "i", at_least(0), kRowDetail);
+  run.observe(0, {{0, 0, 0}}, kDirtyAll);
+  run.observe(1, {{0, -1, 0}}, 1);
+  run.observe(2, {{5, -1, 0}}, 0);
+  run.observe(3, {{5, -1, 0}}, kDirtyNone);
+  run.observe(4, {{5, 0, 0}}, 1);
+  run.observe(5, {{5, 0, 7}}, 2);
+  EXPECT_EQ(m.total_violations(), 3u);
+  EXPECT_EQ(m.first_violation(), 1u);
+  EXPECT_EQ(m.last_violation(), 3u);
+  EXPECT_EQ(details(m), (std::vector<std::string>{
+                            "[1] i: row 1", "[2] i: row 1", "[3] i: row 1"}));
+}
 
-TEST(LeadsToMonitor, DischargedObligationIsClean) {
+// --- leads-to ---------------------------------------------------------------
+
+TEST(RowLeadsTo, DischargedObligationIsClean) {
   Set set;
-  auto& m = set.add<LeadsToMonitor<IntState>>("l", equals(1), equals(2));
-  feed(set, {0, 1, 0, 2});
+  auto& m = leads_to(set, "l", equals(1), equals(2), kRowDetail);
+  feed(set, {{{0}}, {{1}}, {{0}}, {{2}}});
   set.finish(10);
   EXPECT_TRUE(m.clean());
-  EXPECT_EQ(m.discharged(), 1u);
 }
 
-TEST(LeadsToMonitor, UndischargedReportedAtOpenTime) {
+TEST(RowLeadsTo, UndischargedReportedAtOpenTime) {
   Set set;
-  auto& m = set.add<LeadsToMonitor<IntState>>("l", equals(1), equals(2));
-  feed(set, {0, 0, 1, 0});
+  auto& m = leads_to(set, "l", equals(1), equals(2), kRowDetail);
+  feed(set, {{{0}}, {{0}}, {{1}}, {{0}}});
   set.finish(10);
-  EXPECT_EQ(m.total_violations(), 1u);
-  EXPECT_EQ(m.last_violation(), 2u);  // time p first held
+  EXPECT_EQ(details(m), std::vector<std::string>{"[2] l: row 0"});
 }
 
-TEST(LeadsToMonitor, PAndQSimultaneouslyDischarges) {
+TEST(RowLeadsTo, PAndQSimultaneouslyDischarges) {
   // "then or later" includes "then": a state satisfying both opens and
   // immediately discharges.
   Set set;
-  auto& m = set.add<LeadsToMonitor<IntState>>("l", at_least(2), at_least(2));
-  feed(set, {0, 5});
+  auto& m = leads_to(set, "l", at_least(2), at_least(2), kRowDetail);
+  feed(set, {{{0}}, {{5}}});
   set.finish(10);
   EXPECT_TRUE(m.clean());
-  EXPECT_EQ(m.discharged(), 1u);
 }
 
-TEST(LeadsToMonitor, RepeatedCycles) {
+TEST(RowLeadsTo, RepeatedCycles) {
+  // Each discharge closes the obligation; the next p opens a new one at its
+  // own time.
   Set set;
-  auto& m = set.add<LeadsToMonitor<IntState>>("l", equals(1), equals(2));
-  feed(set, {1, 2, 1, 2, 1, 2});
+  auto& m = leads_to(set, "l", equals(1), equals(2), kRowDetail);
+  feed(set, {{{1}}, {{2}}, {{1}}, {{2}}, {{1}}, {{1}}});
   set.finish(10);
-  EXPECT_EQ(m.discharged(), 3u);
-  EXPECT_TRUE(m.clean());
+  EXPECT_EQ(details(m), std::vector<std::string>{"[4] l: row 0"});
 }
 
-TEST(LeadsToMonitor, ObligationOpenQuery) {
+TEST(RowLeadsTo, BeginStateCanOpen) {
   Set set;
-  auto& m = set.add<LeadsToMonitor<IntState>>("l", equals(1), equals(2));
-  feed(set, {0, 1});
-  EXPECT_TRUE(m.obligation_open());
-  feed(set, {2}, 2);
-  EXPECT_FALSE(m.obligation_open());
-}
-
-TEST(LeadsToMonitor, BeginStateCanOpen) {
-  Set set;
-  auto& m = set.add<LeadsToMonitor<IntState>>("l", equals(1), equals(2));
-  feed(set, {1});
-  EXPECT_TRUE(m.obligation_open());
+  auto& m = leads_to(set, "l", equals(1), equals(2), kRowDetail);
+  feed(set, {{{1}}, {{1}}});
   set.finish(5);
-  EXPECT_EQ(m.total_violations(), 1u);
+  EXPECT_EQ(details(m), std::vector<std::string>{"[0] l: row 0"});
 }
 
-// --- LeadsToAlways -----------------------------------------------------------
-
-TEST(LeadsToAlwaysMonitor, CleanWhenQReachedAndStable) {
+TEST(RowLeadsTo, ObligationsArePerRow) {
   Set set;
-  auto& m =
-      set.add<LeadsToAlwaysMonitor<IntState>>("la", equals(1), at_least(2));
-  feed(set, {0, 1, 2, 3, 4});
-  set.finish(10);
-  EXPECT_TRUE(m.clean());
+  auto& m = leads_to(set, "l", equals(1), equals(2), kRowDetail);
+  feed(set, {{{0, 0}}, {{1, 0}}, {{1, 1}}, {{2, 1}}, {{2, 1}}});
+  set.finish(9);
+  EXPECT_EQ(details(m), std::vector<std::string>{"[2] l: row 1"});
 }
 
-TEST(LeadsToAlwaysMonitor, ViolatedWhenQFallsAfterReached) {
-  Set set;
-  auto& m =
-      set.add<LeadsToAlwaysMonitor<IntState>>("la", equals(1), at_least(2));
-  feed(set, {1, 2, 0});
-  set.finish(10);
-  EXPECT_FALSE(m.clean());
-}
-
-TEST(LeadsToAlwaysMonitor, ViolatedWhenQNeverReached) {
-  Set set;
-  auto& m =
-      set.add<LeadsToAlwaysMonitor<IntState>>("la", equals(1), at_least(2));
-  feed(set, {1, 0, 0});
-  set.finish(10);
-  EXPECT_FALSE(m.clean());
-}
-
-// --- Transition / State monitors -------------------------------------------------
-
-TEST(TransitionMonitor, SeesPrevAndCur) {
-  Set set;
-  auto& m = set.add<TransitionMonitor<IntState>>(
-      "t", [](const IntState& prev, const IntState& cur)
-          -> std::optional<std::string> {
-        if (cur.x < prev.x) return "decreased";
-        return std::nullopt;
-      });
-  feed(set, {1, 2, 1, 3});
-  EXPECT_EQ(m.total_violations(), 1u);
-  EXPECT_EQ(m.last_violation(), 2u);
-}
-
-TEST(StateMonitor, ChecksEveryStateIncludingFirst) {
-  Set set;
-  auto& m = set.add<StateMonitor<IntState>>(
-      "s", [](const IntState& s) -> std::optional<std::string> {
-        if (s.x % 2 != 0) return "odd";
-        return std::nullopt;
-      });
-  feed(set, {1, 2, 3});
-  EXPECT_EQ(m.total_violations(), 2u);
-}
-
-// --- MonitorSet -------------------------------------------------------------------
+// --- MonitorSet -------------------------------------------------------------
 
 TEST(MonitorSet, AggregatesAcrossMonitors) {
   Set set;
-  set.add<InvariantMonitor<IntState>>("a", at_least(1));
-  set.add<InvariantMonitor<IntState>>("b", at_least(2));
-  feed(set, {1});
+  invariant(set, "a", at_least(1), kRowDetail);
+  invariant(set, "b", at_least(2), kRowDetail);
+  feed(set, {{{1}}});
   EXPECT_FALSE(set.clean());
   EXPECT_EQ(set.total_violations(), 1u);
   EXPECT_EQ(set.size(), 2u);
-  EXPECT_EQ(set.all_violations().size(), 1u);
-  EXPECT_EQ(set.all_violations()[0].clause, "b");
 }
 
 TEST(MonitorSet, LastViolationAcrossMonitors) {
   Set set;
-  set.add<StableMonitor<IntState>>("a", at_least(2));
-  set.add<InvariantMonitor<IntState>>("b", at_least(0));
-  feed(set, {2, 1, -1, 0});
-  EXPECT_EQ(set.last_violation(), 2u);  // the b violation at t=2
+  unless(set, "a", kNonDecreasing, kFell);
+  invariant(
+      set, "b", [](const Rows& s, std::size_t j) { return s.x[j] <= 1; },
+      kRowDetail);
+  feed(set, {{{0}}, {{2}}, {{1}}, {{1}}});
+  EXPECT_EQ(set.last_violation(), 2u);  // the a violation at t=2
 }
 
 TEST(MonitorSet, CleanWhenNoViolation) {
   Set set;
-  set.add<InvariantMonitor<IntState>>("a", at_least(0));
-  feed(set, {0, 1});
+  invariant(set, "a", at_least(0), kRowDetail);
+  feed(set, {{{0}}, {{1}}});
   EXPECT_TRUE(set.clean());
   EXPECT_EQ(set.last_violation(), kNever);
 }
 
 TEST(MonitorSet, FinishIsIdempotent) {
   Set set;
-  auto& m = set.add<LeadsToMonitor<IntState>>("l", equals(1), equals(2));
-  feed(set, {1});
+  auto& m = leads_to(set, "l", equals(1), equals(2), kRowDetail);
+  feed(set, {{{1}}});
   set.finish(5);
   set.finish(6);
   EXPECT_EQ(m.total_violations(), 1u);
@@ -268,7 +234,7 @@ TEST(MonitorSet, FinishIsIdempotent) {
 
 TEST(MonitorSet, ObservedStatesCounted) {
   Set set;
-  feed(set, {1, 2, 3});
+  feed(set, {{{1}}, {{2}}, {{3}}});
   EXPECT_EQ(set.observed_states(), 3u);
 }
 
@@ -276,23 +242,13 @@ TEST(MonitorSet, ObservedStatesCounted) {
 
 TEST(MonitorBase, RetentionCapKeepsExactCounters) {
   Set set;
-  auto& m = set.add<InvariantMonitor<IntState>>("i", at_least(1));
-  for (int i = 0; i < 1000; ++i) set.observe(static_cast<SimTime>(i),
-                                             IntState{0});
+  auto& m = invariant(set, "i", at_least(1), kRowDetail);
+  for (int i = 0; i < 1000; ++i)
+    set.observe(static_cast<SimTime>(i), Rows{{0}});
   EXPECT_EQ(m.total_violations(), 1000u);
   EXPECT_LE(m.violations().size(), 256u);
   EXPECT_EQ(m.last_violation(), 999u);
   EXPECT_EQ(m.first_violation(), 0u);
-}
-
-// --- Violation helpers ------------------------------------------------------------
-
-TEST(ViolationHelpers, LastTimeAndCountAfter) {
-  std::vector<Violation> vs{{5, "a", ""}, {9, "b", ""}, {2, "c", ""}};
-  EXPECT_EQ(last_violation_time(vs), 9u);
-  EXPECT_EQ(violations_at_or_after(vs, 5), 2u);
-  EXPECT_EQ(violations_at_or_after(vs, 10), 0u);
-  EXPECT_EQ(last_violation_time({}), kNever);
 }
 
 TEST(ViolationHelpers, ToString) {

@@ -9,63 +9,30 @@
 namespace graybox {
 
 void Accumulator::add(double x) {
-  if (count_ == 0) {
+  if (samples_.empty()) {
     min_ = max_ = x;
   } else {
     if (x < min_) min_ = x;
     if (x > max_) max_ = x;
   }
-  if (samples_.size() < sample_cap_) samples_.push_back(x);
-  ++count_;
+  samples_.push_back(x);
   sum_ += x;
-  const double n = static_cast<double>(count_);
+  const double n = static_cast<double>(samples_.size());
   const double delta = x - mean_;
   mean_ += delta / n;
   m2_ += delta * (x - mean_);
 }
 
-void Accumulator::merge(const Accumulator& other) {
-  if (other.count_ == 0) return;
-  if (other.retains_all_samples()) {
-    // Replay: the merged state is bitwise what a single serial accumulation
-    // over (this samples, then other samples) would have produced.
-    for (const double x : other.samples_) add(x);
-    return;
-  }
-  // Capped source: moments via Chan et al.'s parallel update (exact in
-  // count/sum/min/max, numerically stable in mean/m2); percentile samples
-  // are whatever both sides retained, up to this side's cap.
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  const double na = static_cast<double>(count_);
-  const double nb = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = na + nb;
-  mean_ += delta * (nb / n);
-  m2_ += other.m2_ + delta * delta * (na * nb / n);
-  sum_ += other.sum_;
-  count_ += other.count_;
-  for (const double x : other.samples_) {
-    if (samples_.size() >= sample_cap_) break;
-    samples_.push_back(x);
-  }
-}
-
-double Accumulator::mean() const { return count_ == 0 ? 0.0 : mean_; }
+double Accumulator::mean() const { return empty() ? 0.0 : mean_; }
 
 double Accumulator::stddev() const {
-  if (count_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(count_ - 1));
+  if (count() < 2) return 0.0;
+  return std::sqrt(m2_ / static_cast<double>(count() - 1));
 }
 
-double Accumulator::min() const { return count_ == 0 ? 0.0 : min_; }
+double Accumulator::min() const { return empty() ? 0.0 : min_; }
 
-double Accumulator::max() const { return count_ == 0 ? 0.0 : max_; }
+double Accumulator::max() const { return empty() ? 0.0 : max_; }
 
 double Accumulator::percentile(double q) const {
   GBX_EXPECTS(q >= 0.0 && q <= 100.0);

@@ -4,7 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -12,56 +11,31 @@ namespace graybox {
 
 /// Streaming accumulator (Welford) plus retained samples for percentiles.
 ///
-/// Mergeable: the experiment engine accumulates per-worker partials and
-/// folds them IN SEED ORDER with merge(). While the source accumulator
-/// retains all of its samples (the default), merge() replays them through
-/// add(), so a chunked-then-merged accumulation is bit-identical to one
-/// serial accumulation over the same sequence — the property behind the
-/// --jobs 1 == --jobs N determinism guarantee. With a sample cap in force,
-/// moments stay exact (Chan's parallel Welford update) but percentiles
-/// become first-k approximations.
+/// The experiment engine folds per-trial results with add() in seed order,
+/// so an aggregate is the same serial accumulation for every --jobs value;
+/// that is the whole --jobs 1 == --jobs N determinism argument. Every
+/// sample is retained, so percentiles are exact.
 class Accumulator {
  public:
-  static constexpr std::size_t kUnlimited =
-      std::numeric_limits<std::size_t>::max();
-
-  Accumulator() = default;
-  /// An accumulator retaining at most `sample_cap` samples for percentile
-  /// queries; moments (count/mean/stddev/min/max/sum) stay exact.
-  explicit Accumulator(std::size_t sample_cap) : sample_cap_(sample_cap) {}
-
   void add(double x);
 
-  /// Fold `other` into this accumulator, as if other's samples had been
-  /// add()ed after this one's. Bit-identical to that serial accumulation
-  /// whenever `other` still retains every sample; exact-in-moments (Chan)
-  /// otherwise.
-  void merge(const Accumulator& other);
-
-  std::size_t count() const { return count_; }
-  bool empty() const { return count_ == 0; }
+  std::size_t count() const { return samples_.size(); }
+  bool empty() const { return samples_.empty(); }
   double mean() const;
   double stddev() const;  ///< Sample standard deviation (n-1); 0 if n < 2.
   double min() const;
   double max() const;
   double sum() const { return sum_; }
 
-  /// Exact percentile by nearest-rank over retained samples, q in [0, 100].
-  /// Returns 0 for an empty accumulator. Approximate (first retained
-  /// samples only) when the sample cap has discarded samples.
+  /// Exact percentile by nearest-rank over the samples, q in [0, 100].
+  /// Returns 0 for an empty accumulator.
   double percentile(double q) const;
   double median() const { return percentile(50.0); }
 
   const std::vector<double>& samples() const { return samples_; }
-  /// True when every add()ed value is still retained (percentiles exact,
-  /// merges replayable).
-  bool retains_all_samples() const { return samples_.size() == count_; }
-  std::size_t sample_cap() const { return sample_cap_; }
 
  private:
   std::vector<double> samples_;
-  std::size_t count_ = 0;
-  std::size_t sample_cap_ = kUnlimited;
   double mean_ = 0.0;
   double m2_ = 0.0;
   double sum_ = 0.0;

@@ -54,30 +54,6 @@ void Table::print(std::ostream& os) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  auto emit_cell = [&os](const std::string& cell) {
-    if (cell.find_first_of(",\"\n") != std::string::npos) {
-      os << '"';
-      for (const char c : cell) {
-        if (c == '"') os << '"';
-        os << c;
-      }
-      os << '"';
-    } else {
-      os << cell;
-    }
-  };
-  auto emit_row = [&](const std::vector<std::string>& row) {
-    for (std::size_t i = 0; i < row.size(); ++i) {
-      if (i > 0) os << ',';
-      emit_cell(row[i]);
-    }
-    os << '\n';
-  };
-  emit_row(header_);
-  for (const auto& row : rows_) emit_row(row);
-}
-
 std::string Table::to_string() const {
   std::ostringstream oss;
   print(oss);

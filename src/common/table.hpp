@@ -33,10 +33,6 @@ class Table {
   /// Render with a rule under the header, two-space column gutters.
   void print(std::ostream& os) const;
 
-  /// Render as RFC-4180-ish CSV (quotes around cells containing commas,
-  /// quotes, or newlines) for downstream plotting.
-  void print_csv(std::ostream& os) const;
-
   /// Render to a string (used by tests).
   std::string to_string() const;
 

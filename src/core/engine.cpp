@@ -140,7 +140,7 @@ const CellResult& GridResult::cell(const std::string& name) const {
 // --- ExperimentEngine -------------------------------------------------------
 
 ExperimentEngine::ExperimentEngine(EngineOptions options)
-    : jobs_(resolve_jobs(options.jobs)), sample_cap_(options.sample_cap) {}
+    : jobs_(resolve_jobs(options.jobs)) {}
 
 GridResult ExperimentEngine::run(const SpecGrid& grid) const {
   const auto grid_start = std::chrono::steady_clock::now();
@@ -184,7 +184,7 @@ GridResult ExperimentEngine::run(const SpecGrid& grid) const {
     slot.wall_seconds = seconds_since(start);
   });
 
-  // Deterministic merge: fold each cell's trials in seed order. This is
+  // Deterministic fold: add() each cell's trials in seed order. This is
   // the exact sequence of add() calls a serial loop would have made, so
   // the aggregate is independent of the jobs count and of thread timing.
   GridResult out;
@@ -197,7 +197,6 @@ GridResult ExperimentEngine::run(const SpecGrid& grid) const {
     cell.config_digest = config_digest(spec.config);
     cell.algorithm = algorithm_spec(spec.config);
     cell.base_seed = spec.config.seed;
-    cell.result = RepeatedResult(sample_cap_);
     for (const Slot& slot : slots[c]) {
       cell.result.add(slot.result);
       cell.wall_seconds += slot.wall_seconds;

@@ -1,5 +1,5 @@
 // ExperimentEngine: seed-sharded parallel trial execution with a
-// deterministic merge.
+// deterministic seed-order fold.
 //
 // Every quantitative claim in this reproduction comes from repeating seeded
 // fault-recovery trials. The engine replaces the per-bench serial loops
@@ -70,10 +70,6 @@ class SpecGrid {
 struct EngineOptions {
   /// Worker threads; 0 = all hardware cores, 1 = fully serial (no threads).
   std::size_t jobs = 0;
-  /// Retention cap forwarded to every aggregate Accumulator; 0 = retain
-  /// all samples (exact percentiles, bit-identical merges). Set for very
-  /// long runs where per-trial sample retention would dominate memory.
-  std::size_t sample_cap = 0;
 };
 
 /// Aggregated outcome of one grid cell.
@@ -109,7 +105,6 @@ class ExperimentEngine {
 
  private:
   std::size_t jobs_;
-  std::size_t sample_cap_;
 };
 
 /// Stable hex digest of every behaviour-relevant HarnessConfig field

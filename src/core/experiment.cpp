@@ -21,12 +21,6 @@ ExperimentResult run_fault_experiment(const HarnessConfig& config,
   return ExperimentResult{harness.stabilization_report(), harness.stats()};
 }
 
-RepeatedResult::RepeatedResult(std::size_t sample_cap) {
-  if (sample_cap == 0) return;
-  for (const AccumulatorField& f : kAccumulatorFields)
-    this->*f.member = Accumulator(sample_cap);
-}
-
 void RepeatedResult::add(const ExperimentResult& result) {
   ++trials;
   if (result.report.stabilized) {
@@ -62,16 +56,6 @@ void RepeatedResult::add(const ExperimentResult& result) {
           : 0.0);
   observe_ns_total += static_cast<double>(result.stats.observe_ns);
   if (!result.stats.metrics.empty()) metrics.add(result.stats.metrics);
-}
-
-void RepeatedResult::merge(const RepeatedResult& other) {
-  trials += other.trials;
-  stabilized += other.stabilized;
-  starved += other.starved;
-  for (const AccumulatorField& f : kAccumulatorFields)
-    (this->*f.member).merge(other.*f.member);
-  observe_ns_total += other.observe_ns_total;
-  metrics.merge(other.metrics);
 }
 
 RepeatedResult repeat_fault_experiment(HarnessConfig config,

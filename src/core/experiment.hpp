@@ -47,16 +47,10 @@ struct ExperimentResult {
 ExperimentResult run_fault_experiment(const HarnessConfig& config,
                                       const FaultScenario& scenario);
 
-/// Aggregate over trials. A commutative-monoid-shaped fold target: empty()
-/// is the identity, add() folds one trial, merge() combines two partials.
-/// The engine folds per-trial results in seed order, which makes the
-/// aggregate independent of how trials were sharded across workers.
+/// Aggregate over trials: add() folds one trial. The engine add()s the
+/// per-trial results in seed order, which makes the aggregate independent
+/// of how trials were sharded across workers.
 struct RepeatedResult {
-  RepeatedResult() = default;
-  /// Partials whose accumulators retain at most `sample_cap` samples
-  /// (0 = unlimited); see Accumulator's cap semantics.
-  explicit RepeatedResult(std::size_t sample_cap);
-
   std::size_t trials = 0;
   std::size_t stabilized = 0;
   std::size_t starved = 0;
@@ -88,14 +82,12 @@ struct RepeatedResult {
 
   /// Fold one trial's outcome.
   void add(const ExperimentResult& result);
-  /// Fold another partial (its trials are treated as coming after ours).
-  void merge(const RepeatedResult& other);
 
   bool all_stabilized() const { return stabilized == trials; }
 };
 
 /// Every RepeatedResult accumulator with its BENCH_*.json key, in artifact
-/// order. The sample cap, merge() and the JSON cell all iterate this table.
+/// order. The JSON cell iterates this table.
 struct AccumulatorField {
   const char* name;
   Accumulator RepeatedResult::*member;

@@ -1,6 +1,7 @@
 #include "core/harness.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 
 #include "common/contracts.hpp"
@@ -28,6 +29,13 @@ std::vector<std::string> options_for(const HarnessConfig& config,
                 config.per_process_options[pid].end());
   }
   return opts;
+}
+
+/// The safety monitors: ME1, ME3, Invariant I and Mutual Belief (null when
+/// not installed). ME2's records are liveness verdicts, read as starvation.
+std::array<const lspec::TmeMonitor*, 4> safety_monitors(
+    const lspec::TmeMonitors& tm) {
+  return {tm.me1, tm.me3, tm.invariant_i, tm.mutual_belief};
 }
 
 }  // namespace
@@ -210,11 +218,7 @@ SystemHarness::SystemHarness(HarnessConfig config)
   // Monitor violations feed the bus out-of-band (the monitors themselves
   // stay obs-free: the hook is a type-erased callback in the spec layer).
   bus_->set_monitor_names(monitor_set_.monitor_names());
-  // Installed unconditionally: the reconvergence tracker needs the last
-  // violation time even with the bus disabled (violations are rare, the
-  // hook is off the hot path).
   monitor_set_.set_violation_hook([this](SimTime t, std::size_t index) {
-    last_violation_time_ = t;
     // Attribute the violation to its root-cause fault(s) before recording,
     // so the bus event carries the attribution (unconditionally: the
     // blast-radius aggregates must not depend on the bus being enabled).
@@ -356,9 +360,9 @@ void SystemHarness::on_fault_arrival() {
   if (prev_fault_time_ != kNever) {
     // Close the previous fault's window at the last safety violation it
     // produced (0 when the system absorbed the fault violation-free).
-    const SimTime gap = (last_violation_time_ != kNever &&
-                         last_violation_time_ >= prev_fault_time_)
-                            ? last_violation_time_ - prev_fault_time_
+    const SimTime last = last_safety_violation();
+    const SimTime gap = (last != kNever && last >= prev_fault_time_)
+                            ? last - prev_fault_time_
                             : 0;
     ++reconverge_windows_;
     reconverge_ticks_ += gap;
@@ -390,25 +394,12 @@ StabilizationReport SystemHarness::stabilization_report() const {
   report.last_fault = faults_->last_fault_time();
   report.faults_injected = report.last_fault != kNever;
 
-  // Safety monitors: ME1, ME3, Invariant I. (ME2's records are liveness
-  // verdicts handled through starvation below.)
-  const lspec::TmeMonitors& tm = tme_handles_;
-  SimTime last = kNever;
-  std::uint64_t total = 0;
-  for (const lspec::TmeMonitor* m :
-       {static_cast<const lspec::TmeMonitor*>(tm.me1),
-        static_cast<const lspec::TmeMonitor*>(tm.me3),
-        static_cast<const lspec::TmeMonitor*>(tm.invariant_i),
-        static_cast<const lspec::TmeMonitor*>(tm.mutual_belief)}) {
-    if (m == nullptr) continue;
-    total += m->total_violations();
-    const SimTime t = m->last_violation();
-    if (t == kNever) continue;
-    if (last == kNever || t > last) last = t;
-  }
+  for (const lspec::TmeMonitor* m : safety_monitors(tme_handles_))
+    if (m != nullptr) report.violations_total += m->total_violations();
+  const SimTime last = last_safety_violation();
   report.last_safety_violation = last;
-  report.violations_total = total;
-  report.starvation = tm.me2 != nullptr && tm.me2->starvation_at_end();
+  report.starvation =
+      tme_handles_.me2 != nullptr && tme_handles_.me2->starvation_at_end();
   report.stabilized = !report.starvation;
 
   if (last != kNever && report.faults_injected && last > report.last_fault) {
@@ -417,6 +408,16 @@ StabilizationReport SystemHarness::stabilization_report() const {
     report.latency = 0;
   }
   return report;
+}
+
+SimTime SystemHarness::last_safety_violation() const {
+  SimTime last = kNever;
+  for (const lspec::TmeMonitor* m : safety_monitors(tme_handles_)) {
+    if (m == nullptr || m->last_violation() == kNever) continue;
+    if (last == kNever || m->last_violation() > last)
+      last = m->last_violation();
+  }
+  return last;
 }
 
 obs::StabilizationTimeline SystemHarness::timeline() const {
@@ -477,10 +478,9 @@ RunStats SystemHarness::stats() const {
   stats.reconverge_ticks_total = reconverge_ticks_;
   if (prev_fault_time_ != kNever) {
     ++stats.reconverge_windows;
-    if (last_violation_time_ != kNever &&
-        last_violation_time_ >= prev_fault_time_) {
-      stats.reconverge_ticks_total += last_violation_time_ - prev_fault_time_;
-    }
+    const SimTime last = last_safety_violation();
+    if (last != kNever && last >= prev_fault_time_)
+      stats.reconverge_ticks_total += last - prev_fault_time_;
   }
 
   if (provenance_ != nullptr) {

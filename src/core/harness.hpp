@@ -298,6 +298,11 @@ class SystemHarness {
   std::unique_ptr<me::TmeProcess> make_process(ProcessId pid);
   /// Close the current reconvergence window (a new fault arrived).
   void on_fault_arrival();
+  /// Latest report of the safety monitors (ME1, ME3, Invariant I, Mutual
+  /// Belief); kNever when none reported. Each monitor keeps its last
+  /// violation time past its retention cap, so this is exact, and it never
+  /// moves backwards.
+  SimTime last_safety_violation() const;
   /// RunStats::metrics: the histograms, then one sample per run counter
   /// read from `stats` or its component. Requires histograms_.
   obs::MetricsSnapshot metrics(const RunStats& stats) const;
@@ -325,7 +330,6 @@ class SystemHarness {
   // Reconvergence tracking: every fault arrival closes the window opened
   // by the previous one at the last safety violation seen inside it.
   SimTime prev_fault_time_ = kNever;
-  SimTime last_violation_time_ = kNever;
   std::uint64_t reconverge_windows_ = 0;
   std::uint64_t reconverge_ticks_ = 0;
   std::unique_ptr<lspec::SnapshotSource> snapshots_;

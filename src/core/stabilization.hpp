@@ -21,8 +21,8 @@ struct StabilizationReport {
   /// Time of the last injected fault (kNever if none).
   SimTime last_fault = kNever;
 
-  /// Last violation of the *safety* monitors (ME1, ME3, Invariant I);
-  /// kNever when the run was violation-free.
+  /// Last violation of the *safety* monitors (ME1, ME3, Invariant I and,
+  /// when installed, Mutual Belief); kNever when the run was violation-free.
   SimTime last_safety_violation = kNever;
 
   /// A drained run ended with a process still hungry: deadlock/starvation,
@@ -37,8 +37,8 @@ struct StabilizationReport {
   /// !stabilized.
   SimTime latency = 0;
 
-  /// Violations of safety monitors that occurred *before* the last fault
-  /// (expected: the fault window is allowed to be messy).
+  /// Every violation the safety monitors reported over the whole run
+  /// (the fault window is allowed to be messy).
   std::uint64_t violations_total = 0;
 
   std::string to_string() const;

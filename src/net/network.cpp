@@ -160,7 +160,6 @@ void Network::add_delivery_observer(MessageObserver obs) {
 
 void Network::deliver(const Message& msg) {
   GBX_EXPECTS(msg.to < n_);
-  ++total_delivered_;
   // Fabricated (fault-injected) messages carry an empty clock; witnessing
   // requires matching sizes, so they only tick the receiver.
   clk::VectorClock& clock = vclocks_[msg.to];

@@ -120,7 +120,6 @@ class Network {
 
   // --- Accounting -------------------------------------------------------
   std::uint64_t total_sent() const { return total_sent_; }
-  std::uint64_t total_delivered() const { return total_delivered_; }
   std::uint64_t sent_by_wrapper() const { return sent_by_wrapper_; }
   std::uint64_t sent_of_type(MsgType t) const {
     return sent_by_type_[static_cast<std::size_t>(t)];
@@ -150,7 +149,6 @@ class Network {
   std::uint64_t partition_mask_ = 0;
   std::uint64_t dropped_by_partition_ = 0;
   std::uint64_t total_sent_ = 0;
-  std::uint64_t total_delivered_ = 0;
   std::uint64_t sent_by_wrapper_ = 0;
   std::uint64_t sent_by_type_[3] = {0, 0, 0};
 };

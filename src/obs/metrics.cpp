@@ -120,31 +120,6 @@ void MetricsAggregate::add(const MetricsSnapshot& snapshot) {
   }
 }
 
-void MetricsAggregate::merge(const MetricsAggregate& other) {
-  for (const Entry& oe : other.entries_) {
-    Entry& e = find_or_add(oe.name, oe.kind);
-    e.per_trial.merge(oe.per_trial);
-    if (oe.kind == MetricSample::Kind::kHistogram) {
-      if (e.buckets.empty()) {
-        e.bounds = oe.bounds;
-        e.buckets.assign(oe.buckets.size(), 0);
-      }
-      GBX_EXPECTS(e.buckets.size() == oe.buckets.size());
-      for (std::size_t i = 0; i < oe.buckets.size(); ++i) {
-        e.buckets[i] += oe.buckets[i];
-      }
-      if (oe.hist_count > 0) {
-        if (e.hist_count == 0 || oe.hist_min < e.hist_min)
-          e.hist_min = oe.hist_min;
-        if (e.hist_count == 0 || oe.hist_max > e.hist_max)
-          e.hist_max = oe.hist_max;
-        e.hist_count += oe.hist_count;
-        e.hist_sum += oe.hist_sum;
-      }
-    }
-  }
-}
-
 report::Json MetricsAggregate::to_json() const {
   report::Json doc = report::Json::object();
   for (const Entry& e : entries_) {

@@ -8,8 +8,8 @@
 // (Wall-clock-derived values must stay out of here; they live under the
 // `wall`/`ns` key naming rule of report::strip_volatile_lines.)
 //
-// MetricsAggregate folds per-trial snapshots into the experiment engine's
-// seed-order merge, which keeps BENCH_*.json metric cells deterministic by
+// MetricsAggregate folds per-trial snapshots in the experiment engine's
+// seed-order fold, which keeps BENCH_*.json metric cells deterministic by
 // the same argument as every other aggregate.
 #pragma once
 
@@ -25,7 +25,8 @@ namespace graybox::obs {
 /// Fixed-bucket histogram over non-negative integer values. Bucket i counts
 /// observations <= bounds[i] (strictly greater than bounds[i-1]); one
 /// overflow bucket past the last bound. Bounds are fixed at construction,
-/// so two runs always produce structurally identical, mergeable buckets.
+/// so every trial produces structurally identical buckets that the trial
+/// fold sums bucket-wise.
 class Histogram {
  public:
   explicit Histogram(std::vector<std::uint64_t> bounds);
@@ -81,14 +82,12 @@ MetricSample histogram_sample(std::string name, const Histogram& histogram);
 /// sim-domain, so the artifact is byte-stable across runs and jobs).
 report::Json metrics_snapshot_to_json(const MetricsSnapshot& snapshot);
 
-/// Fold of per-trial MetricsSnapshots, mergeable like RepeatedResult's
-/// accumulators: add() one trial, merge() another partial (its trials
-/// ordered after ours). Counter values become per-trial Accumulators;
-/// histograms sum bucket-wise.
+/// Fold of per-trial MetricsSnapshots: add() folds one trial, like
+/// RepeatedResult's accumulators. Counter values become per-trial
+/// Accumulators; histograms sum bucket-wise.
 class MetricsAggregate {
  public:
   void add(const MetricsSnapshot& snapshot);
-  void merge(const MetricsAggregate& other);
   bool empty() const { return entries_.empty(); }
 
   report::Json to_json() const;

@@ -4,7 +4,8 @@
 
 namespace graybox::obs {
 
-ProvenanceTracker::ProvenanceTracker(std::size_t n) : process_taint_(n) {}
+ProvenanceTracker::ProvenanceTracker(std::size_t n)
+    : process_taint_(n), words_per_id_((n + 63) / 64) {}
 
 ProvenanceId ProvenanceTracker::mint(std::uint8_t code, ProcessId origin,
                                      SimTime now) {
@@ -14,6 +15,7 @@ ProvenanceId ProvenanceTracker::mint(std::uint8_t code, ProcessId origin,
   b.origin = origin;
   b.injected_at = now;
   blast_.push_back(b);
+  reached_.resize(reached_.size() + words_per_id_, 0);
   return b.id;
 }
 
@@ -24,13 +26,13 @@ void ProvenanceTracker::taint_process(ProcessId pid, ProvenanceId id) {
   }
   const std::uint8_t dropped_before = process_taint_[pid].dropped;
   if (process_taint_[pid].add(id)) {
-    BlastRadius& b = blast_[id - 1];
     // Count distinct processes ever tainted, not re-infections: a process
     // that is corrected and then tainted again by the same fault's still-
     // circulating messages widens nothing.
-    const std::uint64_t bit = std::uint64_t{1} << (pid < 64 ? pid : 63);
-    if ((b.process_mask & bit) == 0) ++b.processes_tainted;
-    b.process_mask |= bit;
+    std::uint64_t& word = reached_[(id - 1) * words_per_id_ + pid / 64];
+    const std::uint64_t bit = std::uint64_t{1} << (pid % 64);
+    if ((word & bit) == 0) ++blast_[id - 1].processes_tainted;
+    word |= bit;
   } else if (process_taint_[pid].dropped != dropped_before) {
     // Keep-oldest saturation just discarded this (newer) id: the run-wide
     // counter makes the resulting under-attribution observable.

@@ -21,7 +21,8 @@
 // Cost model matches the EventBus: with provenance disabled every producer
 // hook is one predicted null-pointer branch; enabled, the per-event path is
 // a handful of array compares and writes — the only allocation is one
-// BlastRadius row per *injected fault* (mint time, never per event).
+// BlastRadius row and one ceil(N/64)-word reach row per *injected fault*
+// (mint time, never per event).
 // bench_substrate_micro::BM_ProvenanceRecord prices both sides.
 //
 // Layering: this header sits at the bottom of gbx_obs (types only, no
@@ -116,10 +117,8 @@ struct BlastRadius {
   ProcessId origin = kNoProcess;
   SimTime injected_at = 0;
 
-  /// Processes this id ever tainted: bit p set for pid p (pids >= 64
-  /// share bit 63), and the distinct count. Re-tainting a corrected
+  /// Distinct processes this id ever tainted. Re-tainting a corrected
   /// process is not new spread — the blast radius measures reach.
-  std::uint64_t process_mask = 0;
   std::uint32_t processes_tainted = 0;
   /// Messages that carried this id onto the wire (sends inheriting sender
   /// taint, plus in-flight messages tainted directly by the injector).
@@ -197,6 +196,10 @@ class ProvenanceTracker {
   /// keep-oldest saturation makes merge order observable) is bit-identical.
   std::vector<ProcessId> live_tainted_;
   std::vector<BlastRadius> blast_;
+  /// One bit per (minted id, pid): id's row is words_per_id_ words from
+  /// (id - 1) * words_per_id_, and bit p is set once id has tainted pid.
+  std::vector<std::uint64_t> reached_;
+  std::size_t words_per_id_;
   std::uint64_t taint_overflows_ = 0;
 };
 

@@ -13,14 +13,6 @@ std::string time_or_never(SimTime t) {
   return t == kNever ? std::string("never") : std::to_string(t);
 }
 
-report::Json entry_to_json(const TimelineEntry& e) {
-  report::Json cell = report::Json::object();
-  cell["count"] = e.count;
-  cell["first"] = e.first == kNever ? report::Json() : report::Json(e.first);
-  cell["last"] = e.last == kNever ? report::Json() : report::Json(e.last);
-  return cell;
-}
-
 }  // namespace
 
 std::string StabilizationTimeline::to_string() const {
@@ -54,40 +46,6 @@ std::string StabilizationTimeline::to_string() const {
   os << "  quiescence:       last activity @ " << time_or_never(last_activity)
      << (quiescent ? ", quiescent" : ", still active") << "\n";
   return os.str();
-}
-
-report::Json StabilizationTimeline::to_json() const {
-  report::Json doc = report::Json::object();
-  doc["run_end"] = run_end;
-
-  report::Json burst = report::Json::object();
-  burst["count"] = faults_injected;
-  burst["first"] =
-      first_fault == kNever ? report::Json() : report::Json(first_fault);
-  burst["last"] =
-      last_fault == kNever ? report::Json() : report::Json(last_fault);
-  report::Json by_kind = report::Json::object();
-  for (const TimelineEntry& f : faults) by_kind[f.name] = entry_to_json(f);
-  burst["by_kind"] = std::move(by_kind);
-  doc["fault_burst"] = std::move(burst);
-
-  report::Json viol = report::Json::object();
-  viol["count"] = violations_total;
-  viol["first"] = first_violation == kNever ? report::Json()
-                                            : report::Json(first_violation);
-  viol["last"] = last_violation == kNever ? report::Json()
-                                          : report::Json(last_violation);
-  report::Json by_clause = report::Json::object();
-  for (const TimelineEntry& c : clauses) by_clause[c.name] = entry_to_json(c);
-  viol["by_clause"] = std::move(by_clause);
-  doc["violations"] = std::move(viol);
-
-  doc["divergent_window"] = divergent_window();
-  doc["last_activity"] =
-      last_activity == kNever ? report::Json() : report::Json(last_activity);
-  doc["quiescent"] = quiescent;
-  doc["stabilized"] = stabilized();
-  return doc;
 }
 
 StabilizationTimeline fold_timeline(

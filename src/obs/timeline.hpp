@@ -20,7 +20,6 @@
 #include <string>
 #include <vector>
 
-#include "common/report.hpp"
 #include "common/types.hpp"
 #include "obs/event.hpp"
 
@@ -73,8 +72,6 @@ struct StabilizationTimeline {
   /// Multi-line human-readable rendering, phase per line (what the
   /// examples print after a fault burst).
   std::string to_string() const;
-
-  report::Json to_json() const;
 };
 
 /// The fold both derivations share. `faults[k]` and `clauses[m]` are the

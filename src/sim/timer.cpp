@@ -28,19 +28,6 @@ void PeriodicTimer::stop() {
   }
 }
 
-void PeriodicTimer::set_period(SimTime period) {
-  period_ = normalize(period);
-  // When called from inside the tick callback there is no pending event to
-  // cancel (on_tick cleared it) and on_tick will re-arm with the new period
-  // after fn_ returns; arming here too would start a second, parallel tick
-  // chain and permanently double the rate.
-  if (in_tick_) return;
-  if (running_) {
-    if (pending_ != 0) sched_.cancel(pending_);
-    arm();
-  }
-}
-
 void PeriodicTimer::arm() {
   pending_ = sched_.schedule_after(period_, [this] { on_tick(); });
 }
@@ -48,9 +35,7 @@ void PeriodicTimer::arm() {
 void PeriodicTimer::on_tick() {
   pending_ = 0;
   ++fired_;
-  in_tick_ = true;
   fn_();
-  in_tick_ = false;
   // pending_ != 0 here means fn_ re-armed us itself (stop()+start()); a
   // second arm would fork the tick chain.
   if (running_ && pending_ == 0) arm();

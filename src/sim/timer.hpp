@@ -35,12 +35,6 @@ class PeriodicTimer {
   bool running() const { return running_; }
   SimTime period() const { return period_; }
 
-  /// Change the period; takes effect from the next (re)arming. A running
-  /// timer is re-armed immediately with the new period. Safe to call from
-  /// inside the tick callback: the in-progress tick's re-arm picks up the
-  /// new period (no second chain is armed).
-  void set_period(SimTime period);
-
   /// Number of times the tick function has fired.
   std::uint64_t fired() const { return fired_; }
 
@@ -53,7 +47,6 @@ class PeriodicTimer {
   TickFn fn_;
   EventId pending_ = 0;
   bool running_ = false;
-  bool in_tick_ = false;
   std::uint64_t fired_ = 0;
 };
 

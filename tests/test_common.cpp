@@ -238,22 +238,6 @@ TEST(Table, RowCount) {
   EXPECT_EQ(t.rows(), 2u);
 }
 
-TEST(Table, CsvPlainCells) {
-  Table t({"a", "b"});
-  t.add_row({"1", "2"});
-  std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_EQ(oss.str(), "a,b\n1,2\n");
-}
-
-TEST(Table, CsvQuotesSpecialCells) {
-  Table t({"name", "note"});
-  t.add_row({"x,y", "he said \"hi\""});
-  std::ostringstream oss;
-  t.print_csv(oss);
-  EXPECT_EQ(oss.str(), "name,note\n\"x,y\",\"he said \"\"hi\"\"\"\n");
-}
-
 // --- Flags ---------------------------------------------------------------
 
 TEST(Flags, ParsesEqualsForm) {

@@ -151,6 +151,31 @@ TEST(Harness, RicartAgrawalaSendsNoReleases) {
   EXPECT_EQ(h.stats().sent_release, 0u);
 }
 
+TEST(Harness, ReconvergenceCountsOnlySafetyViolations) {
+  // A crash starves the survivor but violates no safety property. ME2's
+  // end-of-run starvation report (stamped with the time the request
+  // opened) is a liveness verdict and must not close the crash's
+  // reconvergence window late.
+  HarnessConfig config;
+  config.n = 2;
+  config.algorithm = "ricart-agrawala";
+  config.wrapped = false;
+  config.seed = 5;
+  SystemHarness h(config);
+  h.start();
+  h.run_for(200);
+  ASSERT_TRUE(h.crash(1));
+  h.run_for(2000);
+  h.drain(1000);
+
+  const StabilizationReport report = h.stabilization_report();
+  EXPECT_EQ(report.last_safety_violation, kNever);
+  EXPECT_TRUE(report.starvation);
+  const RunStats stats = h.stats();
+  EXPECT_EQ(stats.reconverge_windows, 1u);
+  EXPECT_EQ(stats.reconverge_ticks_total, 0u);
+}
+
 TEST(Experiment, FaultFreeScenarioViaRunner) {
   FaultScenario scenario;
   scenario.burst = 0;

@@ -356,23 +356,6 @@ obs::MetricsSnapshot fake_trial_snapshot(std::uint64_t seed) {
           obs::histogram_sample("wait", wait)};
 }
 
-TEST(MetricsAggregate, SplitMergeEqualsSequentialFold) {
-  obs::MetricsAggregate serial;
-  for (std::uint64_t s = 0; s < 6; ++s) serial.add(fake_trial_snapshot(s));
-
-  obs::MetricsAggregate left, right;
-  for (std::uint64_t s = 0; s < 3; ++s) left.add(fake_trial_snapshot(s));
-  for (std::uint64_t s = 3; s < 6; ++s) right.add(fake_trial_snapshot(s));
-  left.merge(right);
-
-  // Same fold, byte for byte — the engine's jobs-independence argument.
-  EXPECT_EQ(left.to_json().dump(), serial.to_json().dump());
-
-  obs::MetricsAggregate identity;
-  identity.merge(serial);
-  EXPECT_EQ(identity.to_json().dump(), serial.to_json().dump());
-}
-
 TEST(MetricsAggregate, JsonShape) {
   obs::MetricsAggregate agg;
   agg.add(fake_trial_snapshot(1));
@@ -488,11 +471,6 @@ TEST(HarnessTimeline, ConsistentWithStabilizationReport) {
   EXPECT_NE(text.find("violation decay:"), std::string::npos);
   EXPECT_NE(text.find("divergent window:"), std::string::npos);
   EXPECT_NE(text.find("quiescence:"), std::string::npos);
-  // And the JSON form is present and structurally sound.
-  const report::Json doc = tl.to_json();
-  EXPECT_TRUE(doc.contains("fault_burst"));
-  EXPECT_TRUE(doc.contains("violations"));
-  EXPECT_TRUE(doc.contains("divergent_window"));
 }
 
 void expect_rows_equal(const std::vector<obs::TimelineEntry>& bus,

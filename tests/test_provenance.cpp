@@ -147,11 +147,19 @@ TEST(ProvenanceTracker, TaintCountsDistinctProcessesNotReinfections) {
   prov.taint_process(1, id);  // re-infection: reach is unchanged
   const obs::BlastRadius& b = prov.blast()[0];
   EXPECT_EQ(b.processes_tainted, 2u);
-  EXPECT_EQ(b.process_mask, 0b11u);
   // Out-of-range pid and unknown id are ignored, not UB.
   prov.taint_process(99, id);
   prov.taint_process(0, 42);
   EXPECT_EQ(prov.blast()[0].processes_tainted, 2u);
+}
+
+TEST(ProvenanceTracker, BlastRadiusCountsPidsAboveSixtyFour) {
+  // Reach is one bit per (fault, pid), so no pid shares a bit with another
+  // and the count does not saturate at 64.
+  ProvenanceTracker prov(200);
+  const ProvenanceId id = prov.mint(5, 0, 10);
+  for (ProcessId pid = 0; pid < 200; ++pid) prov.taint_process(pid, id);
+  EXPECT_EQ(prov.blast()[0].processes_tainted, 200u);
 }
 
 TEST(ProvenanceTracker, AttributionUnionsTaintsAndFallsBackToLatestFault) {

@@ -20,8 +20,8 @@
 // build, one machine, one invocation — PR 6's bench_substrate_micro style.
 //
 // N > 64 cells use random fault bursts only: partition streams are capped
-// at 64 processes (SystemHarness::partition's uint64 masks) and E14 does
-// not request them.
+// at 64 processes (FaultInjector::inject_targeted's uint64 masks) and E14
+// does not request them.
 //
 // The JSON artifact is byte-identical across --jobs values modulo the
 // volatile (wall/ns) lines — pinned by the CI smoke run (--nmax 64

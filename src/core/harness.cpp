@@ -104,10 +104,7 @@ SystemHarness::SystemHarness(HarnessConfig config)
   net_->set_event_bus(bus_.get());
   net_->set_provenance(provenance_.get());
 
-  // Processes + delivery plumbing. A crashed process's deliveries are
-  // swallowed at the handler: the network still did its part (monitors see
-  // the delivery), the process just isn't there to act on it.
-  crashed_.assign(config_.n, 0);
+  // Processes + delivery plumbing.
   std::vector<me::TmeProcess*> raw;
   for (ProcessId pid = 0; pid < config_.n; ++pid) {
     processes_.push_back(make_process(pid));
@@ -115,13 +112,8 @@ SystemHarness::SystemHarness(HarnessConfig config)
     me::TmeProcess* proc = raw.back();
     proc->set_event_bus(bus_.get());
     proc->set_provenance(provenance_.get());
-    net_->set_handler(pid, [this, proc, pid](const net::Message& msg) {
-      if (crashed_[pid]) {
-        ++deliveries_to_crashed_;
-        return;
-      }
-      proc->on_message(msg);
-    });
+    net_->set_handler(pid,
+                      [proc](const net::Message& msg) { proc->on_message(msg); });
   }
 
   // Clients (one per process, independent RNG streams).
@@ -163,17 +155,28 @@ SystemHarness::SystemHarness(HarnessConfig config)
   faults_->set_event_bus(bus_.get());
   faults_->set_provenance(provenance_.get());
   faults_->set_fault_observer([this] { on_fault_arrival(); });
+  faults_->set_lifecycle([this](ProcessId pid, bool down) {
+    if (down) {
+      // A crashed process takes no steps: its client stops polling and its
+      // wrappers stop. In-flight messages to it still arrive (and the
+      // network swallows them).
+      clients_[pid]->stop();
+      if (wrappers_[pid]) wrappers_[pid]->stop();
+      if (local_wrappers_[pid]) local_wrappers_[pid]->stop();
+      return;
+    }
+    // §3.1: a recovering process is "improperly initialized" — it comes
+    // back with arbitrary state, not a clean slate. The wrapper is what
+    // must make the system converge afterwards.
+    processes_[pid]->corrupt_state(recovery_rng_);
+    clients_[pid]->start();
+    if (wrappers_[pid]) wrappers_[pid]->start();
+    if (local_wrappers_[pid]) local_wrappers_[pid]->start();
+  });
 
-  // Sustained fault load. Lifecycle actions route back into the harness
-  // because processes/clients/wrappers live above the net layer.
-  net::FaultProcess::Callbacks lifecycle;
-  lifecycle.crash = [this](ProcessId pid) { return crash(pid); };
-  lifecycle.recover = [this](ProcessId pid) { recover(pid); };
-  lifecycle.partition = [this](std::uint64_t mask) { return partition(mask); };
-  lifecycle.heal = [this] { heal_partition(); };
+  // Sustained fault load.
   fault_load_ = std::make_unique<net::FaultProcess>(
-      sched_, *faults_, config_.n, config_.fault_process, fault_load_rng,
-      std::move(lifecycle));
+      sched_, *faults_, *net_, config_.fault_process, fault_load_rng);
 
   // Monitoring battery.
   structural_ = std::make_unique<lspec::StructuralSpecMonitor>(raw, sched_);
@@ -307,54 +310,6 @@ void SystemHarness::start() {
   fault_load_->start();
 }
 
-bool SystemHarness::crash(ProcessId pid) {
-  GBX_EXPECTS(pid < config_.n);
-  if (crashed_[pid]) return false;
-  crashed_[pid] = 1;
-  // A crashed process takes no steps: its client stops polling and its
-  // wrapper stops resending. In-flight messages to it still arrive (and
-  // are swallowed at the delivery handler).
-  clients_[pid]->stop();
-  if (wrappers_[pid]) wrappers_[pid]->stop();
-  if (local_wrappers_[pid]) local_wrappers_[pid]->stop();
-  faults_->record_lifecycle(net::kFaultCodeProcessCrash, pid);
-  return true;
-}
-
-bool SystemHarness::recover(ProcessId pid) {
-  GBX_EXPECTS(pid < config_.n);
-  if (!crashed_[pid]) return false;
-  crashed_[pid] = 0;
-  // §3.1: a recovering process is "improperly initialized" — it comes back
-  // with arbitrary state, not a clean slate. The wrapper is what must make
-  // the system converge afterwards.
-  processes_[pid]->corrupt_state(recovery_rng_);
-  clients_[pid]->start();
-  if (wrappers_[pid]) wrappers_[pid]->start();
-  if (local_wrappers_[pid]) local_wrappers_[pid]->start();
-  faults_->record_lifecycle(net::kFaultCodeProcessRecover, pid);
-  return true;
-}
-
-bool SystemHarness::partition(std::uint64_t mask) {
-  GBX_EXPECTS(config_.n <= 64);
-  const std::uint64_t all = config_.n >= 64
-                                ? ~std::uint64_t{0}
-                                : (std::uint64_t{1} << config_.n) - 1;
-  GBX_EXPECTS((mask & all) != 0 && (mask & all) != all);
-  if (net_->partition_mask() != 0) return false;
-  net_->set_partition(mask & all);
-  faults_->record_lifecycle(net::kFaultCodePartition, kNoProcess);
-  return true;
-}
-
-bool SystemHarness::heal_partition() {
-  if (net_->partition_mask() == 0) return false;
-  net_->set_partition(0);
-  faults_->record_lifecycle(net::kFaultCodePartitionHeal, kNoProcess);
-  return true;
-}
-
 void SystemHarness::on_fault_arrival() {
   const SimTime now = sched_.now();
   if (prev_fault_time_ != kNever) {
@@ -469,7 +424,7 @@ RunStats SystemHarness::stats() const {
   stats.recoveries = codes[net::kFaultCodeProcessRecover].count;
   stats.partitions = codes[net::kFaultCodePartition].count;
   stats.partition_heals = codes[net::kFaultCodePartitionHeal].count;
-  stats.deliveries_to_crashed = deliveries_to_crashed_;
+  stats.deliveries_to_crashed = net_->deliveries_to_crashed();
   stats.dropped_by_partition = net_->dropped_by_partition();
   // Fold the tail window (last fault to run end) into the reconvergence
   // numbers without disturbing the live tracker: stats() may be called

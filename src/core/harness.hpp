@@ -162,8 +162,8 @@ struct RunStats {
   std::uint64_t lspec_clause_violations = 0;
   std::uint64_t faults_injected = 0;
   std::uint64_t events_executed = 0;
-  // Lifecycle faults (crash/recovery, partition/heal) driven through the
-  // harness — by the sustained fault load or manually.
+  // Lifecycle faults (crash/recovery, partition/heal) — from the sustained
+  // fault load or placed by hand.
   std::uint64_t crashes = 0;
   std::uint64_t recoveries = 0;
   std::uint64_t partitions = 0;
@@ -213,31 +213,15 @@ class SystemHarness {
 
   sim::Scheduler& scheduler() { return sched_; }
   net::Network& network() { return *net_; }
+  /// Every fault of the model (§3.1), process crash/recovery and
+  /// partition/heal included, is applied through faults().inject_targeted.
+  /// A crashed process's deliveries are swallowed by the network and its
+  /// client and wrappers stop; a recovered one re-enters an *improperly
+  /// initialized* state (re-corrupted, not reset) and they restart.
   net::FaultInjector& faults() { return *faults_; }
   /// The sustained fault-load driver. Always constructed; idle unless
   /// config.fault_process enables a stream (started with start()).
   net::FaultProcess& fault_load() { return *fault_load_; }
-
-  // --- Process crash/recovery and partitions (fault model §3.1:
-  // processes "fail, recover"; links go down). Driven by the sustained
-  // fault load or called directly. ----------------------------------------
-
-  /// Take process `pid` down: deliveries to it are swallowed, its client
-  /// and wrapper stop. Returns false (no fault recorded) if already down.
-  bool crash(ProcessId pid);
-  /// Bring a crashed process back. It re-enters an *improperly
-  /// initialized* state (its state is re-corrupted, not reset), and its
-  /// client/wrapper resume. Returns false if not crashed.
-  bool recover(ProcessId pid);
-  bool crashed(ProcessId pid) const { return crashed_[pid] != 0; }
-
-  /// Install a bipartition (bit p of `mask` = p's side; cross-side sends
-  /// are lost). One partition at a time: returns false while one is
-  /// active. `mask` must cut both ways (not 0, not all-ones).
-  bool partition(std::uint64_t mask);
-  /// Reconnect everyone. Returns false if no partition was active.
-  bool heal_partition();
-  bool partitioned() const { return net_->partition_mask() != 0; }
 
   me::TmeProcess& process(ProcessId pid);
   me::Client& client(ProcessId pid);
@@ -285,9 +269,7 @@ class SystemHarness {
   /// The run's convergence story: fault burst -> first violation ->
   /// per-clause decay -> last violation -> quiescence. Folded from the
   /// fault injector's and the monitors' own count/first/last rows, so it
-  /// works even with the event bus disabled; with the bus enabled,
-  /// obs::timeline_from_bus(events()) folds the bus's copy of the same rows
-  /// the same way.
+  /// works even with the event bus disabled.
   /// Requires config.install_monitors (like stabilization_report()).
   obs::StabilizationTimeline timeline() const;
 
@@ -325,8 +307,6 @@ class SystemHarness {
   /// RNG stream feeding the "improperly initialized" state a recovering
   /// process restarts with.
   Rng recovery_rng_;
-  std::vector<char> crashed_;
-  std::uint64_t deliveries_to_crashed_ = 0;
   // Reconvergence tracking: every fault arrival closes the window opened
   // by the previous one at the last safety violation seen inside it.
   SimTime prev_fault_time_ = kNever;

@@ -79,7 +79,6 @@ void Me2Monitor::step_row(SimTime t, const GlobalSnapshot& prev,
   if (prev.procs[j].state == me::TmeState::kThinking &&
       cur.procs[j].eating() && cur.vc_row(j)[j] > prev.vc_row(j)[j]) {
     ++served_;
-    ++collapsed_entries_;
   }
   scan_row(t, cur, j);
 }

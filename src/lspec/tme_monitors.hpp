@@ -74,10 +74,9 @@ class Me2Monitor : public TmeMonitor {
             std::size_t dirty) override;
   void finish(SimTime t, const GlobalSnapshot& last) override;
 
+  /// Requests served, collapsed t -> e entries (wait 0; see the file
+  /// comment) included.
   std::uint64_t served() const { return served_; }
-  /// Collapsed t -> e entries counted as service (wait 0); see the file
-  /// comment. A subset of served().
-  std::uint64_t collapsed_entries() const { return collapsed_entries_; }
   /// Longest completed hungry->eating wait observed.
   SimTime max_wait() const { return max_wait_; }
   /// True iff the drained run ended with someone still hungry (deadlock or
@@ -91,7 +90,6 @@ class Me2Monitor : public TmeMonitor {
   void scan_row(SimTime t, const GlobalSnapshot& s, std::size_t j);
   std::vector<SimTime> hungry_since_;
   std::uint64_t served_ = 0;
-  std::uint64_t collapsed_entries_ = 0;
   SimTime max_wait_ = 0;
   bool starvation_at_end_ = false;
 };

@@ -12,6 +12,16 @@ namespace graybox::mc {
 
 namespace {
 
+/// Only branch at the first kBranchWindow choice points of a run — the
+/// bug-relevant perturbations live early (request alignment, fault races);
+/// late points mostly reorder the drain. Points past the window still
+/// replay their recorded choices.
+constexpr std::size_t kBranchWindow = 400;
+/// Cap on menu entries recorded per grid position.
+constexpr std::size_t kMaxFaultsPerPosition = 12;
+/// Executed events from a placed crash / partition to its recovery / heal.
+constexpr std::uint64_t kLifecycleGapEvents = 150;
+
 /// FNV-1a over 64-bit words: the outcome digest is a pure function of the
 /// deterministic run facts, so replays and cross---jobs reruns agree.
 struct Fnv {
@@ -81,29 +91,6 @@ Explorer::Explorer(ExplorerConfig config) : config_(std::move(config)) {
   GBX_EXPECTS(config_.budget > 0);
 }
 
-void Explorer::apply_fault(core::SystemHarness& h,
-                           const net::TargetedFault& f) {
-  switch (f.code) {
-    case net::kFaultCodeProcessCrash:
-      h.crash(f.a);
-      break;
-    case net::kFaultCodeProcessRecover:
-      h.recover(f.a);
-      break;
-    case net::kFaultCodePartition:
-      h.partition(f.mask);
-      break;
-    case net::kFaultCodePartitionHeal:
-      h.heal_partition();
-      break;
-    default:
-      // Injector kinds; a target that no longer exists (shrunk trace,
-      // drifted state) degrades to a recorded no-op.
-      h.faults().inject_targeted(f);
-      break;
-  }
-}
-
 void Explorer::record_fault_menu(core::SystemHarness& h, std::uint64_t ec,
                                  const ScheduleTrace& trace, Recording& rec) {
   if (config_.fault_budget == 0) return;
@@ -119,7 +106,7 @@ void Explorer::record_fault_menu(core::SystemHarness& h, std::uint64_t ec,
   std::vector<net::TargetedFault> menu;
   net::Network& net = h.network();
   const std::size_t n = net.size();
-  const std::size_t cap = config_.max_faults_per_position;
+  const std::size_t cap = kMaxFaultsPerPosition;
   for (ProcessId from = 0; from < n && menu.size() < cap; ++from) {
     for (ProcessId to = 0; to < n && menu.size() < cap; ++to) {
       if (from == to) continue;
@@ -195,7 +182,9 @@ Outcome Explorer::drive(core::SystemHarness& h, const ScheduleTrace& trace,
   std::size_t fi = 0;
   while (ec < config_.max_events) {
     while (fi < trace.faults.size() && trace.faults[fi].at_event <= ec) {
-      apply_fault(h, trace.faults[fi].fault);
+      // A target that no longer exists (shrunk trace, drifted state)
+      // degrades to an unrecorded no-op.
+      h.faults().inject_targeted(trace.faults[fi].fault);
       ++fi;
     }
     if (rec != nullptr) record_fault_menu(h, ec, trace, *rec);
@@ -331,12 +320,12 @@ ExplorerResult Explorer::run() {
           net::TargetedFault heal = f;
           heal.code = net::kFaultCodeProcessRecover;
           child.faults.push_back(
-              FaultAt{pos + config_.lifecycle_gap_events, heal});
+              FaultAt{pos + kLifecycleGapEvents, heal});
         } else if (f.code == net::kFaultCodePartition) {
           net::TargetedFault heal = f;
           heal.code = net::kFaultCodePartitionHeal;
           child.faults.push_back(
-              FaultAt{pos + config_.lifecycle_gap_events, heal});
+              FaultAt{pos + kLifecycleGapEvents, heal});
         }
         ++stats_.faults_placed;
         stack.push_back(std::move(child));
@@ -357,7 +346,7 @@ void Explorer::push_choice_children(const ScheduleTrace& trace,
   // reorderings that mostly shuffle the drain.
   const std::size_t fixed = trace.choices.size();
   const std::uint32_t delays = nonzero_choices(trace.choices);
-  const std::size_t last = std::min(rec.points.size(), config_.branch_window);
+  const std::size_t last = std::min(rec.points.size(), kBranchWindow);
   for (std::size_t j = last; j-- > fixed;) {
     const std::vector<std::uint64_t>& tags = rec.points[j].tags;
     if (delays + 1 > config_.delay_budget) {

@@ -63,11 +63,6 @@ struct ExplorerConfig {
 
   /// Max non-default choices per schedule (delay bounding).
   std::uint32_t delay_budget = 2;
-  /// Only branch at the first `branch_window` choice points of a run —
-  /// the bug-relevant perturbations live early (request alignment, fault
-  /// races); late points mostly reorder the drain. Points past the window
-  /// still replay their recorded choices.
-  std::size_t branch_window = 400;
   /// Max placed faults per trace (0 = schedule exploration only).
   std::uint32_t fault_budget = 0;
   /// Max executions for the DFS (shrinking is budgeted separately).
@@ -77,14 +72,11 @@ struct ExplorerConfig {
   /// executed events in [0, fault_window).
   std::uint64_t fault_window = 600;
   std::uint64_t fault_stride = 60;
-  /// Cap on menu entries recorded per grid position.
-  std::size_t max_faults_per_position = 12;
   net::FaultMix mix = net::FaultMix::channel_only();
 
   /// Also enumerate crash/recover and partition/heal pairs (the recovery /
-  /// heal lands `lifecycle_gap_events` executed events after the fault).
+  /// heal lands a fixed number of executed events after the fault).
   bool explore_lifecycle = false;
-  std::uint64_t lifecycle_gap_events = 150;
 
   /// kConvergence: sim time granted after the fault window to converge.
   SimTime settle = 500;
@@ -164,8 +156,6 @@ class Explorer {
                          const ScheduleTrace& trace, Recording& rec);
   void push_choice_children(const ScheduleTrace& trace, const Recording& rec,
                             std::vector<ScheduleTrace>& stack);
-  static void apply_fault(core::SystemHarness& h,
-                          const net::TargetedFault& f);
 
   ExplorerConfig config_;
   ExplorerStats stats_;

@@ -107,7 +107,6 @@ void TmeProcess::on_message(const net::Message& msg) {
 }
 
 void TmeProcess::send(ProcessId to, net::MsgType type, clk::Timestamp ts) {
-  ++messages_sent_;
   net_.send(pid_, to, type, ts, /*from_wrapper=*/false);
 }
 

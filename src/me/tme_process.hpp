@@ -129,7 +129,6 @@ class TmeProcess {
   // --- Introspection ------------------------------------------------------
 
   std::uint64_t cs_entries() const { return cs_entries_; }
-  std::uint64_t messages_sent() const { return messages_sent_; }
   const clk::LogicalClock& clock() const { return lc_; }
 
   /// Observes *program* transitions (request/entry/release), not fault
@@ -188,7 +187,6 @@ class TmeProcess {
   TmeState state_ = TmeState::kThinking;
   clk::Timestamp req_{};
   std::uint64_t cs_entries_ = 0;
-  std::uint64_t messages_sent_ = 0;
   std::vector<StateChangeFn> state_observers_;
   obs::EventBus* bus_ = nullptr;
   obs::ProvenanceTracker* prov_ = nullptr;

@@ -6,6 +6,14 @@
 
 namespace graybox::net {
 
+namespace {
+
+constexpr std::uint8_t code_of(FaultKind kind) {
+  return static_cast<std::uint8_t>(kind);
+}
+
+}  // namespace
+
 const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kMessageDrop:
@@ -147,9 +155,9 @@ Message FaultInjector::random_message(ProcessId from, ProcessId to) {
   return msg;
 }
 
-obs::ProvenanceId FaultInjector::mint(FaultKind kind, ProcessId pid) {
+obs::ProvenanceId FaultInjector::mint(std::uint8_t code, ProcessId pid) {
   if (prov_ == nullptr) return obs::kNoProvenance;
-  return prov_->mint(static_cast<std::uint8_t>(kind), pid, sched_.now());
+  return prov_->mint(code, pid, sched_.now());
 }
 
 void FaultInjector::note(std::uint8_t code, ProcessId pid,
@@ -172,18 +180,6 @@ void FaultInjector::note(std::uint8_t code, ProcessId pid,
     }
   }
   if (on_fault_) on_fault_();
-}
-
-void FaultInjector::record_lifecycle(std::uint8_t code, ProcessId pid) {
-  GBX_EXPECTS(code >= kFaultKindCount && code < kFaultCodeCount);
-  obs::ProvenanceId id = obs::kNoProvenance;
-  if (prov_ != nullptr) {
-    id = prov_->mint(code, pid, sched_.now());
-    // Crash and recovery corrupt the named process (recovery re-enters an
-    // improperly initialized state); partitions have no single target.
-    if (pid != kNoProcess) prov_->taint_process(pid, id);
-  }
-  note(code, pid, 0, id);
 }
 
 void FaultInjector::taint_in_flight(Channel& ch, std::size_t index,
@@ -275,49 +271,47 @@ bool FaultInjector::inject(FaultKind kind) {
 }
 
 bool FaultInjector::inject_targeted(const TargetedFault& f) {
-  if (f.code >= kFaultKindCount) return false;
-  const auto kind = static_cast<FaultKind>(f.code);
+  const std::size_t n = net_.size();
   // Message and channel faults name a channel: two distinct pids in range.
-  const bool channel_named =
-      f.a < net_.size() && f.b < net_.size() && f.a != f.b;
+  const bool channel_named = f.a < n && f.b < n && f.a != f.b;
   ProcessId fault_pid = kNoProcess;
   std::uint64_t dropped = 0;
   obs::ProvenanceId id = obs::kNoProvenance;
-  switch (kind) {
-    case FaultKind::kMessageDrop: {
+  switch (f.code) {
+    case code_of(FaultKind::kMessageDrop): {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
       ch.fault_drop(f.index);
       // The carrier is destroyed; the minted id only marks the injection
       // (its blast radius is the silence the drop causes, not spread).
-      id = mint(kind);
+      id = mint(f.code);
       dropped = 1;
       break;
     }
-    case FaultKind::kMessageDuplicate: {
+    case code_of(FaultKind::kMessageDuplicate): {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
       ch.fault_duplicate(f.index);
       // The duplicate (placed right behind the original) is the faulty
       // artifact; the original message stays clean.
-      id = mint(kind);
+      id = mint(f.code);
       taint_in_flight(ch, f.index + 1, id);
       break;
     }
-    case FaultKind::kMessageCorrupt: {
+    case code_of(FaultKind::kMessageCorrupt): {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
       const Message& original = ch.contents()[f.index];
       Message corrupted = random_message(original.from, original.to);
       ch.fault_corrupt(f.index, corrupted);
-      id = mint(kind);
+      id = mint(f.code);
       taint_in_flight(ch, f.index, id);
       break;
     }
-    case FaultKind::kMessageReorder: {
+    case code_of(FaultKind::kMessageReorder): {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index == f.index2 || f.index >= ch.in_flight() ||
@@ -325,15 +319,15 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
         return false;
       ch.fault_swap(f.index, f.index2);
       // Both swapped messages are now out of FIFO order.
-      id = mint(kind);
+      id = mint(f.code);
       taint_in_flight(ch, f.index, id);
       taint_in_flight(ch, f.index2, id);
       break;
     }
-    case FaultKind::kSpuriousMessage: {
+    case code_of(FaultKind::kSpuriousMessage): {
       if (!channel_named) return false;
       Message fabricated = random_message(f.a, f.b);
-      id = mint(kind);
+      id = mint(f.code);
       if (id != obs::kNoProvenance) {
         fabricated.taint.add(id);
         prov_->note_message_taint(fabricated.taint);
@@ -341,25 +335,56 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       net_.channel(f.a, f.b).fault_inject(fabricated);
       break;
     }
-    case FaultKind::kProcessCorrupt: {
-      if (corrupt_process_ == nullptr || f.a >= net_.size()) return false;
+    case code_of(FaultKind::kProcessCorrupt): {
+      if (corrupt_process_ == nullptr || f.a >= n) return false;
       corrupt_process_(f.a, rng_);
       fault_pid = f.a;
-      id = mint(kind, f.a);
+      id = mint(f.code, f.a);
       if (prov_ != nullptr) prov_->taint_process(f.a, id);
       break;
     }
-    case FaultKind::kChannelClear: {
+    case code_of(FaultKind::kChannelClear): {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (ch.empty()) return false;
       dropped = ch.in_flight();
       ch.fault_clear();
-      id = mint(kind);
+      id = mint(f.code);
       break;
     }
+    case kFaultCodeProcessCrash:
+    case kFaultCodeProcessRecover: {
+      const bool down = f.code == kFaultCodeProcessCrash;
+      if (f.a >= n || net_.crashed(f.a) == down) return false;
+      net_.set_crashed(f.a, down);
+      if (lifecycle_) lifecycle_(f.a, down);
+      fault_pid = f.a;
+      // Crash and recovery corrupt the named process (recovery re-enters
+      // an improperly initialized state).
+      id = mint(f.code, f.a);
+      if (prov_ != nullptr) prov_->taint_process(f.a, id);
+      break;
+    }
+    case kFaultCodePartition: {
+      if (n > 64 || net_.partition_mask() != 0) return false;
+      const std::uint64_t all =
+          n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+      const std::uint64_t cut = f.mask & all;
+      if (cut == 0 || cut == all) return false;
+      net_.set_partition(cut);
+      // A partition has no single target.
+      id = mint(f.code);
+      break;
+    }
+    case kFaultCodePartitionHeal:
+      if (net_.partition_mask() == 0) return false;
+      net_.set_partition(0);
+      id = mint(f.code);
+      break;
+    default:
+      return false;
   }
-  note(static_cast<std::uint8_t>(kind), fault_pid, dropped, id);
+  note(f.code, fault_pid, dropped, id);
   return true;
 }
 

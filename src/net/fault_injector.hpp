@@ -5,12 +5,15 @@
 // arbitrarily) corrupted at any time. Stabilization is desired
 // notwithstanding the occurrence of any finite number of these faults."
 //
-// The injector perturbs channels directly and perturbs process state via a
-// callback supplied by the harness (the process layer sits above this one).
-// Every perturbation draws from a seeded RNG, so an adversarial run is
-// replayable. The injector keeps the run's only count/first/last record of
-// every fault code, the harness's lifecycle faults included; stabilization
-// latency is always measured from the last of them.
+// The injector is the one place every fault code is applied, counted and
+// named. It perturbs channels and the network's crash and partition state
+// directly, and reaches process state through two callbacks supplied by
+// the harness (the process layer sits above this one): one corrupts a
+// process, the other stops or restarts what runs beside a crashed or
+// recovered one. Every perturbation draws from a seeded RNG, so an
+// adversarial run is replayable. The injector keeps the run's only
+// count/first/last record of every fault code; stabilization latency is
+// always measured from the last of them.
 #pragma once
 
 #include <array>
@@ -37,11 +40,11 @@ inline constexpr std::size_t kFaultKindCount = 7;
 
 const char* to_string(FaultKind kind);
 
-/// Lifecycle faults of the sustained-load subsystem (the paper's §3.1
-/// "processes ... fail, recover" plus network partitions). They are not
-/// FaultKind values — the one-shot injector cannot apply them; the harness
-/// drives them — but they share the observability bus's fault-code space,
-/// appended after the injector's kinds so kFaultInjected events cover both.
+/// Lifecycle faults (the paper's §3.1 "processes ... fail, recover" plus
+/// network partitions). They are not FaultKind values — no random mix
+/// draws them; the sustained load and the model checker place them — but
+/// they share the fault-code space, appended after the FaultKind values,
+/// and inject_targeted applies them like any other code.
 inline constexpr std::uint8_t kFaultCodeProcessCrash = 7;
 inline constexpr std::uint8_t kFaultCodeProcessRecover = 8;
 inline constexpr std::uint8_t kFaultCodePartition = 9;
@@ -76,10 +79,9 @@ struct FaultMix {
 };
 
 /// One fully specified fault application — what the model checker (src/mc)
-/// enumerates and what a replayed ScheduleTrace re-applies. `code` spans
-/// the full fault-code space: FaultKind values are applied by
-/// FaultInjector::inject_targeted; the lifecycle codes (crash / recover /
-/// partition / heal) are dispatched by the harness, which owns processes.
+/// enumerates, what a replayed ScheduleTrace re-applies and what the
+/// sustained load's lifecycle streams apply. `code` spans the full
+/// fault-code space; FaultInjector::inject_targeted applies every code.
 struct TargetedFault {
   std::uint8_t code = 0;
   /// Channel source for message faults; corrupted / crashed / recovered
@@ -91,7 +93,7 @@ struct TargetedFault {
   std::uint32_t index = 0;
   /// Second in-flight index (reorder swaps index <-> index2).
   std::uint32_t index2 = 0;
-  /// Bipartition mask (kFaultCodePartition only).
+  /// Bipartition mask (kFaultCodePartition only; bit p = p's side).
   std::uint64_t mask = 0;
 };
 
@@ -100,6 +102,10 @@ class FaultInjector {
   /// Arbitrarily corrupts the state of one process; supplied by the harness
   /// because processes live in a layer above the network.
   using CorruptProcessFn = std::function<void(ProcessId, Rng&)>;
+  /// Stops (`down`) or restarts what runs beside a process the injector
+  /// has just crashed or recovered; supplied by the harness for the same
+  /// reason.
+  using LifecycleFn = std::function<void(ProcessId, bool down)>;
 
   FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
                 CorruptProcessFn corrupt_process);
@@ -114,13 +120,16 @@ class FaultInjector {
   /// absent are skipped; returns false if nothing was applicable.
   bool inject_random(const FaultMix& mix);
 
-  /// Apply one fully specified fault (FaultKind codes only; lifecycle
-  /// codes are the harness's job). Returns false when the target no longer
-  /// exists — an index past the backlog, an empty channel — so replaying a
-  /// shrunk trace against drifted state degrades to a no-op instead of
-  /// tripping the channel contracts. Content randomness (corrupt payloads,
-  /// spurious messages, process corruption) still draws from the seeded
-  /// injector RNG, so a fixed call sequence is deterministic.
+  /// Apply one fully specified fault of any code. Returns false, recording
+  /// nothing, when the fault does not apply: its target no longer exists
+  /// (an index past the backlog, an empty channel), the process is already
+  /// down (crash) or up (recover), a partition already holds (partition)
+  /// or none does (heal), or the mask does not cut the processes both ways
+  /// (masks are 64-bit, so no partition applies above 64 processes). A
+  /// shrunk trace replayed against drifted state thus degrades to a no-op
+  /// instead of tripping the channel contracts. Content randomness (corrupt
+  /// payloads, spurious messages, process corruption) still draws from the
+  /// seeded injector RNG, so a fixed call sequence is deterministic.
   bool inject_targeted(const TargetedFault& f);
 
   /// Apply up to `count` random faults right now.
@@ -136,12 +145,6 @@ class FaultInjector {
   /// Fabricate an adversarial message payload (log-uniform magnitude
   /// timestamp, random type). Public so scenario tests can reuse it.
   Message random_message(ProcessId from, ProcessId to);
-
-  /// Record a lifecycle fault (process crash or recovery, partition or
-  /// heal) that the harness has just applied: mint its provenance id, taint
-  /// the crashed or recovered process, and account it like an injected
-  /// fault.
-  void record_lifecycle(std::uint8_t code, ProcessId pid);
 
   /// Exact count / first / last per fault code (kFaultCodeCount rows).
   const std::array<obs::KindStats, kFaultCodeCount>& code_stats() const {
@@ -171,6 +174,11 @@ class FaultInjector {
     on_fault_ = std::move(fn);
   }
 
+  /// Harness hook fired when a crash or recovery applies, after the
+  /// network's crash flag flips and before the fault is recorded. Without
+  /// one, a crash only silences the process's deliveries.
+  void set_lifecycle(LifecycleFn fn) { lifecycle_ = std::move(fn); }
+
  private:
   /// Account one applied fault: bump the per-code aggregate and emit bus
   /// events. `pid` names the corrupted process (process faults only);
@@ -179,7 +187,7 @@ class FaultInjector {
   void note(std::uint8_t code, ProcessId pid, std::uint64_t dropped,
             obs::ProvenanceId id);
   /// Mint the provenance id for one applied fault (0 when tracking is off).
-  obs::ProvenanceId mint(FaultKind kind, ProcessId pid = kNoProcess);
+  obs::ProvenanceId mint(std::uint8_t code, ProcessId pid = kNoProcess);
   /// Taint the in-flight carrier the fault tampered with (no-op id 0).
   void taint_in_flight(Channel& ch, std::size_t index, obs::ProvenanceId id);
 
@@ -191,6 +199,7 @@ class FaultInjector {
   obs::EventBus* bus_ = nullptr;
   obs::ProvenanceTracker* prov_ = nullptr;
   std::function<void()> on_fault_;
+  LifecycleFn lifecycle_;
 };
 
 }  // namespace graybox::net

@@ -9,24 +9,22 @@
 // Dubois/Guerraoui). FaultProcess turns the one-shot FaultInjector into a
 // set of independent Poisson processes — one per fault kind, each with its
 // own split RNG stream and exponential inter-arrival times — plus two
-// *lifecycle* streams the injector cannot express:
+// *lifecycle* streams whose faults come in pairs:
 //
 //   * crash/recovery: a process fails (stops handling deliveries) and later
 //     recovers into an "improperly initialized" state;
 //   * partition/heal: the process set is bipartitioned (cross-side sends
 //     are lost) and later healed.
 //
-// Lifecycle actions run through callbacks supplied by the harness, because
-// processes and wrappers live above the network layer (the same pattern as
-// FaultInjector::CorruptProcessFn). Every draw comes from a stream-private
-// RNG split in a fixed order, so a fault schedule is a pure function of the
-// seed regardless of what the system under test does — and is therefore
-// byte-identical across experiment-engine worker counts.
+// Every fault goes through FaultInjector::inject_targeted, which applies,
+// counts and names it; a false return means the arrival did not apply and
+// is skipped. Every draw comes from a stream-private RNG split in a fixed
+// order, so a fault schedule is a pure function of the seed regardless of
+// what the system under test does — and is therefore byte-identical across
+// experiment-engine worker counts.
 #pragma once
 
 #include <array>
-#include <functional>
-#include <vector>
 
 #include "common/rng.hpp"
 #include "net/fault_injector.hpp"
@@ -78,34 +76,14 @@ struct FaultProcessConfig {
   }
 };
 
-/// One applied (not skipped) fault arrival; the determinism tests compare
-/// whole schedules across runs.
-struct FaultArrival {
-  SimTime time = 0;
-  /// Fault code: FaultKind value or a kFaultCode* lifecycle code.
-  std::uint8_t code = 0;
-  /// Crashed/recovered process for lifecycle codes 7/8; kNoProcess else.
-  ProcessId pid = kNoProcess;
-};
-
 class FaultProcess {
  public:
-  /// Lifecycle hooks supplied by the harness (the layer that owns
-  /// processes, clients, and wrappers). `crash`/`partition` return false
-  /// when the action is not applicable (process already down, partition
-  /// already active); the arrival is then skipped and not recorded.
-  struct Callbacks {
-    std::function<bool(ProcessId)> crash;
-    std::function<void(ProcessId)> recover;
-    std::function<bool(std::uint64_t)> partition;  // bipartition mask
-    std::function<void()> heal;
-  };
-
-  /// `n` is the process count (crash targets and partition masks are drawn
-  /// from it). Streams draw from RNGs split off `rng` in a fixed order.
-  /// Requires n <= 64 when the partition stream is enabled.
-  FaultProcess(sim::Scheduler& sched, FaultInjector& injector, std::size_t n,
-               FaultProcessConfig config, Rng rng, Callbacks callbacks = {});
+  /// Crash targets and partition masks are drawn over `net`'s processes,
+  /// and `max_down` reads its crash count. Streams draw from RNGs split off
+  /// `rng` in a fixed order. Requires net.size() <= 64 when the partition
+  /// stream is enabled.
+  FaultProcess(sim::Scheduler& sched, FaultInjector& injector,
+               const Network& net, FaultProcessConfig config, Rng rng);
 
   FaultProcess(const FaultProcess&) = delete;
   FaultProcess& operator=(const FaultProcess&) = delete;
@@ -114,23 +92,8 @@ class FaultProcess {
   /// No-op when already running or nothing is enabled.
   void start();
 
-  /// Stop scheduling new arrivals. Already-scheduled arrivals become
-  /// no-ops; a pending recovery/heal still executes (a stopped adversary
-  /// does not strand a crashed process).
-  void stop();
-
   bool running() const { return running_; }
   const FaultProcessConfig& config() const { return config_; }
-
-  /// Applied fault arrivals, in time order (skipped arrivals excluded).
-  /// Recorded only while `record_schedule(true)` — the default keeps long
-  /// runs allocation-free.
-  void record_schedule(bool on) { record_schedule_ = on; }
-  const std::vector<FaultArrival>& schedule() const { return schedule_; }
-
-  /// Arrivals that fired, applied or not (targetless message faults and
-  /// capped crashes are skipped; the injector counts the applied ones).
-  std::uint64_t arrivals_fired() const { return arrivals_fired_; }
 
  private:
   // Stream indices: the FaultKind codes 0..6, then crash, then partition.
@@ -144,27 +107,20 @@ class FaultProcess {
   void fire(std::size_t stream);
   void fire_crash();
   void fire_partition();
-  void note(std::uint8_t code, ProcessId pid);
+  /// Apply `f` now and, when it applied, apply `f` with code `undo` after
+  /// `delay` ticks (the recovery of a crash, the heal of a partition).
+  void apply_pair(TargetedFault f, std::uint8_t undo, SimTime delay);
 
   sim::Scheduler& sched_;
   FaultInjector& injector_;
-  std::size_t n_;
+  const Network& net_;
   FaultProcessConfig config_;
-  Callbacks callbacks_;
   /// One RNG per stream, split in fixed index order at construction, plus
   /// one for lifecycle durations — draw order is independent of the system
   /// under test.
   std::array<Rng, kStreamCount> stream_rngs_;
   Rng lifecycle_rng_;
   bool running_ = false;
-  bool record_schedule_ = false;
-  std::vector<FaultArrival> schedule_;
-  std::uint64_t arrivals_fired_ = 0;
-  /// Per pid: crashed by this FaultProcess and not yet recovered (its own
-  /// view; manual harness crashes are not tracked).
-  std::vector<char> down_;
-  std::size_t down_count_ = 0;
-  bool partition_active_ = false;
 };
 
 }  // namespace graybox::net

@@ -44,7 +44,7 @@ std::string Message::to_string() const {
 
 Network::Network(sim::Scheduler& sched, std::size_t n, DelayModel delay,
                  Rng rng)
-    : sched_(sched), n_(n), handlers_(n) {
+    : sched_(sched), n_(n), handlers_(n), crashed_(n, 0) {
   GBX_EXPECTS(n >= 1);
   channels_.resize(n * n);
   for (ProcessId from = 0; from < n; ++from) {
@@ -125,6 +125,12 @@ void Network::set_partition(std::uint64_t mask) {
   partition_mask_ = mask;
 }
 
+void Network::set_crashed(ProcessId pid, bool down) {
+  GBX_EXPECTS(pid < n_ && crashed(pid) != down);
+  crashed_[pid] = down ? 1 : 0;
+  crashed_count_ = down ? crashed_count_ + 1 : crashed_count_ - 1;
+}
+
 void Network::local_event(ProcessId pid) {
   GBX_EXPECTS(pid < n_);
   vclocks_[pid].tick();
@@ -172,6 +178,10 @@ void Network::deliver(const Message& msg) {
   last_delivery_time_ = sched_.now();
   if (bus_) bus_->record(message_event(obs::EventKind::kDeliver, msg));
   for (const auto& obs : delivery_observers_) obs(msg);
+  if (crashed_[msg.to]) {
+    ++deliveries_to_crashed_;
+    return;
+  }
   GBX_ASSERT(handlers_[msg.to] != nullptr);
   handlers_[msg.to](msg);
 }

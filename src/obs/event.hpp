@@ -27,7 +27,7 @@ enum class EventKind : std::uint8_t {
   kLocalStep,          ///< program transition other than CS enter/exit
   kCsEnter,            ///< h -> e (pid entered the critical section)
   kCsExit,             ///< e -> t (pid left the critical section)
-  kFaultInjected,      ///< FaultInjector applied a fault (a = FaultKind)
+  kFaultInjected,      ///< FaultInjector applied a fault (a = fault code)
   kWrapperCorrection,  ///< W'j resent REQj to a stale peer (pid -> peer)
   kMonitorViolation,   ///< a spec monitor reported (monitor = index)
   kLocalCorrection,    ///< level-1 wrapper repaired local state (a = pred)
@@ -35,12 +35,6 @@ enum class EventKind : std::uint8_t {
 inline constexpr std::size_t kEventKindCount = 10;
 
 const char* to_string(EventKind kind);
-
-/// Built-in name for a kFaultInjected code when no fault_kind_names table
-/// was registered: the full 11-code space (net::FaultKind 0..6 plus the
-/// lifecycle codes 7..10), mirroring net::fault_code_name. Returns nullptr
-/// for codes beyond the known space.
-const char* fault_code_builtin_name(std::uint8_t code);
 
 /// One recorded event. Field meaning by kind:
 ///
@@ -51,8 +45,9 @@ const char* fault_code_builtin_name(std::uint8_t code);
 ///   kLocalStep/kCsEnter/
 ///   kCsExit                 pid = process, a = from-state, b = to-state
 ///                           (me::TmeState codes)
-///   kFaultInjected          a = net::FaultKind code, pid = corrupted
-///                           process (process faults only)
+///   kFaultInjected          a = fault code (net::fault_code_name), pid =
+///                           corrupted, crashed or recovered process
+///                           (process faults only)
 ///   kWrapperCorrection      pid = wrapped process, peer = stale peer
 ///   kMonitorViolation       monitor = index in the owning MonitorSet
 ///   kLocalCorrection        pid = repaired process, a = the violated

@@ -32,40 +32,6 @@ const char* to_string(EventKind kind) {
   return "unknown-event";
 }
 
-const char* fault_code_builtin_name(std::uint8_t code) {
-  // Mirrors net::fault_code_name over the full 11-code space (FaultKind
-  // 0..6 + lifecycle 7..10) — duplicated because obs sits below net in the
-  // layering, like the message/state vocabularies below. Keeping the full
-  // table here means renderers and timelines label lifecycle faults
-  // correctly even on a hand-wired bus with no registered name table.
-  switch (code) {
-    case 0:
-      return "message-drop";
-    case 1:
-      return "message-duplicate";
-    case 2:
-      return "message-corrupt";
-    case 3:
-      return "message-reorder";
-    case 4:
-      return "spurious-message";
-    case 5:
-      return "process-corrupt";
-    case 6:
-      return "channel-clear";
-    case 7:
-      return "process-crash";
-    case 8:
-      return "process-recover";
-    case 9:
-      return "partition";
-    case 10:
-      return "partition-heal";
-    default:
-      return nullptr;
-  }
-}
-
 namespace {
 
 // Rendering vocabulary. These mirror net::to_string(MsgType) and
@@ -134,14 +100,6 @@ void EventBus::record_slow(const Event& e) {
   stamped.time = sched_.now();
 
   kind_stats_[static_cast<std::size_t>(stamped.kind)].note(stamped.time);
-  if (stamped.kind == EventKind::kMonitorViolation &&
-      stamped.monitor < monitor_stats_.size()) {
-    monitor_stats_[stamped.monitor].note(stamped.time);
-  }
-  if (stamped.kind == EventKind::kFaultInjected &&
-      stamped.a < fault_stats_.size()) {
-    fault_stats_[stamped.a].note(stamped.time);
-  }
 
   const std::size_t slot = (head_ + size_) % capacity_;
   ring_[slot] = stamped;
@@ -163,18 +121,6 @@ void EventBus::clear() {
   size_ = 0;
   total_ = 0;
   for (KindStats& s : kind_stats_) s = KindStats{};
-  for (KindStats& s : monitor_stats_) s = KindStats{};
-  for (KindStats& s : fault_stats_) s = KindStats{};
-}
-
-void EventBus::set_monitor_names(std::vector<std::string> names) {
-  monitor_names_ = std::move(names);
-  monitor_stats_.assign(monitor_names_.size(), KindStats{});
-}
-
-void EventBus::set_fault_kind_names(std::vector<std::string> names) {
-  fault_kind_names_ = std::move(names);
-  fault_stats_.assign(fault_kind_names_.size(), KindStats{});
 }
 
 std::string EventBus::render(const Event& e) const {
@@ -192,15 +138,9 @@ std::string EventBus::render(const Event& e) const {
       return "proc " + std::to_string(e.pid) + ": " + state_name(e.a) +
              " -> " + state_name(e.b);
     case EventKind::kFaultInjected: {
-      std::string name;
-      if (e.a < fault_kind_names_.size()) {
-        name = fault_kind_names_[e.a];
-      } else if (const char* builtin = fault_code_builtin_name(e.a)) {
-        name = builtin;
-      } else {
-        name = "fault#" + std::to_string(e.a);
-      }
-      std::string out = "fault " + name;
+      std::string out = "fault ";
+      out += e.a < fault_kind_names_.size() ? fault_kind_names_[e.a]
+                                            : "fault#" + std::to_string(e.a);
       if (e.pid != kNoProcess) out += " @proc " + std::to_string(e.pid);
       return out;
     }

@@ -3,10 +3,10 @@
 // One bus per harness (or per hand-wired system). Producers — the network,
 // the processes, the wrappers, the fault injector, the monitor set — hold a
 // nullable pointer to it and record compact Events; the bus stamps the
-// simulation time, appends to a preallocated ring, and maintains exact
-// count/first/last aggregates per event kind, per monitor, and per fault
-// kind (the aggregates survive ring eviction, which is what timelines are
-// derived from).
+// simulation time, appends to a preallocated ring, and maintains an exact
+// count/first/last aggregate per event kind (it survives ring eviction).
+// The per-fault-code and per-monitor rows live with their producers: the
+// fault injector's code_stats() and the monitors.
 //
 // Cost model: record() on a disabled bus (capacity 0) is a single predicted
 // branch; enabled it is a couple of array writes, no allocation ever after
@@ -55,25 +55,24 @@ class EventBus {
   const KindStats& kind_stats(EventKind kind) const {
     return kind_stats_[static_cast<std::size_t>(kind)];
   }
-  /// Per-monitor violation aggregates, indexed like monitor_names().
-  const std::vector<KindStats>& monitor_stats() const {
-    return monitor_stats_;
-  }
-  /// Per-fault-kind injection aggregates, indexed like fault_kind_names().
-  const std::vector<KindStats>& fault_stats() const { return fault_stats_; }
 
-  // --- Name tables (for rendering and timeline labels) ------------------
+  // --- Name tables (for rendering) --------------------------------------
 
   /// Names of the monitors feeding kMonitorViolation events, in monitor
-  /// index order. Also sizes monitor_stats().
-  void set_monitor_names(std::vector<std::string> names);
+  /// index order.
+  void set_monitor_names(std::vector<std::string> names) {
+    monitor_names_ = std::move(names);
+  }
   const std::vector<std::string>& monitor_names() const {
     return monitor_names_;
   }
 
-  /// Names of the fault kinds feeding kFaultInjected events, indexed by
-  /// the Event::a code. Also sizes fault_stats().
-  void set_fault_kind_names(std::vector<std::string> names);
+  /// Names of the fault codes feeding kFaultInjected events, indexed by
+  /// the Event::a code (net::fault_kind_names()). A code past the table
+  /// renders as "fault#<code>".
+  void set_fault_kind_names(std::vector<std::string> names) {
+    fault_kind_names_ = std::move(names);
+  }
   const std::vector<std::string>& fault_kind_names() const {
     return fault_kind_names_;
   }
@@ -95,8 +94,6 @@ class EventBus {
   std::size_t size_ = 0;
   std::uint64_t total_ = 0;
   KindStats kind_stats_[kEventKindCount];
-  std::vector<KindStats> monitor_stats_;
-  std::vector<KindStats> fault_stats_;
   std::vector<std::string> monitor_names_;
   std::vector<std::string> fault_kind_names_;
 };

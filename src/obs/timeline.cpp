@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "obs/event_bus.hpp"
-
 namespace graybox::obs {
 
 namespace {
@@ -82,18 +80,6 @@ StabilizationTimeline fold_timeline(
   for (SimTime t : {burst.last, violations.last})
     if (t != kNever) activity.note(t);
   tl.last_activity = activity.last;
-  return tl;
-}
-
-StabilizationTimeline timeline_from_bus(const EventBus& bus) {
-  StabilizationTimeline tl = fold_timeline(
-      bus.now(), bus.fault_kind_names(), bus.fault_stats(),
-      bus.monitor_names(), bus.monitor_stats(),
-      {bus.kind_stats(EventKind::kSend).last,
-       bus.kind_stats(EventKind::kDeliver).last,
-       bus.kind_stats(EventKind::kWrapperCorrection).last,
-       bus.kind_stats(EventKind::kLocalCorrection).last});
-  tl.quiescent = tl.last_activity == kNever || tl.last_activity < tl.run_end;
   return tl;
 }
 

@@ -11,8 +11,8 @@
 // with exact counts and first/last sim-times per fault kind and per monitor
 // clause. It is a pure value folded by fold_timeline() from per-fault-code
 // and per-monitor count/first/last rows. SystemHarness::timeline() reads
-// the rows from the fault injector and the monitors; timeline_from_bus()
-// reads the EventBus's copy of them (for hand-wired systems).
+// the rows from the fault injector and the monitors; a hand-wired system
+// folds its own injector's rows the same way.
 #pragma once
 
 #include <initializer_list>
@@ -24,8 +24,6 @@
 #include "obs/event.hpp"
 
 namespace graybox::obs {
-
-class EventBus;
 
 /// One named event class (a fault kind or a monitor clause) with its exact
 /// count / first / last aggregate over the run.
@@ -64,17 +62,12 @@ struct StabilizationTimeline {
     return last_violation > last_fault ? last_violation - last_fault : 0;
   }
 
-  /// True once every violation precedes run_end and no fault is pending —
-  /// i.e. the run's violations are confined to a prefix, the paper's
-  /// stabilization verdict.
-  bool stabilized() const { return quiescent || last_violation < run_end; }
-
   /// Multi-line human-readable rendering, phase per line (what the
   /// examples print after a fault burst).
   std::string to_string() const;
 };
 
-/// The fold both derivations share. `faults[k]` and `clauses[m]` are the
+/// The fold. `faults[k]` and `clauses[m]` are the
 /// count/first/last rows of fault code k and monitor m, labelled by the
 /// matching name table entries. Fault rows with no fault are dropped; the
 /// burst and violation totals are the rows' sums and extremes; the last
@@ -87,11 +80,5 @@ StabilizationTimeline fold_timeline(
     const std::vector<std::string>& monitor_names,
     std::span<const KindStats> clauses,
     std::initializer_list<SimTime> traffic);
-
-/// Derive a timeline purely from EventBus aggregates. Requires the bus to
-/// have seen the run's kFaultInjected / kMonitorViolation / kSend /
-/// kDeliver events and to carry the fault and monitor name tables, which
-/// size its per-code and per-monitor rows.
-StabilizationTimeline timeline_from_bus(const EventBus& bus);
 
 }  // namespace graybox::obs

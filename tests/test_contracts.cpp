@@ -142,7 +142,7 @@ TEST(Contracts, FaultProcessRejectsPartitionsAboveSixtyFourProcesses) {
                                     [](ProcessId, Rng&) {});
         net::FaultProcessConfig fp;
         fp.partition_mean = 100;
-        net::FaultProcess load(sched, injector, 65, fp, Rng(3));
+        net::FaultProcess load(sched, injector, net, fp, Rng(3));
       },
       "precondition");
 }

@@ -1,11 +1,10 @@
 // The sustained fault-load subsystem: FaultProcess stream determinism,
-// crash/recovery and partition/heal lifecycles through the harness, their
+// crash/recovery and partition/heal lifecycles through the injector, their
 // metrics (their timeline parity is in test_obs.cpp), and the engine-level
 // guarantee that fault-load experiments stay byte-identical across --jobs
 // values.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "common/report.hpp"
@@ -13,6 +12,7 @@
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
 #include "net/fault_process.hpp"
+#include "obs/provenance.hpp"
 
 namespace graybox::core {
 namespace {
@@ -41,44 +41,39 @@ net::FaultProcessConfig modest_load() {
 
 // --- FaultProcess determinism ----------------------------------------------
 
+/// The applied fault schedule of a 6000-tick loaded run: one provenance
+/// row per applied fault, in application order (time, code, target pid).
+std::vector<obs::BlastRadius> applied_schedule(std::uint64_t seed) {
+  HarnessConfig config = load_config(seed);
+  config.fault_process = modest_load();
+  config.provenance = true;
+  SystemHarness h(config);
+  h.start();
+  h.run_for(6000);
+  return h.provenance()->blast();
+}
+
 TEST(FaultProcess, SameSeedSameSchedule) {
   // The applied fault schedule is a pure function of the seed: two
   // identical systems produce entry-for-entry identical schedules.
-  std::vector<net::FaultArrival> schedules[2];
-  for (int run = 0; run < 2; ++run) {
-    HarnessConfig config = load_config(42);
-    config.fault_process = modest_load();
-    SystemHarness h(config);
-    h.fault_load().record_schedule(true);
-    h.start();
-    h.run_for(6000);
-    schedules[run] = h.fault_load().schedule();
-  }
+  const std::vector<obs::BlastRadius> schedules[2] = {applied_schedule(42),
+                                                      applied_schedule(42)};
   ASSERT_FALSE(schedules[0].empty());
   ASSERT_EQ(schedules[0].size(), schedules[1].size());
   for (std::size_t i = 0; i < schedules[0].size(); ++i) {
-    EXPECT_EQ(schedules[0][i].time, schedules[1][i].time) << i;
+    EXPECT_EQ(schedules[0][i].injected_at, schedules[1][i].injected_at) << i;
     EXPECT_EQ(schedules[0][i].code, schedules[1][i].code) << i;
-    EXPECT_EQ(schedules[0][i].pid, schedules[1][i].pid) << i;
+    EXPECT_EQ(schedules[0][i].origin, schedules[1][i].origin) << i;
   }
 }
 
 TEST(FaultProcess, DifferentSeedsDifferentSchedules) {
-  std::vector<net::FaultArrival> schedules[2];
-  const std::uint64_t seeds[2] = {42, 43};
-  for (int run = 0; run < 2; ++run) {
-    HarnessConfig config = load_config(seeds[run]);
-    config.fault_process = modest_load();
-    SystemHarness h(config);
-    h.fault_load().record_schedule(true);
-    h.start();
-    h.run_for(6000);
-    schedules[run] = h.fault_load().schedule();
-  }
+  const std::vector<obs::BlastRadius> schedules[2] = {applied_schedule(42),
+                                                      applied_schedule(43)};
   ASSERT_FALSE(schedules[0].empty());
   bool differ = schedules[0].size() != schedules[1].size();
   for (std::size_t i = 0; !differ && i < schedules[0].size(); ++i) {
-    differ = schedules[0][i].time != schedules[1][i].time ||
+    differ = schedules[0][i].injected_at != schedules[1][i].injected_at ||
              schedules[0][i].code != schedules[1][i].code;
   }
   EXPECT_TRUE(differ);
@@ -92,7 +87,6 @@ TEST(FaultProcess, DisabledByDefaultDrawsNothing) {
   h.start();
   h.run_for(3000);
   EXPECT_FALSE(h.fault_load().running());
-  EXPECT_EQ(h.fault_load().arrivals_fired(), 0u);
   EXPECT_EQ(h.stats().faults_injected, 0u);
 }
 
@@ -108,17 +102,11 @@ TEST(FaultProcess, CrashStreamReachesPidsAboveSixtyThree) {
   fp.crash_mean = 2;
   fp.max_down = kN;
   fp.downtime_mean = 1e9;
-  std::vector<char> down(kN, 0);
-  net::FaultProcess::Callbacks lifecycle;
-  lifecycle.crash = [&down](ProcessId pid) {
-    down.at(pid) = 1;
-    return true;
-  };
-  net::FaultProcess load(sched, injector, kN, fp, Rng(3), lifecycle);
+  net::FaultProcess load(sched, injector, net, fp, Rng(3));
   load.start();
   sched.run_until(20000);
-  EXPECT_EQ(std::count(down.begin(), down.end(), 1),
-            static_cast<std::ptrdiff_t>(kN));
+  EXPECT_EQ(net.crashed_count(), kN);
+  EXPECT_EQ(injector.code_stats()[net::kFaultCodeProcessCrash].count, kN);
 }
 
 TEST(FaultProcess, StreamsStopAtEnd) {
@@ -127,12 +115,10 @@ TEST(FaultProcess, StreamsStopAtEnd) {
   config.fault_process.spurious_mean = 60;
   config.fault_process.end = 1000;
   SystemHarness h(config);
-  h.fault_load().record_schedule(true);
   h.start();
   h.run_for(5000);
-  ASSERT_FALSE(h.fault_load().schedule().empty());
-  for (const net::FaultArrival& a : h.fault_load().schedule())
-    EXPECT_LT(a.time, 1000u);
+  ASSERT_GT(h.faults().total_injected(), 0u);
+  EXPECT_LT(h.faults().last_fault_time(), 1000u);
 }
 
 // --- Crash / recovery -------------------------------------------------------
@@ -142,9 +128,13 @@ TEST(HarnessLifecycle, CrashSwallowsDeliveriesUntilRecovery) {
   SystemHarness h(config);
   h.start();
   h.run_for(500);
-  ASSERT_TRUE(h.crash(1));
-  EXPECT_TRUE(h.crashed(1));
-  EXPECT_FALSE(h.crash(1));  // already down: not a second fault
+  const net::TargetedFault crash{.code = net::kFaultCodeProcessCrash, .a = 1};
+  const net::TargetedFault recover{.code = net::kFaultCodeProcessRecover,
+                                   .a = 1};
+  ASSERT_TRUE(h.faults().inject_targeted(crash));
+  EXPECT_TRUE(h.network().crashed(1));
+  // Already down: not a second fault.
+  EXPECT_FALSE(h.faults().inject_targeted(crash));
   const std::uint64_t entries_at_crash = h.process(1).cs_entries();
   h.run_for(1500);
   // The dead process took no steps; traffic to it was swallowed.
@@ -154,9 +144,9 @@ TEST(HarnessLifecycle, CrashSwallowsDeliveriesUntilRecovery) {
   EXPECT_EQ(mid.recoveries, 0u);
   EXPECT_GT(mid.deliveries_to_crashed, 0u);
 
-  ASSERT_TRUE(h.recover(1));
-  EXPECT_FALSE(h.crashed(1));
-  EXPECT_FALSE(h.recover(1));
+  ASSERT_TRUE(h.faults().inject_targeted(recover));
+  EXPECT_FALSE(h.network().crashed(1));
+  EXPECT_FALSE(h.faults().inject_targeted(recover));
   h.run_for(4000);
   h.drain(3000);
   const RunStats end = h.stats();
@@ -175,16 +165,24 @@ TEST(HarnessLifecycle, PartitionBlocksCrossTrafficUntilHealed) {
   SystemHarness h(config);
   h.start();
   h.run_for(500);
-  ASSERT_TRUE(h.partition(0b0001));  // isolate process 0
-  EXPECT_TRUE(h.partitioned());
-  EXPECT_FALSE(h.partition(0b0011));  // one partition at a time
+  auto inject = [&h](std::uint8_t code, std::uint64_t mask = 0) {
+    return h.faults().inject_targeted(
+        net::TargetedFault{.code = code, .mask = mask});
+  };
+  // A mask must cut the 4 processes both ways.
+  EXPECT_FALSE(inject(net::kFaultCodePartition, 0b1111));
+  EXPECT_FALSE(inject(net::kFaultCodePartition, 0b110000));
+  ASSERT_TRUE(inject(net::kFaultCodePartition, 0b0001));  // isolate 0
+  EXPECT_EQ(h.network().partition_mask(), 0b0001u);
+  // One partition at a time.
+  EXPECT_FALSE(inject(net::kFaultCodePartition, 0b0011));
   h.run_for(1000);
   const RunStats mid = h.stats();
   EXPECT_EQ(mid.partitions, 1u);
   EXPECT_GT(mid.dropped_by_partition, 0u);
-  ASSERT_TRUE(h.heal_partition());
-  EXPECT_FALSE(h.partitioned());
-  EXPECT_FALSE(h.heal_partition());
+  ASSERT_TRUE(inject(net::kFaultCodePartitionHeal));
+  EXPECT_EQ(h.network().partition_mask(), 0u);
+  EXPECT_FALSE(inject(net::kFaultCodePartitionHeal));
   h.run_for(4000);
   h.drain(3000);
   const RunStats end = h.stats();

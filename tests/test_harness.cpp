@@ -164,7 +164,8 @@ TEST(Harness, ReconvergenceCountsOnlySafetyViolations) {
   SystemHarness h(config);
   h.start();
   h.run_for(200);
-  ASSERT_TRUE(h.crash(1));
+  ASSERT_TRUE(h.faults().inject_targeted(
+      net::TargetedFault{.code = net::kFaultCodeProcessCrash, .a = 1}));
   h.run_for(2000);
   h.drain(1000);
 

@@ -187,8 +187,8 @@ TEST(DeltaVsFull, FragileImplementationMatchesEvenWhenUnstable) {
 }
 
 // A delivery to a crashed process still moves its vector clock, but the
-// harness swallows the message before the process runs, so the network's
-// touch in deliver() is the only sign that the row changed.
+// network swallows the message before the process runs, so its touch in
+// deliver() is the only sign that the row changed.
 TEST(DeltaVsFull, CrashRecoverStreamTouchesCrashedReceivers) {
   HarnessConfig config = test::equivalence_config("ricart-agrawala", 4, 8);
   config.fault_process.crash_mean = 300;

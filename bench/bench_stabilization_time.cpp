@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
     for (const std::size_t burst : bare_bursts) {
       FaultScenario scenario = scenario_for(burst);
       // Losses are what wedge a bare system (Section 4): drop-only mix.
-      scenario.mix = net::FaultMix::only(net::FaultKind::kMessageDrop);
-      scenario.mix.channel_clear = true;
+      scenario.mix = net::FaultMix::only(net::FaultKind::kMessageDrop)
+                         .with(net::FaultKind::kChannelClear);
       grid.add("bare/" + std::string(short_name(algo)) +
                    "/burst=" + std::to_string(burst),
                config_for(algo, 5, false), scenario, trials);

@@ -34,7 +34,6 @@ int main(int argc, char** argv) {
 
   sim::Scheduler sched;
   obs::EventBus bus(sched, 4096);
-  bus.set_fault_kind_names(net::fault_kind_names());
 
   net::Network net(sched, 2, net::DelayModel::fixed(1), Rng(3));
   net.set_event_bus(&bus);
@@ -106,7 +105,7 @@ int main(int argc, char** argv) {
 
   // The convergence story: no monitors run here, so it has no clauses.
   obs::StabilizationTimeline tl = obs::fold_timeline(
-      sched.now(), net::fault_kind_names(), injector.code_stats(), {}, {},
+      sched.now(), injector.code_stats(), {}, {},
       {net.last_send_time(), net.last_delivery_time()});
   tl.quiescent = tl.last_activity == kNever || tl.last_activity < tl.run_end;
   std::cout << "\n" << tl.to_string();

@@ -10,6 +10,7 @@
 // configuration — the "poke at it yourself" entry point.
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 
 #include "common/flags.hpp"
 #include "common/table.hpp"
@@ -35,8 +36,7 @@ int main(int argc, char** argv) {
                {"delta", "wrapper timeout (default 20)"},
                {"faults", "fault burst size after warmup (default 10)"},
                {"fault-kind",
-                "all | drop | duplicate | corrupt | reorder | spurious | "
-                "process | clear (default all)"},
+                std::string(net::FaultMix::kSpellings) + " (default all)"},
                {"fault-load",
                 "sustained load: mean ticks between arrivals on EACH "
                 "message-fault stream (drop/duplicate/corrupt/spurious/"
@@ -123,21 +123,12 @@ int main(int argc, char** argv) {
     config.trace_capacity = 1 << 20;
 
   const std::string kind_name = flags.get("fault-kind", "all");
-  net::FaultMix mix = net::FaultMix::all();
-  if (kind_name == "drop")
-    mix = net::FaultMix::only(net::FaultKind::kMessageDrop);
-  else if (kind_name == "duplicate")
-    mix = net::FaultMix::only(net::FaultKind::kMessageDuplicate);
-  else if (kind_name == "corrupt")
-    mix = net::FaultMix::only(net::FaultKind::kMessageCorrupt);
-  else if (kind_name == "reorder")
-    mix = net::FaultMix::only(net::FaultKind::kMessageReorder);
-  else if (kind_name == "spurious")
-    mix = net::FaultMix::only(net::FaultKind::kSpuriousMessage);
-  else if (kind_name == "process")
-    mix = net::FaultMix::only(net::FaultKind::kProcessCorrupt);
-  else if (kind_name == "clear")
-    mix = net::FaultMix::only(net::FaultKind::kChannelClear);
+  const std::optional<net::FaultMix> mix = net::FaultMix::parse(kind_name);
+  if (!mix) {
+    std::cerr << "unknown --fault-kind '" << kind_name
+              << "'; accepted: " << net::FaultMix::kSpellings << "\n";
+    return 2;
+  }
 
   const auto warmup = static_cast<SimTime>(flags.get_int("warmup", 1000));
   const auto horizon = static_cast<SimTime>(flags.get_int("horizon", 8000));
@@ -169,7 +160,7 @@ int main(int argc, char** argv) {
   system.start();
 
   system.run_for(warmup);
-  if (burst > 0) system.faults().burst(burst, mix);
+  if (burst > 0) system.faults().burst(burst, *mix);
   system.run_for(horizon);
   system.drain(drain);
 
@@ -245,7 +236,7 @@ int main(int argc, char** argv) {
     Table blast({"id", "fault", "origin", "injected", "procs tainted",
                  "msgs tainted", "violations", "containment"});
     for (const obs::BlastRadius& b : prov.blast()) {
-      blast.row(b.id, net::fault_code_name(b.code),
+      blast.row(b.id, net::to_string(static_cast<net::FaultKind>(b.code)),
                 b.origin == kNoProcess ? std::string("-")
                                        : std::to_string(b.origin),
                 b.injected_at, b.processes_tainted, b.messages_tainted,

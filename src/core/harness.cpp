@@ -77,7 +77,6 @@ SystemHarness::SystemHarness(HarnessConfig config)
   // every producer stays attached, so toggling trace_capacity changes only
   // how much is retained, never the wiring.
   bus_ = std::make_unique<obs::EventBus>(sched_, config_.trace_capacity);
-  bus_->set_fault_kind_names(net::fault_kind_names());
 
   // Causal provenance: one tracker per harness when enabled; producers all
   // hold the same nullable pointer (null = disabled, a predicted branch).
@@ -383,9 +382,8 @@ obs::StabilizationTimeline SystemHarness::timeline() const {
         m->total_violations(), m->first_violation(), m->last_violation()});
   }
   obs::StabilizationTimeline tl = obs::fold_timeline(
-      sched_.now(), net::fault_kind_names(), faults_->code_stats(),
-      monitor_set_.monitor_names(), clauses,
-      {net_->last_send_time(), net_->last_delivery_time()});
+      sched_.now(), faults_->code_stats(), monitor_set_.monitor_names(),
+      clauses, {net_->last_send_time(), net_->last_delivery_time()});
   tl.quiescent = quiescent();
   return tl;
 }
@@ -419,11 +417,10 @@ RunStats SystemHarness::stats() const {
   for (std::size_t i = lspec_begin_; i < all.size(); ++i)
     stats.lspec_clause_violations += all[i]->total_violations();
   stats.observe_ns = observe_ns_;
-  const auto& codes = faults_->code_stats();
-  stats.crashes = codes[net::kFaultCodeProcessCrash].count;
-  stats.recoveries = codes[net::kFaultCodeProcessRecover].count;
-  stats.partitions = codes[net::kFaultCodePartition].count;
-  stats.partition_heals = codes[net::kFaultCodePartitionHeal].count;
+  stats.crashes = faults_->count(net::FaultKind::kProcessCrash);
+  stats.recoveries = faults_->count(net::FaultKind::kProcessRecover);
+  stats.partitions = faults_->count(net::FaultKind::kPartition);
+  stats.partition_heals = faults_->count(net::FaultKind::kPartitionHeal);
   stats.deliveries_to_crashed = net_->deliveries_to_crashed();
   stats.dropped_by_partition = net_->dropped_by_partition();
   // Fold the tail window (last fault to run end) into the reconvergence
@@ -472,7 +469,7 @@ obs::MetricsSnapshot SystemHarness::metrics(const RunStats& stats) const {
   const auto& codes = faults_->code_stats();
   for (std::size_t k = 0; k < codes.size(); ++k) {
     counter(std::string("faults.") +
-                net::fault_code_name(static_cast<std::uint8_t>(k)),
+                net::to_string(static_cast<net::FaultKind>(k)),
             codes[k].count);
   }
   for (const auto& m : monitor_set_.monitors())

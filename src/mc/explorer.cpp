@@ -119,34 +119,35 @@ void Explorer::record_fault_menu(core::SystemHarness& h, std::uint64_t ec,
       for (net::FaultKind kind : kinds) {
         if (!config_.mix.enabled(kind) || menu.size() >= cap) continue;
         net::TargetedFault f;
-        f.code = static_cast<std::uint8_t>(kind);
+        f.code = kind;
         f.a = from;
         f.b = to;
         menu.push_back(f);
       }
-      if (config_.mix.message_reorder && ch.in_flight() >= 2 &&
-          menu.size() < cap) {
+      if (config_.mix.enabled(net::FaultKind::kMessageReorder) &&
+          ch.in_flight() >= 2 && menu.size() < cap) {
         net::TargetedFault f;
-        f.code = static_cast<std::uint8_t>(net::FaultKind::kMessageReorder);
+        f.code = net::FaultKind::kMessageReorder;
         f.a = from;
         f.b = to;
         f.index = 0;
         f.index2 = 1;
         menu.push_back(f);
       }
-      if (config_.mix.spurious_message && menu.size() < cap) {
+      if (config_.mix.enabled(net::FaultKind::kSpuriousMessage) &&
+          menu.size() < cap) {
         net::TargetedFault f;
-        f.code = static_cast<std::uint8_t>(net::FaultKind::kSpuriousMessage);
+        f.code = net::FaultKind::kSpuriousMessage;
         f.a = from;
         f.b = to;
         menu.push_back(f);
       }
     }
   }
-  if (config_.mix.process_corrupt) {
+  if (config_.mix.enabled(net::FaultKind::kProcessCorrupt)) {
     for (ProcessId pid = 0; pid < n && menu.size() < cap; ++pid) {
       net::TargetedFault f;
-      f.code = static_cast<std::uint8_t>(net::FaultKind::kProcessCorrupt);
+      f.code = net::FaultKind::kProcessCorrupt;
       f.a = pid;
       menu.push_back(f);
     }
@@ -154,14 +155,14 @@ void Explorer::record_fault_menu(core::SystemHarness& h, std::uint64_t ec,
   if (config_.explore_lifecycle) {
     for (ProcessId pid = 0; pid < n && menu.size() < cap; ++pid) {
       net::TargetedFault f;
-      f.code = net::kFaultCodeProcessCrash;
+      f.code = net::FaultKind::kProcessCrash;
       f.a = pid;
       menu.push_back(f);
     }
     if (n >= 2 && n <= 64) {
       for (ProcessId pid = 0; pid < n && menu.size() < cap; ++pid) {
         net::TargetedFault f;
-        f.code = net::kFaultCodePartition;
+        f.code = net::FaultKind::kPartition;
         f.mask = std::uint64_t{1} << pid;
         menu.push_back(f);
       }
@@ -316,14 +317,14 @@ ExplorerResult Explorer::run() {
       for (const net::TargetedFault& f : menu) {
         ScheduleTrace child = trace;
         child.faults.push_back(FaultAt{pos, f});
-        if (f.code == net::kFaultCodeProcessCrash) {
+        if (f.code == net::FaultKind::kProcessCrash) {
           net::TargetedFault heal = f;
-          heal.code = net::kFaultCodeProcessRecover;
+          heal.code = net::FaultKind::kProcessRecover;
           child.faults.push_back(
               FaultAt{pos + kLifecycleGapEvents, heal});
-        } else if (f.code == net::kFaultCodePartition) {
+        } else if (f.code == net::FaultKind::kPartition) {
           net::TargetedFault heal = f;
-          heal.code = net::kFaultCodePartitionHeal;
+          heal.code = net::FaultKind::kPartitionHeal;
           child.faults.push_back(
               FaultAt{pos + kLifecycleGapEvents, heal});
         }
@@ -480,7 +481,8 @@ std::string Explorer::explain(const ScheduleTrace& trace) {
     out << "blast radius:\n";
     for (const obs::BlastRadius& b : h.provenance()->blast()) {
       out << "  id=" << b.id << " code="
-          << net::fault_code_name(b.code) << " at=" << b.injected_at
+          << net::to_string(static_cast<net::FaultKind>(b.code))
+          << " at=" << b.injected_at
           << " processes=" << b.processes_tainted
           << " messages=" << b.messages_tainted
           << " violations=" << b.violations_attributed

@@ -14,7 +14,8 @@ std::string ScheduleTrace::to_text() const {
     out << "\n";
   }
   for (const FaultAt& f : faults) {
-    out << "fault " << f.at_event << " " << unsigned{f.fault.code} << " "
+    out << "fault " << f.at_event << " "
+        << static_cast<unsigned>(f.fault.code) << " "
         << f.fault.a << " " << f.fault.b << " " << f.fault.index << " "
         << f.fault.index2 << " " << f.fault.mask << "\n";
   }
@@ -45,8 +46,9 @@ std::optional<ScheduleTrace> ScheduleTrace::from_text(
       if (!(ls >> f.at_event >> code >> f.fault.a >> f.fault.b >>
             f.fault.index >> f.fault.index2 >> f.fault.mask))
         return std::nullopt;
-      if (code > 0xff) return std::nullopt;
-      f.fault.code = static_cast<std::uint8_t>(code);
+      // A code past the vocabulary would replay as a silent no-op.
+      if (code >= net::kFaultKindCount) return std::nullopt;
+      f.fault.code = static_cast<net::FaultKind>(code);
       trace.faults.push_back(f);
     } else {
       return std::nullopt;

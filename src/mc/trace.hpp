@@ -55,6 +55,8 @@ struct ScheduleTrace {
   ///   seed <n>
   ///   choices <c0> <c1> ...        (omitted when empty)
   ///   fault <at_event> <code> <a> <b> <index> <index2> <mask>
+  /// where <code> is the numeric FaultKind. from_text returns nullopt for
+  /// anything else, a code past the FaultKind vocabulary included.
   std::string to_text() const;
   static std::optional<ScheduleTrace> from_text(const std::string& text);
 };

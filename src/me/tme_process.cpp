@@ -4,18 +4,6 @@
 
 namespace graybox::me {
 
-const char* to_string(TmeState s) {
-  switch (s) {
-    case TmeState::kThinking:
-      return "thinking";
-    case TmeState::kHungry:
-      return "hungry";
-    case TmeState::kEating:
-      return "eating";
-  }
-  return "corrupt-state";
-}
-
 TmeProcess::TmeProcess(ProcessId pid, net::Network& net)
     : pid_(pid), net_(net), lc_(pid) {
   GBX_EXPECTS(pid < net.size());

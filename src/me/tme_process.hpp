@@ -39,9 +39,8 @@
 
 namespace graybox::me {
 
-enum class TmeState : std::uint8_t { kThinking = 0, kHungry = 1, kEating = 2 };
-
-const char* to_string(TmeState s);
+using obs::TmeState;
+using obs::to_string;
 
 class TmeProcess {
  public:

@@ -137,7 +137,6 @@ class Channel {
   /// sim::ChoiceHook. Network sets make_delivery_tag(from, to); standalone
   /// channels default to 0 (untagged).
   void set_choice_tag(std::uint64_t tag) { choice_tag_ = tag; }
-  std::uint64_t choice_tag() const { return choice_tag_; }
 
  private:
   void schedule_tick(SimTime arrival);

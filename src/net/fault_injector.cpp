@@ -1,6 +1,7 @@
 #include "net/fault_injector.hpp"
 
-#include <optional>
+#include <utility>
+#include <vector>
 
 #include "common/contracts.hpp"
 
@@ -8,135 +9,53 @@ namespace graybox::net {
 
 namespace {
 
-constexpr std::uint8_t code_of(FaultKind kind) {
-  return static_cast<std::uint8_t>(kind);
+bool mixable(FaultKind kind) {
+  return static_cast<std::size_t>(kind) < kMixKindCount;
+}
+
+std::uint8_t bit(FaultKind kind) {
+  GBX_EXPECTS(mixable(kind));
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(kind));
 }
 
 }  // namespace
 
-const char* to_string(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kMessageDrop:
-      return "message-drop";
-    case FaultKind::kMessageDuplicate:
-      return "message-duplicate";
-    case FaultKind::kMessageCorrupt:
-      return "message-corrupt";
-    case FaultKind::kMessageReorder:
-      return "message-reorder";
-    case FaultKind::kSpuriousMessage:
-      return "spurious-message";
-    case FaultKind::kProcessCorrupt:
-      return "process-corrupt";
-    case FaultKind::kChannelClear:
-      return "channel-clear";
-  }
-  return "unknown-fault";
-}
-
-const char* fault_code_name(std::uint8_t code) {
-  switch (code) {
-    case kFaultCodeProcessCrash:
-      return "process-crash";
-    case kFaultCodeProcessRecover:
-      return "process-recover";
-    case kFaultCodePartition:
-      return "partition";
-    case kFaultCodePartitionHeal:
-      return "partition-heal";
-    default:
-      if (code < kFaultKindCount) return to_string(static_cast<FaultKind>(code));
-      return "unknown-fault";
-  }
-}
-
-std::vector<std::string> fault_kind_names() {
-  std::vector<std::string> names;
-  names.reserve(kFaultCodeCount);
-  for (std::size_t i = 0; i < kFaultCodeCount; ++i) {
-    names.emplace_back(fault_code_name(static_cast<std::uint8_t>(i)));
-  }
-  return names;
-}
-
-FaultMix FaultMix::all() {
-  FaultMix mix;
-  mix.channel_clear = true;
-  return mix;
-}
+FaultMix FaultMix::all() { return FaultMix{}.with(FaultKind::kChannelClear); }
 
 FaultMix FaultMix::channel_only() {
-  FaultMix mix;
-  mix.process_corrupt = false;
-  return mix;
+  return FaultMix{}.without(FaultKind::kProcessCorrupt);
 }
 
-FaultMix FaultMix::process_only() {
-  FaultMix mix;
-  mix.message_drop = mix.message_duplicate = mix.message_corrupt = false;
-  mix.message_reorder = mix.spurious_message = false;
-  mix.process_corrupt = true;
-  return mix;
+FaultMix FaultMix::process_only() { return only(FaultKind::kProcessCorrupt); }
+
+FaultMix FaultMix::only(FaultKind kind) { return FaultMix{bit(kind)}; }
+
+std::optional<FaultMix> FaultMix::parse(std::string_view name) {
+  if (name == "all") return all();
+  if (name == "channel") return channel_only();
+  if (name == "process") return process_only();
+  static constexpr std::pair<std::string_view, FaultKind> kSingles[] = {
+      {"drop", FaultKind::kMessageDrop},
+      {"duplicate", FaultKind::kMessageDuplicate},
+      {"corrupt", FaultKind::kMessageCorrupt},
+      {"reorder", FaultKind::kMessageReorder},
+      {"spurious", FaultKind::kSpuriousMessage},
+      {"clear", FaultKind::kChannelClear}};
+  for (const auto& [single, kind] : kSingles)
+    if (name == single) return only(kind);
+  return std::nullopt;
 }
 
-FaultMix FaultMix::only(FaultKind kind) {
-  FaultMix mix;
-  mix.message_drop = mix.message_duplicate = mix.message_corrupt = false;
-  mix.message_reorder = mix.spurious_message = mix.process_corrupt = false;
-  mix.channel_clear = false;
-  switch (kind) {
-    case FaultKind::kMessageDrop:
-      mix.message_drop = true;
-      break;
-    case FaultKind::kMessageDuplicate:
-      mix.message_duplicate = true;
-      break;
-    case FaultKind::kMessageCorrupt:
-      mix.message_corrupt = true;
-      break;
-    case FaultKind::kMessageReorder:
-      mix.message_reorder = true;
-      break;
-    case FaultKind::kSpuriousMessage:
-      mix.spurious_message = true;
-      break;
-    case FaultKind::kProcessCorrupt:
-      mix.process_corrupt = true;
-      break;
-    case FaultKind::kChannelClear:
-      mix.channel_clear = true;
-      break;
-  }
-  return mix;
+FaultMix FaultMix::with(FaultKind kind) const {
+  return FaultMix{static_cast<std::uint8_t>(bits | bit(kind))};
+}
+
+FaultMix FaultMix::without(FaultKind kind) const {
+  return FaultMix{static_cast<std::uint8_t>(bits & ~bit(kind))};
 }
 
 bool FaultMix::enabled(FaultKind kind) const {
-  switch (kind) {
-    case FaultKind::kMessageDrop:
-      return message_drop;
-    case FaultKind::kMessageDuplicate:
-      return message_duplicate;
-    case FaultKind::kMessageCorrupt:
-      return message_corrupt;
-    case FaultKind::kMessageReorder:
-      return message_reorder;
-    case FaultKind::kSpuriousMessage:
-      return spurious_message;
-    case FaultKind::kProcessCorrupt:
-      return process_corrupt;
-    case FaultKind::kChannelClear:
-      return channel_clear;
-  }
-  return false;
-}
-
-std::vector<FaultKind> FaultMix::enabled_kinds() const {
-  std::vector<FaultKind> kinds;
-  for (std::size_t i = 0; i < kFaultKindCount; ++i) {
-    const auto kind = static_cast<FaultKind>(i);
-    if (enabled(kind)) kinds.push_back(kind);
-  }
-  return kinds;
+  return mixable(kind) && (bits & bit(kind)) != 0;
 }
 
 FaultInjector::FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
@@ -155,18 +74,18 @@ Message FaultInjector::random_message(ProcessId from, ProcessId to) {
   return msg;
 }
 
-obs::ProvenanceId FaultInjector::mint(std::uint8_t code, ProcessId pid) {
+obs::ProvenanceId FaultInjector::mint(FaultKind kind, ProcessId pid) {
   if (prov_ == nullptr) return obs::kNoProvenance;
-  return prov_->mint(code, pid, sched_.now());
+  return prov_->mint(static_cast<std::uint8_t>(kind), pid, sched_.now());
 }
 
-void FaultInjector::note(std::uint8_t code, ProcessId pid,
+void FaultInjector::note(FaultKind kind, ProcessId pid,
                          std::uint64_t dropped, obs::ProvenanceId id) {
-  code_stats_[code].note(sched_.now());
+  code_stats_[static_cast<std::size_t>(kind)].note(sched_.now());
   if (bus_ != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::kFaultInjected;
-    e.a = code;
+    e.a = static_cast<std::uint8_t>(kind);
     e.pid = pid;
     e.payload = dropped;
     e.taint.add(id);
@@ -192,11 +111,12 @@ void FaultInjector::taint_in_flight(Channel& ch, std::size_t index,
 }
 
 bool FaultInjector::inject(FaultKind kind) {
+  GBX_EXPECTS(mixable(kind));
   // Draw a target from the injector's RNG, then apply it through
   // inject_targeted, the one application path (which draws any content
   // randomness: corrupt payloads, spurious messages, process corruption).
   TargetedFault f;
-  f.code = static_cast<std::uint8_t>(kind);
+  f.code = kind;
   const std::size_t n = net_.size();
   // Aim f at a channel drawn in proportion to `weight` (channels in (from,
   // to) order) and return the drawn unit's offset inside it; nullopt, with
@@ -266,6 +186,8 @@ bool FaultInjector::inject(FaultKind kind) {
           }))
         return false;
       break;
+    default:  // lifecycle kinds: excluded by the precondition
+      break;
   }
   return inject_targeted(f);
 }
@@ -278,7 +200,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
   std::uint64_t dropped = 0;
   obs::ProvenanceId id = obs::kNoProvenance;
   switch (f.code) {
-    case code_of(FaultKind::kMessageDrop): {
+    case FaultKind::kMessageDrop: {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
@@ -289,7 +211,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       dropped = 1;
       break;
     }
-    case code_of(FaultKind::kMessageDuplicate): {
+    case FaultKind::kMessageDuplicate: {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
@@ -300,7 +222,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       taint_in_flight(ch, f.index + 1, id);
       break;
     }
-    case code_of(FaultKind::kMessageCorrupt): {
+    case FaultKind::kMessageCorrupt: {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index >= ch.in_flight()) return false;
@@ -311,7 +233,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       taint_in_flight(ch, f.index, id);
       break;
     }
-    case code_of(FaultKind::kMessageReorder): {
+    case FaultKind::kMessageReorder: {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (f.index == f.index2 || f.index >= ch.in_flight() ||
@@ -324,7 +246,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       taint_in_flight(ch, f.index2, id);
       break;
     }
-    case code_of(FaultKind::kSpuriousMessage): {
+    case FaultKind::kSpuriousMessage: {
       if (!channel_named) return false;
       Message fabricated = random_message(f.a, f.b);
       id = mint(f.code);
@@ -335,7 +257,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       net_.channel(f.a, f.b).fault_inject(fabricated);
       break;
     }
-    case code_of(FaultKind::kProcessCorrupt): {
+    case FaultKind::kProcessCorrupt: {
       if (corrupt_process_ == nullptr || f.a >= n) return false;
       corrupt_process_(f.a, rng_);
       fault_pid = f.a;
@@ -343,7 +265,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       if (prov_ != nullptr) prov_->taint_process(f.a, id);
       break;
     }
-    case code_of(FaultKind::kChannelClear): {
+    case FaultKind::kChannelClear: {
       if (!channel_named) return false;
       Channel& ch = net_.channel(f.a, f.b);
       if (ch.empty()) return false;
@@ -352,9 +274,9 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       id = mint(f.code);
       break;
     }
-    case kFaultCodeProcessCrash:
-    case kFaultCodeProcessRecover: {
-      const bool down = f.code == kFaultCodeProcessCrash;
+    case FaultKind::kProcessCrash:
+    case FaultKind::kProcessRecover: {
+      const bool down = f.code == FaultKind::kProcessCrash;
       if (f.a >= n || net_.crashed(f.a) == down) return false;
       net_.set_crashed(f.a, down);
       if (lifecycle_) lifecycle_(f.a, down);
@@ -365,7 +287,7 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       if (prov_ != nullptr) prov_->taint_process(f.a, id);
       break;
     }
-    case kFaultCodePartition: {
+    case FaultKind::kPartition: {
       if (n > 64 || net_.partition_mask() != 0) return false;
       const std::uint64_t all =
           n == 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
@@ -376,12 +298,12 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
       id = mint(f.code);
       break;
     }
-    case kFaultCodePartitionHeal:
+    case FaultKind::kPartitionHeal:
       if (net_.partition_mask() == 0) return false;
       net_.set_partition(0);
       id = mint(f.code);
       break;
-    default:
+    default:  // a value past the vocabulary applies nowhere
       return false;
   }
   note(f.code, fault_pid, dropped, id);
@@ -389,7 +311,11 @@ bool FaultInjector::inject_targeted(const TargetedFault& f) {
 }
 
 bool FaultInjector::inject_random(const FaultMix& mix) {
-  std::vector<FaultKind> kinds = mix.enabled_kinds();
+  std::vector<FaultKind> kinds;
+  for (std::size_t k = 0; k < kMixKindCount; ++k) {
+    const auto kind = static_cast<FaultKind>(k);
+    if (mix.enabled(kind)) kinds.push_back(kind);
+  }
   // Try kinds in random order until one applies.
   while (!kinds.empty()) {
     const std::size_t i = rng_.index(kinds.size());

@@ -5,20 +5,21 @@
 // arbitrarily) corrupted at any time. Stabilization is desired
 // notwithstanding the occurrence of any finite number of these faults."
 //
-// The injector is the one place every fault code is applied, counted and
-// named. It perturbs channels and the network's crash and partition state
+// The injector is the one place every obs::FaultKind is applied and
+// counted. It perturbs channels and the network's crash and partition state
 // directly, and reaches process state through two callbacks supplied by
 // the harness (the process layer sits above this one): one corrupts a
 // process, the other stops or restarts what runs beside a crashed or
 // recovered one. Every perturbation draws from a seeded RNG, so an
 // adversarial run is replayable. The injector keeps the run's only
-// count/first/last record of every fault code; stabilization latency is
+// count/first/last record of every fault kind; stabilization latency is
 // always measured from the last of them.
 #pragma once
 
 #include <array>
 #include <functional>
-#include <vector>
+#include <optional>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "net/network.hpp"
@@ -27,63 +28,41 @@
 
 namespace graybox::net {
 
-enum class FaultKind : std::uint8_t {
-  kMessageDrop = 0,
-  kMessageDuplicate,
-  kMessageCorrupt,
-  kMessageReorder,
-  kSpuriousMessage,
-  kProcessCorrupt,
-  kChannelClear,
-};
-inline constexpr std::size_t kFaultKindCount = 7;
+using obs::FaultKind;
+using obs::kFaultKindCount;
+using obs::kMixKindCount;
 
-const char* to_string(FaultKind kind);
-
-/// Lifecycle faults (the paper's §3.1 "processes ... fail, recover" plus
-/// network partitions). They are not FaultKind values — no random mix
-/// draws them; the sustained load and the model checker place them — but
-/// they share the fault-code space, appended after the FaultKind values,
-/// and inject_targeted applies them like any other code.
-inline constexpr std::uint8_t kFaultCodeProcessCrash = 7;
-inline constexpr std::uint8_t kFaultCodeProcessRecover = 8;
-inline constexpr std::uint8_t kFaultCodePartition = 9;
-inline constexpr std::uint8_t kFaultCodePartitionHeal = 10;
-/// Total fault codes: FaultKind values plus the lifecycle codes above.
-inline constexpr std::size_t kFaultCodeCount = 11;
-
-/// Name of any fault code (FaultKind values and lifecycle codes).
-const char* fault_code_name(std::uint8_t code);
-
-/// All fault code names in code order — the name table the observability
-/// bus indexes kFaultInjected events with (kFaultCodeCount entries).
-std::vector<std::string> fault_kind_names();
-
-/// Which fault kinds an adversary may use.
+/// Which fault kinds a random adversary draws from: bit k enables
+/// FaultKind k, for the kMixKindCount mixable kinds. The default is every
+/// mixable kind but channel clear, which is rarely useful in random mixes.
 struct FaultMix {
-  bool message_drop = true;
-  bool message_duplicate = true;
-  bool message_corrupt = true;
-  bool message_reorder = true;
-  bool spurious_message = true;
-  bool process_corrupt = true;
-  bool channel_clear = false;  // rarely useful in random mixes; on-demand
+  std::uint8_t bits = 0b0111111;
 
   static FaultMix all();
   static FaultMix channel_only();
   static FaultMix process_only();
+  /// Requires a mixable kind, as with() does.
   static FaultMix only(FaultKind kind);
+  /// The mix a --fault-kind flag names: all, channel (the five message
+  /// kinds), process, or one of drop, duplicate, corrupt, reorder,
+  /// spurious and clear. nullopt for any other name.
+  static std::optional<FaultMix> parse(std::string_view name);
+  /// The names parse() accepts, as the CLIs list them.
+  static constexpr const char* kSpellings =
+      "all | channel | process | drop | duplicate | corrupt | reorder | "
+      "spurious | clear";
 
+  FaultMix with(FaultKind kind) const;
+  FaultMix without(FaultKind kind) const;
   bool enabled(FaultKind kind) const;
-  std::vector<FaultKind> enabled_kinds() const;
 };
 
 /// One fully specified fault application — what the model checker (src/mc)
 /// enumerates, what a replayed ScheduleTrace re-applies and what the
-/// sustained load's lifecycle streams apply. `code` spans the full
-/// fault-code space; FaultInjector::inject_targeted applies every code.
+/// sustained load's lifecycle streams apply. FaultInjector::inject_targeted
+/// applies every kind.
 struct TargetedFault {
-  std::uint8_t code = 0;
+  FaultKind code = FaultKind::kMessageDrop;
   /// Channel source for message faults; corrupted / crashed / recovered
   /// pid for process faults.
   ProcessId a = kNoProcess;
@@ -93,7 +72,7 @@ struct TargetedFault {
   std::uint32_t index = 0;
   /// Second in-flight index (reorder swaps index <-> index2).
   std::uint32_t index2 = 0;
-  /// Bipartition mask (kFaultCodePartition only; bit p = p's side).
+  /// Bipartition mask (kPartition only; bit p = p's side).
   std::uint64_t mask = 0;
 };
 
@@ -110,17 +89,17 @@ class FaultInjector {
   FaultInjector(sim::Scheduler& sched, Network& net, Rng rng,
                 CorruptProcessFn corrupt_process);
 
-  /// Apply one fault of the given kind right now: draw a random target,
-  /// then apply it with inject_targeted. Returns false when the kind has no
-  /// applicable target (e.g. a message fault with no message in flight); no
-  /// fault is recorded in that case.
+  /// Apply one fault of the given mixable kind right now: draw a random
+  /// target, then apply it with inject_targeted. Returns false when the
+  /// kind has no applicable target (e.g. a message fault with no message in
+  /// flight); no fault is recorded in that case.
   bool inject(FaultKind kind);
 
   /// Apply one fault of a random enabled kind. Kinds whose targets are
   /// absent are skipped; returns false if nothing was applicable.
   bool inject_random(const FaultMix& mix);
 
-  /// Apply one fully specified fault of any code. Returns false, recording
+  /// Apply one fully specified fault of any kind. Returns false, recording
   /// nothing, when the fault does not apply: its target no longer exists
   /// (an index past the backlog, an empty channel), the process is already
   /// down (crash) or up (recover), a partition already holds (partition)
@@ -146,14 +125,14 @@ class FaultInjector {
   /// timestamp, random type). Public so scenario tests can reuse it.
   Message random_message(ProcessId from, ProcessId to);
 
-  /// Exact count / first / last per fault code (kFaultCodeCount rows).
-  const std::array<obs::KindStats, kFaultCodeCount>& code_stats() const {
+  /// Exact count / first / last per fault kind (kFaultKindCount rows).
+  const std::array<obs::KindStats, kFaultKindCount>& code_stats() const {
     return code_stats_;
   }
   std::uint64_t count(FaultKind kind) const {
     return code_stats_[static_cast<std::size_t>(kind)].count;
   }
-  /// All recorded faults of every code.
+  /// All recorded faults of every kind.
   std::uint64_t total_injected() const;
   /// Time of the most recent recorded fault; kNever if none.
   SimTime last_fault_time() const;
@@ -180,14 +159,14 @@ class FaultInjector {
   void set_lifecycle(LifecycleFn fn) { lifecycle_ = std::move(fn); }
 
  private:
-  /// Account one applied fault: bump the per-code aggregate and emit bus
+  /// Account one applied fault: bump the per-kind aggregate and emit bus
   /// events. `pid` names the corrupted process (process faults only);
   /// `dropped` counts messages destroyed; `id` is the fault's minted
   /// provenance id (0 when tracking is off).
-  void note(std::uint8_t code, ProcessId pid, std::uint64_t dropped,
+  void note(FaultKind kind, ProcessId pid, std::uint64_t dropped,
             obs::ProvenanceId id);
   /// Mint the provenance id for one applied fault (0 when tracking is off).
-  obs::ProvenanceId mint(std::uint8_t code, ProcessId pid = kNoProcess);
+  obs::ProvenanceId mint(FaultKind kind, ProcessId pid = kNoProcess);
   /// Taint the in-flight carrier the fault tampered with (no-op id 0).
   void taint_in_flight(Channel& ch, std::size_t index, obs::ProvenanceId id);
 
@@ -195,7 +174,7 @@ class FaultInjector {
   Network& net_;
   Rng rng_;
   CorruptProcessFn corrupt_process_;
-  std::array<obs::KindStats, kFaultCodeCount> code_stats_{};
+  std::array<obs::KindStats, kFaultKindCount> code_stats_{};
   obs::EventBus* bus_ = nullptr;
   obs::ProvenanceTracker* prov_ = nullptr;
   std::function<void()> on_fault_;

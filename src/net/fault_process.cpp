@@ -86,8 +86,8 @@ void FaultProcess::fire_crash() {
   const SimTime down =
       std::max<SimTime>(1, lifecycle_rng_.exponential(config_.downtime_mean));
   if (net_.crashed_count() >= config_.max_down) return;
-  apply_pair(TargetedFault{.code = kFaultCodeProcessCrash, .a = pid},
-             kFaultCodeProcessRecover, down);
+  apply_pair(TargetedFault{.code = FaultKind::kProcessCrash, .a = pid},
+             FaultKind::kProcessRecover, down);
 }
 
 void FaultProcess::fire_partition() {
@@ -105,11 +105,11 @@ void FaultProcess::fire_partition() {
   if (mask == 0 || mask == all) mask = std::uint64_t{1} << rng.index(n);
   const SimTime hold = std::max<SimTime>(
       1, lifecycle_rng_.exponential(config_.partition_hold_mean));
-  apply_pair(TargetedFault{.code = kFaultCodePartition, .mask = mask},
-             kFaultCodePartitionHeal, hold);
+  apply_pair(TargetedFault{.code = FaultKind::kPartition, .mask = mask},
+             FaultKind::kPartitionHeal, hold);
 }
 
-void FaultProcess::apply_pair(TargetedFault f, std::uint8_t undo,
+void FaultProcess::apply_pair(TargetedFault f, FaultKind undo,
                               SimTime delay) {
   if (!injector_.inject_targeted(f)) return;
   f.code = undo;

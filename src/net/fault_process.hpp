@@ -96,10 +96,11 @@ class FaultProcess {
   const FaultProcessConfig& config() const { return config_; }
 
  private:
-  // Stream indices: the FaultKind codes 0..6, then crash, then partition.
-  static constexpr std::size_t kCrashStream = kFaultKindCount;
-  static constexpr std::size_t kPartitionStream = kFaultKindCount + 1;
-  static constexpr std::size_t kStreamCount = kFaultKindCount + 2;
+  // Stream indices: the mixable FaultKind codes 0..6, then crash, then
+  // partition.
+  static constexpr std::size_t kCrashStream = kMixKindCount;
+  static constexpr std::size_t kPartitionStream = kMixKindCount + 1;
+  static constexpr std::size_t kStreamCount = kMixKindCount + 2;
 
   double stream_mean(std::size_t stream) const;
   /// Schedule the next arrival of `stream` at now/start + gap.
@@ -109,7 +110,7 @@ class FaultProcess {
   void fire_partition();
   /// Apply `f` now and, when it applied, apply `f` with code `undo` after
   /// `delay` ticks (the recovery of a crash, the heal of a partition).
-  void apply_pair(TargetedFault f, std::uint8_t undo, SimTime delay);
+  void apply_pair(TargetedFault f, FaultKind undo, SimTime delay);
 
   sim::Scheduler& sched_;
   FaultInjector& injector_;

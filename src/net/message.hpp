@@ -21,13 +21,12 @@
 #include "clock/timestamp.hpp"
 #include "clock/vector_clock.hpp"
 #include "common/types.hpp"
-#include "obs/provenance.hpp"
+#include "obs/event.hpp"
 
 namespace graybox::net {
 
-enum class MsgType : std::uint8_t { kRequest = 0, kReply = 1, kRelease = 2 };
-
-const char* to_string(MsgType t);
+using obs::MsgType;
+using obs::to_string;
 
 /// Uids at or above this value are monitor-side stamps for fabricated
 /// (fault-injected) messages; Channel::fault_inject assigns them so that

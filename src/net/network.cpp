@@ -22,18 +22,6 @@ obs::Event message_event(obs::EventKind kind, const Message& msg) {
 
 }  // namespace
 
-const char* to_string(MsgType t) {
-  switch (t) {
-    case MsgType::kRequest:
-      return "request";
-    case MsgType::kReply:
-      return "reply";
-    case MsgType::kRelease:
-      return "release";
-  }
-  return "corrupt-type";
-}
-
 std::string Message::to_string() const {
   std::string out = net::to_string(type);
   out += "(" + ts.to_string() + ") " + std::to_string(from) + "->" +

@@ -11,6 +11,12 @@
 // optional peer, and a handful of payload integers whose meaning depends on
 // the kind. No strings are stored; human-readable text is rendered lazily
 // at dump time (EventBus::render), so recording is a ring write.
+//
+// The codes an Event carries are the paper's own small vocabulary, defined
+// here once for every layer: the message kinds of Section 5, the process
+// states t/h/e of Section 3.2, the fault model of Section 3.1 and the
+// level-1 wrapper's local predicates. net and me re-export theirs through
+// using-declarations; obs renders them without knowing the layers above.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +40,48 @@ enum class EventKind : std::uint8_t {
 };
 inline constexpr std::size_t kEventKindCount = 10;
 
+/// The three wire message kinds (Section 5). Release is Lamport ME only.
+enum class MsgType : std::uint8_t { kRequest = 0, kReply = 1, kRelease = 2 };
+
+/// A TME process's state t.j / h.j / e.j (Section 3.2).
+enum class TmeState : std::uint8_t { kThinking = 0, kHungry = 1, kEating = 2 };
+
+/// Every fault the fault model (Section 3.1) lets happen, in code order.
+/// The first kMixKindCount kinds are the ones a random net::FaultMix
+/// draws; the lifecycle kinds after them ("processes ... fail, recover",
+/// plus network partitions) come in pairs, placed by the sustained load and
+/// the model checker.
+enum class FaultKind : std::uint8_t {
+  kMessageDrop = 0,
+  kMessageDuplicate,
+  kMessageCorrupt,
+  kMessageReorder,
+  kSpuriousMessage,
+  kProcessCorrupt,
+  kChannelClear,
+  kProcessCrash,
+  kProcessRecover,
+  kPartition,
+  kPartitionHeal,
+};
+inline constexpr std::size_t kFaultKindCount = 11;
+inline constexpr std::size_t kMixKindCount = 7;
+
+/// The level-1 wrapper's intra-process predicates (wrapper/local_wrapper.hpp).
+enum class LocalPredicate : std::uint8_t {
+  kReqTracksClock = 0,  ///< P1: thinking REQ not glued to the clock
+  kForeignReq = 1,      ///< P2: competing on a request j never issued
+  kReqAboveClock = 2,   ///< P3: competing on a request above own clock
+};
+
+/// One name per code. A value past its enum (a corrupted or unknown code)
+/// gets the enum's fallback name: unknown-event, corrupt-type,
+/// corrupt-state, unknown-fault, corrupt-predicate.
 const char* to_string(EventKind kind);
+const char* to_string(MsgType type);
+const char* to_string(TmeState state);
+const char* to_string(FaultKind kind);
+const char* to_string(LocalPredicate predicate);
 
 /// One recorded event. Field meaning by kind:
 ///
@@ -44,14 +91,13 @@ const char* to_string(EventKind kind);
 ///   kDrop                   payload = number of messages destroyed
 ///   kLocalStep/kCsEnter/
 ///   kCsExit                 pid = process, a = from-state, b = to-state
-///                           (me::TmeState codes)
-///   kFaultInjected          a = fault code (net::fault_code_name), pid =
-///                           corrupted, crashed or recovered process
-///                           (process faults only)
+///                           (TmeState codes)
+///   kFaultInjected          a = FaultKind, pid = corrupted, crashed or
+///                           recovered process (process faults only)
 ///   kWrapperCorrection      pid = wrapped process, peer = stale peer
 ///   kMonitorViolation       monitor = index in the owning MonitorSet
 ///   kLocalCorrection        pid = repaired process, a = the violated
-///                           predicate (wrapper::LocalWrapper::Predicate)
+///                           LocalPredicate
 struct Event {
   SimTime time = 0;
   std::uint64_t payload = 0;
@@ -76,9 +122,9 @@ struct Event {
   static constexpr std::uint8_t kFromWrapper = 1u << 0;
 };
 
-/// Count / first-time / last-time aggregate of one event class. Maintained
-/// by the EventBus for every kind (and per monitor, per fault kind) even
-/// though the ring itself evicts: timelines need exact firsts and lasts.
+/// Count / first-time / last-time aggregate of one event class. The
+/// EventBus keeps one per event kind even though its ring evicts, and the
+/// fault injector one per fault kind: timelines need exact firsts and lasts.
 struct KindStats {
   std::uint64_t count = 0;
   SimTime first = kNever;

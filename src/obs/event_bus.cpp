@@ -6,89 +6,60 @@
 
 namespace graybox::obs {
 
-const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kSend:
-      return "send";
-    case EventKind::kDeliver:
-      return "deliver";
-    case EventKind::kDrop:
-      return "drop";
-    case EventKind::kLocalStep:
-      return "local-step";
-    case EventKind::kCsEnter:
-      return "cs-enter";
-    case EventKind::kCsExit:
-      return "cs-exit";
-    case EventKind::kFaultInjected:
-      return "fault-injected";
-    case EventKind::kWrapperCorrection:
-      return "wrapper-correction";
-    case EventKind::kMonitorViolation:
-      return "monitor-violation";
-    case EventKind::kLocalCorrection:
-      return "local-correction";
-  }
-  return "unknown-event";
-}
-
 namespace {
 
-// Rendering vocabulary. These mirror net::to_string(MsgType) and
-// me::to_string(TmeState) — duplicated here because obs sits *below* net
-// and me in the layering (they record into the bus); both enums are
-// spec-stable (the paper's three message kinds and three process states).
-const char* message_type_name(std::uint8_t code) {
-  switch (code) {
-    case 0:
-      return "request";
-    case 1:
-      return "reply";
-    case 2:
-      return "release";
-    default:
-      return "corrupt-type";
-  }
-}
-
-const char* state_name(std::uint8_t code) {
-  switch (code) {
-    case 0:
-      return "thinking";
-    case 1:
-      return "hungry";
-    case 2:
-      return "eating";
-    default:
-      return "corrupt-state";
-  }
+/// The name of `code` in its enum's table, or `fallback` past the table.
+template <typename Code, std::size_t N>
+const char* name_in(const char* const (&names)[N], Code code,
+                    const char* fallback) {
+  const auto i = static_cast<std::size_t>(code);
+  return i < N ? names[i] : fallback;
 }
 
 std::string message_text(const Event& e) {
   // Matches net::Message::to_string(): "type(counter.pid) from->to".
-  std::string out = message_type_name(e.a);
+  std::string out = to_string(static_cast<MsgType>(e.a));
   out += "(" + std::to_string(e.payload) + "." + std::to_string(e.aux) +
          ") " + std::to_string(e.pid) + "->" + std::to_string(e.peer);
   if (e.flags & Event::kFromWrapper) out += " [wrapper]";
   return out;
 }
 
-const char* local_predicate_name(std::uint8_t code) {
-  // wrapper::LocalWrapper::Predicate; duplicated for the same layering
-  // reason as above (obs sits below wrapper).
-  switch (code) {
-    case 0:
-      return "req-tracks-clock";
-    case 1:
-      return "foreign-req";
-    case 2:
-      return "req-above-clock";
-    default:
-      return "corrupt-predicate";
-  }
+}  // namespace
+
+const char* to_string(EventKind kind) {
+  static constexpr const char* kNames[kEventKindCount] = {
+      "send",           "deliver",           "drop",
+      "local-step",     "cs-enter",          "cs-exit",
+      "fault-injected", "wrapper-correction", "monitor-violation",
+      "local-correction"};
+  return name_in(kNames, kind, "unknown-event");
 }
 
-}  // namespace
+const char* to_string(MsgType type) {
+  static constexpr const char* kNames[] = {"request", "reply", "release"};
+  return name_in(kNames, type, "corrupt-type");
+}
+
+const char* to_string(TmeState state) {
+  static constexpr const char* kNames[] = {"thinking", "hungry", "eating"};
+  return name_in(kNames, state, "corrupt-state");
+}
+
+const char* to_string(FaultKind kind) {
+  static constexpr const char* kNames[kFaultKindCount] = {
+      "message-drop",    "message-duplicate", "message-corrupt",
+      "message-reorder", "spurious-message",  "process-corrupt",
+      "channel-clear",   "process-crash",     "process-recover",
+      "partition",       "partition-heal"};
+  return name_in(kNames, kind, "unknown-fault");
+}
+
+const char* to_string(LocalPredicate predicate) {
+  static constexpr const char* kNames[] = {
+      "req-tracks-clock", "foreign-req", "req-above-clock"};
+  return name_in(kNames, predicate, "corrupt-predicate");
+}
 
 EventBus::EventBus(const sim::Scheduler& sched, std::size_t capacity)
     : sched_(sched), capacity_(capacity) {
@@ -135,12 +106,12 @@ std::string EventBus::render(const Event& e) const {
     case EventKind::kCsEnter:
     case EventKind::kCsExit:
       // "proc 0: thinking -> hungry".
-      return "proc " + std::to_string(e.pid) + ": " + state_name(e.a) +
-             " -> " + state_name(e.b);
+      return "proc " + std::to_string(e.pid) + ": " +
+             to_string(static_cast<TmeState>(e.a)) + " -> " +
+             to_string(static_cast<TmeState>(e.b));
     case EventKind::kFaultInjected: {
       std::string out = "fault ";
-      out += e.a < fault_kind_names_.size() ? fault_kind_names_[e.a]
-                                            : "fault#" + std::to_string(e.a);
+      out += to_string(static_cast<FaultKind>(e.a));
       if (e.pid != kNoProcess) out += " @proc " + std::to_string(e.pid);
       return out;
     }
@@ -155,7 +126,7 @@ std::string EventBus::render(const Event& e) const {
     }
     case EventKind::kLocalCorrection:
       return "local-wrapper " + std::to_string(e.pid) + ": repair " +
-             local_predicate_name(e.a);
+             to_string(static_cast<LocalPredicate>(e.a));
   }
   return to_string(e.kind);
 }

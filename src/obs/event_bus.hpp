@@ -29,7 +29,6 @@ class EventBus {
   EventBus(const sim::Scheduler& sched, std::size_t capacity);
 
   bool enabled() const { return capacity_ != 0; }
-  std::size_t capacity() const { return capacity_; }
   /// Current simulation time (what the next record() would be stamped with).
   SimTime now() const { return sched_.now(); }
 
@@ -56,25 +55,16 @@ class EventBus {
     return kind_stats_[static_cast<std::size_t>(kind)];
   }
 
-  // --- Name tables (for rendering) --------------------------------------
+  // --- Rendering --------------------------------------------------------
 
   /// Names of the monitors feeding kMonitorViolation events, in monitor
-  /// index order.
+  /// index order: the one name table registered at run time, because
+  /// monitors are. Every other code renders from its own to_string.
   void set_monitor_names(std::vector<std::string> names) {
     monitor_names_ = std::move(names);
   }
   const std::vector<std::string>& monitor_names() const {
     return monitor_names_;
-  }
-
-  /// Names of the fault codes feeding kFaultInjected events, indexed by
-  /// the Event::a code (net::fault_kind_names()). A code past the table
-  /// renders as "fault#<code>".
-  void set_fault_kind_names(std::vector<std::string> names) {
-    fault_kind_names_ = std::move(names);
-  }
-  const std::vector<std::string>& fault_kind_names() const {
-    return fault_kind_names_;
   }
 
   /// Human-readable one-line rendering (no leading "[time]").
@@ -95,7 +85,6 @@ class EventBus {
   std::uint64_t total_ = 0;
   KindStats kind_stats_[kEventKindCount];
   std::vector<std::string> monitor_names_;
-  std::vector<std::string> fault_kind_names_;
 };
 
 }  // namespace graybox::obs

@@ -111,7 +111,8 @@ struct TaintSet {
 /// samples by the harness (all sim-domain values, hence deterministic).
 struct BlastRadius {
   ProvenanceId id = kNoProvenance;
-  /// Fault code (net::FaultKind values plus the lifecycle codes 7..10).
+  /// The fault's FaultKind (obs/event.hpp), as a byte: this header sits
+  /// below the vocabulary.
   std::uint8_t code = 0;
   /// Corrupted process for process-targeting faults; kNoProcess otherwise.
   ProcessId origin = kNoProcess;
@@ -180,20 +181,17 @@ class ProvenanceTracker {
   /// the amount of attribution the keep-oldest saturation cost this run.
   std::uint64_t taint_overflows() const { return taint_overflows_; }
 
-  /// Pids whose taint set is currently non-clear, ascending. Attribution
-  /// unions exactly these, so its cost is O(live tainted pids) rather than
-  /// O(N) — at N=256 almost every process is taint-free almost always.
-  const std::vector<ProcessId>& live_tainted() const { return live_tainted_; }
-
  private:
   /// Re-derive pid's membership in live_tainted_ after a mutation.
   void sync_live(ProcessId pid);
 
   std::vector<TaintSet> process_taint_;
   /// Sorted pids with a non-clear taint set (count or dropped nonzero).
-  /// Iterating this in order visits the same non-trivial sets, in the same
-  /// order, as the full 0..N-1 scan — so the attribution union (whose
-  /// keep-oldest saturation makes merge order observable) is bit-identical.
+  /// Attribution unions exactly these, so it costs O(live tainted pids),
+  /// not O(N). Iterating this in order visits the same non-trivial sets, in
+  /// the same order, as the full 0..N-1 scan — so the attribution union
+  /// (whose keep-oldest saturation makes merge order observable) is
+  /// bit-identical.
   std::vector<ProcessId> live_tainted_;
   std::vector<BlastRadius> blast_;
   /// One bit per (minted id, pid): id's row is words_per_id_ words from

@@ -47,8 +47,7 @@ std::string StabilizationTimeline::to_string() const {
 }
 
 StabilizationTimeline fold_timeline(
-    SimTime run_end, const std::vector<std::string>& fault_names,
-    std::span<const KindStats> faults,
+    SimTime run_end, std::span<const KindStats> faults,
     const std::vector<std::string>& monitor_names,
     std::span<const KindStats> clauses,
     std::initializer_list<SimTime> traffic) {
@@ -59,8 +58,8 @@ StabilizationTimeline fold_timeline(
     const KindStats& s = faults[k];
     if (s.count == 0) continue;
     burst.merge(s);
-    tl.faults.push_back(
-        TimelineEntry{fault_names[k], s.count, s.first, s.last});
+    tl.faults.push_back(TimelineEntry{
+        to_string(static_cast<FaultKind>(k)), s.count, s.first, s.last});
   }
   for (std::size_t m = 0; m < clauses.size(); ++m) {
     const KindStats& s = clauses[m];

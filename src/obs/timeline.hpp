@@ -9,7 +9,7 @@
 //               -> last violation -> quiescence
 //
 // with exact counts and first/last sim-times per fault kind and per monitor
-// clause. It is a pure value folded by fold_timeline() from per-fault-code
+// clause. It is a pure value folded by fold_timeline() from per-fault-kind
 // and per-monitor count/first/last rows. SystemHarness::timeline() reads
 // the rows from the fault injector and the monitors; a hand-wired system
 // folds its own injector's rows the same way.
@@ -67,16 +67,15 @@ struct StabilizationTimeline {
   std::string to_string() const;
 };
 
-/// The fold. `faults[k]` and `clauses[m]` are the
-/// count/first/last rows of fault code k and monitor m, labelled by the
-/// matching name table entries. Fault rows with no fault are dropped; the
+/// The fold. `faults[k]` and `clauses[m]` are the count/first/last rows of
+/// FaultKind k and monitor m, labelled by to_string(FaultKind) and
+/// `monitor_names[m]`. Fault rows with no fault are dropped; the
 /// burst and violation totals are the rows' sums and extremes; the last
 /// activity is the latest of the last fault, the last violation and the
 /// `traffic` times (the last send, delivery and the like; kNever = none).
 /// `quiescent` is left to the caller.
 StabilizationTimeline fold_timeline(
-    SimTime run_end, const std::vector<std::string>& fault_names,
-    std::span<const KindStats> faults,
+    SimTime run_end, std::span<const KindStats> faults,
     const std::vector<std::string>& monitor_names,
     std::span<const KindStats> clauses,
     std::initializer_list<SimTime> traffic);

@@ -117,7 +117,6 @@ class Scheduler {
   /// Install (or with nullptr remove) the same-tick choice hook. The hook
   /// must outlive the scheduler or be removed before it dies.
   void set_choice_hook(ChoiceHook* hook) { choice_hook_ = hook; }
-  ChoiceHook* choice_hook() const { return choice_hook_; }
 
   /// Drain the queue completely. `max_events` bounds runaway event chains
   /// (a chain that exceeds it aborts via contract failure, since no

@@ -55,8 +55,6 @@ class GrayboxWrapper {
   void stop() { timer_.stop(); }
   bool running() const { return timer_.running(); }
 
-  SimTime resend_period() const { return config_.resend_period; }
-
   /// Number of REQUEST messages this wrapper has (re)sent.
   std::uint64_t resends() const { return resends_; }
   /// Number of timer expirations (wrapper action evaluations).

@@ -14,7 +14,7 @@ void LocalWrapper::evaluate() {
     // P1 (Release Spec): t.j => REQj = ts.j.
     if (process_.req() != now) {
       process_.fault_set_req(now);
-      correct(kReqTracksClock);
+      correct(obs::LocalPredicate::kReqTracksClock);
     }
     return;
   }
@@ -26,7 +26,7 @@ void LocalWrapper::evaluate() {
   if (process_.req().pid != process_.pid()) {
     process_.fault_set_state(me::TmeState::kThinking);
     process_.fault_set_req(now);
-    correct(kForeignReq);
+    correct(obs::LocalPredicate::kForeignReq);
     return;
   }
   // P3: a genuine request is a tick of the own clock, so ts.j is at or
@@ -34,17 +34,17 @@ void LocalWrapper::evaluate() {
   if (clk::lt(now, process_.req())) {
     process_.fault_set_state(me::TmeState::kThinking);
     process_.fault_set_req(now);
-    correct(kReqAboveClock);
+    correct(obs::LocalPredicate::kReqAboveClock);
   }
 }
 
-void LocalWrapper::correct(Predicate which) {
+void LocalWrapper::correct(obs::LocalPredicate which) {
   ++corrections_;
   if (bus_ != nullptr) {
     obs::Event e;
     e.kind = obs::EventKind::kLocalCorrection;
     e.pid = process_.pid();
-    e.a = which;
+    e.a = static_cast<std::uint8_t>(which);
     if (prov_ != nullptr) e.taint = prov_->process_taint(process_.pid());
     bus_->record(e);
   }

@@ -48,14 +48,6 @@ struct LocalWrapperConfig {
 
 class LocalWrapper {
  public:
-  /// Which predicate a correction repaired (recorded in Event::a of the
-  /// kLocalCorrection event).
-  enum Predicate : std::uint8_t {
-    kReqTracksClock = 0,  ///< P1: thinking REQ not glued to the clock
-    kForeignReq = 1,      ///< P2: competing on a request j never issued
-    kReqAboveClock = 2,   ///< P3: competing on a request above own clock
-  };
-
   /// Wraps `process`. Starts disarmed; call start().
   LocalWrapper(sim::Scheduler& sched, me::TmeProcess& process,
                LocalWrapperConfig config = {});
@@ -76,7 +68,7 @@ class LocalWrapper {
   void evaluate();
 
   /// Attach the observability bus; every repair is recorded as a
-  /// kLocalCorrection event with the Predicate in Event::a.
+  /// kLocalCorrection event with the obs::LocalPredicate in Event::a.
   void set_event_bus(obs::EventBus* bus) { bus_ = bus; }
 
   /// Attach the provenance tracker; a repair then clears the process's
@@ -85,7 +77,7 @@ class LocalWrapper {
   void set_provenance(obs::ProvenanceTracker* prov) { prov_ = prov; }
 
  private:
-  void correct(Predicate which);
+  void correct(obs::LocalPredicate which);
 
   me::TmeProcess& process_;
   LocalWrapperConfig config_;

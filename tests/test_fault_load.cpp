@@ -106,7 +106,7 @@ TEST(FaultProcess, CrashStreamReachesPidsAboveSixtyThree) {
   load.start();
   sched.run_until(20000);
   EXPECT_EQ(net.crashed_count(), kN);
-  EXPECT_EQ(injector.code_stats()[net::kFaultCodeProcessCrash].count, kN);
+  EXPECT_EQ(injector.count(net::FaultKind::kProcessCrash), kN);
 }
 
 TEST(FaultProcess, StreamsStopAtEnd) {
@@ -128,8 +128,9 @@ TEST(HarnessLifecycle, CrashSwallowsDeliveriesUntilRecovery) {
   SystemHarness h(config);
   h.start();
   h.run_for(500);
-  const net::TargetedFault crash{.code = net::kFaultCodeProcessCrash, .a = 1};
-  const net::TargetedFault recover{.code = net::kFaultCodeProcessRecover,
+  const net::TargetedFault crash{.code = net::FaultKind::kProcessCrash,
+                                 .a = 1};
+  const net::TargetedFault recover{.code = net::FaultKind::kProcessRecover,
                                    .a = 1};
   ASSERT_TRUE(h.faults().inject_targeted(crash));
   EXPECT_TRUE(h.network().crashed(1));
@@ -165,24 +166,24 @@ TEST(HarnessLifecycle, PartitionBlocksCrossTrafficUntilHealed) {
   SystemHarness h(config);
   h.start();
   h.run_for(500);
-  auto inject = [&h](std::uint8_t code, std::uint64_t mask = 0) {
+  auto inject = [&h](net::FaultKind code, std::uint64_t mask = 0) {
     return h.faults().inject_targeted(
         net::TargetedFault{.code = code, .mask = mask});
   };
   // A mask must cut the 4 processes both ways.
-  EXPECT_FALSE(inject(net::kFaultCodePartition, 0b1111));
-  EXPECT_FALSE(inject(net::kFaultCodePartition, 0b110000));
-  ASSERT_TRUE(inject(net::kFaultCodePartition, 0b0001));  // isolate 0
+  EXPECT_FALSE(inject(net::FaultKind::kPartition, 0b1111));
+  EXPECT_FALSE(inject(net::FaultKind::kPartition, 0b110000));
+  ASSERT_TRUE(inject(net::FaultKind::kPartition, 0b0001));  // isolate 0
   EXPECT_EQ(h.network().partition_mask(), 0b0001u);
   // One partition at a time.
-  EXPECT_FALSE(inject(net::kFaultCodePartition, 0b0011));
+  EXPECT_FALSE(inject(net::FaultKind::kPartition, 0b0011));
   h.run_for(1000);
   const RunStats mid = h.stats();
   EXPECT_EQ(mid.partitions, 1u);
   EXPECT_GT(mid.dropped_by_partition, 0u);
-  ASSERT_TRUE(inject(net::kFaultCodePartitionHeal));
+  ASSERT_TRUE(inject(net::FaultKind::kPartitionHeal));
   EXPECT_EQ(h.network().partition_mask(), 0u);
-  EXPECT_FALSE(inject(net::kFaultCodePartitionHeal));
+  EXPECT_FALSE(inject(net::FaultKind::kPartitionHeal));
   h.run_for(4000);
   h.drain(3000);
   const RunStats end = h.stats();

@@ -165,7 +165,7 @@ TEST(Harness, ReconvergenceCountsOnlySafetyViolations) {
   h.start();
   h.run_for(200);
   ASSERT_TRUE(h.faults().inject_targeted(
-      net::TargetedFault{.code = net::kFaultCodeProcessCrash, .a = 1}));
+      net::TargetedFault{.code = net::FaultKind::kProcessCrash, .a = 1}));
   h.run_for(2000);
   h.drain(1000);
 

@@ -21,7 +21,7 @@ TEST(ScheduleTrace, TextFormRoundTrips) {
   t.choices = {0, 2, 0, 1};
   FaultAt f;
   f.at_event = 180;
-  f.fault.code = static_cast<std::uint8_t>(net::FaultKind::kMessageDrop);
+  f.fault.code = net::FaultKind::kMessageDrop;
   f.fault.a = 1;
   f.fault.b = 0;
   f.fault.index = 3;
@@ -45,6 +45,20 @@ TEST(ScheduleTrace, FromTextRejectsGarbage) {
   EXPECT_FALSE(ScheduleTrace::from_text("not a trace\n").has_value());
   EXPECT_FALSE(ScheduleTrace::from_text("graybox-mc-trace v9\nseed 1\n")
                    .has_value());
+}
+
+TEST(ScheduleTrace, RejectsUnknownFaultKind) {
+  // The last FaultKind parses; one past it would replay as a silent no-op,
+  // so the whole trace is refused.
+  auto parse = [](const char* fault_line) {
+    return ScheduleTrace::from_text(
+        std::string("graybox-mc-trace v1\nseed 1\n") + fault_line);
+  };
+  const auto heal = parse("fault 10 10 0 1 0 0 0\n");
+  ASSERT_TRUE(heal.has_value());
+  EXPECT_EQ(heal->faults[0].fault.code, net::FaultKind::kPartitionHeal);
+  EXPECT_FALSE(parse("fault 10 11 0 1 0 0 0\n").has_value());
+  EXPECT_FALSE(parse("fault 10 42 0 1 0 0 0\n").has_value());
 }
 
 TEST(ScheduleTrace, StepsCountsFaultsAndNonDefaultChoices) {

@@ -120,7 +120,6 @@ TEST(EventBus, RenderMatchesLegacyTraceText) {
   sim::Scheduler sched;
   EventBus bus(sched, 4);
   bus.set_monitor_names({"ME1"});
-  bus.set_fault_kind_names(net::fault_kind_names());
 
   Event send = send_event(0, 1, 5);
   send.a = 0;  // request
@@ -170,35 +169,31 @@ TEST(EventBus, RenderMatchesLegacyTraceText) {
 }
 
 TEST(EventBus, RendersAllElevenFaultCodeNames) {
-  // Golden text for the full fault-code space: injector kinds 0-6 plus the
-  // lifecycle codes 7-10. Pinned in one place so a renamed code shows up as
-  // a test diff, not as a silently relabeled trace.
-  const char* const kGolden[net::kFaultCodeCount] = {
+  // Golden text for the whole FaultKind vocabulary: the mixable kinds 0-6
+  // plus the lifecycle kinds 7-10. Pinned in one place so a renamed kind
+  // shows up as a test diff, not as a silently relabeled trace.
+  const char* const kGolden[obs::kFaultKindCount] = {
       "message-drop",   "message-duplicate", "message-corrupt",
       "message-reorder", "spurious-message", "process-corrupt",
       "channel-clear",  "process-crash",     "process-recover",
       "partition",      "partition-heal"};
   sim::Scheduler sched;
-  // The harness path registers net's table, the only one; a bus without a
-  // table prints the numeric code.
-  EventBus registered(sched, 4);
-  registered.set_fault_kind_names(net::fault_kind_names());
-  EventBus bare(sched, 4);
-  for (std::uint8_t code = 0; code < net::kFaultCodeCount; ++code) {
+  // No bus registers fault names: every bus renders the vocabulary.
+  EventBus bus(sched, 4);
+  for (std::uint8_t code = 0; code < obs::kFaultKindCount; ++code) {
     Event f;
     f.kind = EventKind::kFaultInjected;
     f.a = code;
-    EXPECT_EQ(registered.render(f), std::string("fault ") + kGolden[code])
+    EXPECT_EQ(bus.render(f), std::string("fault ") + kGolden[code])
         << unsigned{code};
-    EXPECT_EQ(bare.render(f), "fault fault#" + std::to_string(code))
-        << unsigned{code};
-    EXPECT_STREQ(net::fault_code_name(code), kGolden[code]);
+    EXPECT_STREQ(obs::to_string(static_cast<obs::FaultKind>(code)),
+                 kGolden[code]);
   }
-  // Past the table: numeric fallback, never a null or a stale label.
+  // Past the vocabulary: the fallback name, never a null or a stale label.
   Event f;
   f.kind = EventKind::kFaultInjected;
   f.a = 42;
-  EXPECT_EQ(registered.render(f), "fault fault#42");
+  EXPECT_EQ(bus.render(f), "fault unknown-fault");
 }
 
 // --- Trace: the bus's "[time] text" dump ------------------------------------
@@ -494,16 +489,16 @@ TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
   h.start();
   h.run_for(400);
   h.faults().burst(4, net::FaultMix::all());
-  auto inject = [&h](std::uint8_t code, ProcessId pid, std::uint64_t mask) {
+  auto inject = [&h](net::FaultKind code, ProcessId pid, std::uint64_t mask) {
     h.faults().inject_targeted(
         net::TargetedFault{.code = code, .a = pid, .mask = mask});
   };
-  inject(net::kFaultCodeProcessCrash, 2, 0);
+  inject(net::FaultKind::kProcessCrash, 2, 0);
   h.run_for(300);
-  inject(net::kFaultCodeProcessRecover, 2, 0);
-  inject(net::kFaultCodePartition, kNoProcess, 0b0110);
+  inject(net::FaultKind::kProcessRecover, 2, 0);
+  inject(net::FaultKind::kPartition, kNoProcess, 0b0110);
   h.run_for(300);
-  inject(net::kFaultCodePartitionHeal, kNoProcess, 0);
+  inject(net::FaultKind::kPartitionHeal, kNoProcess, 0);
   h.run_for(2000);
   h.drain(2000);
 

@@ -23,14 +23,16 @@
 //
 // Every mode prints one "mc-stats ..." line per explorer run; CI greps
 // these into the job summary.
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/flags.hpp"
+#include "common/parallel.hpp"
 #include "core/harness.hpp"
 #include "mc/explorer.hpp"
 #include "mc/mutants.hpp"
@@ -101,17 +103,14 @@ ExplorerConfig explorer_from_flags(const Flags& flags) {
       static_cast<std::uint64_t>(flags.get_int("fault-window", 600));
   ec.fault_stride =
       static_cast<std::uint64_t>(flags.get_int("fault-stride", 60));
-  const std::string mode = flags.get("fault-kind", "channel");
-  if (mode == "all")
-    ec.mix = net::FaultMix::all();
-  else if (mode == "drop")
-    ec.mix = net::FaultMix::only(net::FaultKind::kMessageDrop);
-  else if (mode == "duplicate")
-    ec.mix = net::FaultMix::only(net::FaultKind::kMessageDuplicate);
-  else if (mode == "process")
-    ec.mix = net::FaultMix::process_only();
-  else
-    ec.mix = net::FaultMix::channel_only();
+  const std::string kind = flags.get("fault-kind", "channel");
+  const std::optional<net::FaultMix> mix = net::FaultMix::parse(kind);
+  if (!mix) {
+    std::cerr << "unknown --fault-kind '" << kind
+              << "'; accepted: " << net::FaultMix::kSpellings << "\n";
+    std::exit(2);
+  }
+  ec.mix = *mix;
   return ec;
 }
 
@@ -217,33 +216,21 @@ std::vector<SweepCell> build_sweep(const Flags& flags) {
 
 int run_sweep(const Flags& flags) {
   std::vector<SweepCell> cells = build_sweep(flags);
-  std::size_t jobs = static_cast<std::size_t>(flags.get_int("jobs", 1));
-  if (jobs == 0) jobs = std::thread::hardware_concurrency();
-  if (jobs == 0) jobs = 1;
-  jobs = std::min(jobs, cells.size());
-
   struct CellOut {
     ExplorerResult result;
     std::string rendered;  // explain() text for found bugs
   };
   std::vector<CellOut> out(cells.size());
-  // Static round-robin sharding: cell i runs on worker i % jobs and lands
-  // in out[i], so the printed report is byte-identical for every --jobs.
-  auto worker = [&](std::size_t w) {
-    for (std::size_t i = w; i < cells.size(); i += jobs) {
-      Explorer ex(cells[i].config);
-      out[i].result = ex.run();
-      if (out[i].result.found)
-        out[i].rendered = ex.explain(out[i].result.counterexample);
-    }
-  };
-  if (jobs == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> threads;
-    for (std::size_t w = 0; w < jobs; ++w) threads.emplace_back(worker, w);
-    for (std::thread& t : threads) t.join();
-  }
+  // Cell i lands in out[i] whichever worker runs it, so the printed report
+  // is byte-identical for every --jobs.
+  parallel_tasks(
+      cells.size(), static_cast<std::size_t>(flags.get_int("jobs", 1)),
+      [&](std::size_t i) {
+        Explorer ex(cells[i].config);
+        out[i].result = ex.run();
+        if (out[i].result.found)
+          out[i].rendered = ex.explain(out[i].result.counterexample);
+      });
 
   std::size_t bugs = 0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
@@ -370,7 +357,7 @@ int main(int argc, char** argv) {
        {"fault-window", "fault positions lie in [0, window) events"},
        {"fault-stride", "fault-position grid spacing in events (default 60)"},
        {"fault-kind",
-        "channel | all | drop | duplicate | process (default channel)"},
+        std::string(net::FaultMix::kSpellings) + " (default channel)"},
        {"lifecycle", "also enumerate crash/recover and partition/heal"},
        {"horizon", "per-execution sim-time bound (default 1500)"},
        {"property", "safety | convergence (default safety)"},

@@ -62,16 +62,18 @@ int main(int argc, char** argv) {
 
   SpecGrid grid;
   for (const bool monotone : {false, true}) {
-    HarnessConfig config = base_config("ricart-agrawala", 3000);
-    config.algorithm_options = {monotone ? "monotone_views=1"
-                                         : "monotone_views=0"};
+    const HarnessConfig config =
+        base_config(monotone ? "ricart-agrawala[monotone_views=1]"
+                             : "ricart-agrawala[monotone_views=0]",
+                    3000);
     grid.add(monotone ? "a1/monotone" : "a1/direct", config,
              corruption_scenario(), trials);
   }
   for (const bool head_only : {false, true}) {
-    HarnessConfig config = base_config("lamport", 4000);
-    config.algorithm_options = {head_only ? "head_only_release=1"
-                                          : "head_only_release=0"};
+    HarnessConfig config = base_config(head_only
+                                           ? "lamport[head_only_release=1]"
+                                           : "lamport[head_only_release=0]",
+                                       4000);
     config.client.wants_cs = false;  // scripted request only
 
     FaultScenario scenario;

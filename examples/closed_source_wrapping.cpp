@@ -11,11 +11,11 @@
 // REQ, knows_earlier), stabilizes both after identical fault bursts.
 #include <iostream>
 #include <memory>
+#include <string_view>
 
 #include "common/rng.hpp"
 #include "me/client.hpp"
-#include "me/lamport.hpp"
-#include "me/ricart_agrawala.hpp"
+#include "me/protocol_registry.hpp"
 #include "net/fault_injector.hpp"
 #include "net/network.hpp"
 #include "sim/scheduler.hpp"
@@ -25,25 +25,23 @@ namespace {
 
 using namespace graybox;
 
-// The "vendor": returns implementations of the specification-level
-// interface. Callers get no concrete type — exactly the graybox setting.
-std::unique_ptr<me::TmeProcess> vendor_process(int vendor, ProcessId pid,
-                                               net::Network& net) {
-  if (vendor == 0)
-    return std::make_unique<me::RicartAgrawala>(pid, net);
-  return std::make_unique<me::LamportMe>(pid, net);
-}
+// The "vendor": builds implementations of the specification-level
+// interface from a registry name. Callers get no concrete type — exactly
+// the graybox setting.
+constexpr std::string_view kVendorBoxes[] = {"ricart-agrawala", "lamport"};
 
 bool run_vendor_system(int vendor) {
   sim::Scheduler sched;
   net::Network net(sched, 3, net::DelayModel::uniform(1, 4), Rng(11));
+  const me::ResolvedProtocol box =
+      me::ProtocolRegistry::instance().resolve(kVendorBoxes[vendor]);
 
   std::vector<std::unique_ptr<me::TmeProcess>> procs;
   std::vector<std::unique_ptr<me::Client>> clients;
   std::vector<std::unique_ptr<wrapper::GrayboxWrapper>> wrappers;
   Rng rng(99);
   for (ProcessId pid = 0; pid < 3; ++pid) {
-    procs.push_back(vendor_process(vendor, pid, net));
+    procs.push_back(box.make(pid, net));
     me::TmeProcess* p = procs.back().get();
     net.set_handler(pid, [p](const net::Message& m) { p->on_message(m); });
     me::ClientConfig client_config;
@@ -77,7 +75,7 @@ bool run_vendor_system(int vendor) {
     all_thinking = all_thinking && p->thinking();
   }
   std::cout << "  vendor box #" << vendor << " (claims to satisfy Lspec; "
-            << "actually " << procs[0]->algorithm() << "): " << entries
+            << "actually " << box.protocol->name << "): " << entries
             << " CS entries, " << faults.total_injected() << " faults, "
             << net.sent_by_wrapper() << " wrapper resends, final state "
             << (all_thinking ? "quiescent" : "STUCK") << "\n";

@@ -77,27 +77,23 @@ int main(int argc, char** argv) {
   HarnessConfig config;
   config.n = static_cast<std::size_t>(flags.get_int("n", 5));
   const std::string algo = flags.get("algorithm", "ra");
+  const std::string options = flags.get("options", "");
+  // --options=k=v,... becomes the spec's [k=v,...] on every process.
+  const std::string suffix = options.empty() ? "" : "[" + options + "]";
   const me::ProtocolRegistry& registry = me::ProtocolRegistry::instance();
   if (algo == "mixed") {
     config.per_process_algorithms.resize(config.n);
     for (std::size_t j = 0; j < config.n; ++j) {
       config.per_process_algorithms[j] =
-          j % 2 == 0 ? "ricart-agrawala" : "lamport";
+          (j % 2 == 0 ? "ricart-agrawala" : "lamport") + suffix;
     }
-  } else if (const me::ProcessFactory* factory = registry.find(algo)) {
-    config.algorithm = std::string(factory->name());
+  } else if (const me::Protocol* protocol = registry.find(algo)) {
+    config.algorithm = std::string(protocol->name) + suffix;
   } else {
     std::cerr << "unknown algorithm '" << algo << "'; registered:";
     for (std::string_view name : registry.names()) std::cerr << " " << name;
     std::cerr << " (or 'mixed')\n";
     return 2;
-  }
-  const std::string options = flags.get("options", "");
-  for (std::size_t pos = 0; pos < options.size();) {
-    const std::size_t comma = options.find(',', pos);
-    const std::size_t end = comma == std::string::npos ? options.size() : comma;
-    if (end > pos) config.algorithm_options.push_back(options.substr(pos, end - pos));
-    pos = end + 1;
   }
   config.wrapped = flags.get_bool("wrapped", true);
   config.level1 = flags.get_bool("level1", false);
@@ -218,7 +214,10 @@ int main(int argc, char** argv) {
 
   Table procs({"process", "algorithm", "CS entries", "final state"});
   for (ProcessId pid = 0; pid < config.n; ++pid) {
-    procs.row(pid, std::string(system.process(pid).algorithm()),
+    const std::string& spec = config.per_process_algorithms.empty()
+                                  ? config.algorithm
+                                  : config.per_process_algorithms[pid];
+    procs.row(pid, std::string(registry.resolve(spec).protocol->name),
               system.process(pid).cs_entries(),
               me::to_string(system.process(pid).state()));
   }

@@ -1,5 +1,6 @@
 #include "common/flags.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -44,7 +45,19 @@ std::string Flags::get(const std::string& name,
 std::int64_t Flags::get_int(const std::string& name,
                             std::int64_t fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return fallback;
+  // Every integer flag is a count, a time or a seed: exactly a
+  // non-negative decimal, or the run would silently use some other value.
+  const std::string& v = it->second;
+  const char* end = v.data() + v.size();
+  std::int64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
+  if (ec != std::errc{} || ptr != end || value < 0) {
+    std::fprintf(stderr, "%s: --%s expects a non-negative integer, got '%s'\n",
+                 program_.c_str(), name.c_str(), v.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {

@@ -11,24 +11,11 @@ namespace graybox::core {
 
 namespace {
 
-const me::ProcessFactory& factory_for(const HarnessConfig& config,
-                                      ProcessId pid) {
-  return me::ProtocolRegistry::instance().require(
-      config.per_process_algorithms.empty()
-          ? config.algorithm
-          : config.per_process_algorithms[pid]);
-}
-
-/// The layered option list for one process, lowest precedence first:
-/// uniform algorithm_options, then per-process options.
-std::vector<std::string> options_for(const HarnessConfig& config,
-                                     ProcessId pid) {
-  std::vector<std::string> opts = config.algorithm_options;
-  if (!config.per_process_options.empty()) {
-    opts.insert(opts.end(), config.per_process_options[pid].begin(),
-                config.per_process_options[pid].end());
-  }
-  return opts;
+/// The registry spec of pid's process.
+const std::string& spec_for(const HarnessConfig& config, ProcessId pid) {
+  return config.per_process_algorithms.empty()
+             ? config.algorithm
+             : config.per_process_algorithms[pid];
 }
 
 /// The safety monitors: ME1, ME3, Invariant I and Mutual Belief (null when
@@ -43,10 +30,9 @@ std::array<const lspec::TmeMonitor*, 4> safety_monitors(
 std::string algorithm_spec(const HarnessConfig& config) {
   std::vector<std::string> specs;
   specs.reserve(config.n);
-  for (ProcessId pid = 0; pid < config.n; ++pid) {
-    const me::ProcessFactory& f = factory_for(config, pid);
-    specs.push_back(f.canonical_spec(f.resolve(options_for(config, pid))));
-  }
+  const me::ProtocolRegistry& registry = me::ProtocolRegistry::instance();
+  for (ProcessId pid = 0; pid < config.n; ++pid)
+    specs.push_back(registry.resolve(spec_for(config, pid)).canonical());
   // A heterogeneous vector whose entries all resolve identically constructs
   // the same system as the uniform spelling — serialize them the same.
   bool uniform = true;
@@ -60,18 +46,23 @@ std::string algorithm_spec(const HarnessConfig& config) {
   return out;
 }
 
-SystemHarness::SystemHarness(HarnessConfig config)
-    : config_(config), master_rng_(config.seed) {
+SystemHarness::SystemHarness(HarnessConfig config) : config_(config) {
   GBX_EXPECTS(config_.n >= 1);
-  // A heterogeneous algorithm (or option/tier) vector must name exactly one
-  // entry per process; anything else is a misconfiguration that must fail
-  // fast here, never silently fall back to the uniform fields.
+  // A heterogeneous algorithm (or tier) vector must name exactly one entry
+  // per process; anything else is a misconfiguration that must fail fast
+  // here, never silently fall back to the uniform fields.
   GBX_EXPECTS(config_.per_process_algorithms.empty() ||
               config_.per_process_algorithms.size() == config_.n);
-  GBX_EXPECTS(config_.per_process_options.empty() ||
-              config_.per_process_options.size() == config_.n);
   GBX_EXPECTS(config_.per_process_tiers.empty() ||
               config_.per_process_tiers.size() == config_.n);
+
+  // Each process's spec, resolved once: it builds the process below and
+  // its conformance claims shape the monitoring battery.
+  const me::ProtocolRegistry& registry = me::ProtocolRegistry::instance();
+  std::vector<me::ResolvedProtocol> protocols;
+  protocols.reserve(config_.n);
+  for (ProcessId pid = 0; pid < config_.n; ++pid)
+    protocols.push_back(registry.resolve(spec_for(config_, pid)));
 
   // The typed event bus exists unconditionally (capacity 0 = disabled) and
   // every producer stays attached, so toggling trace_capacity changes only
@@ -84,19 +75,17 @@ SystemHarness::SystemHarness(HarnessConfig config)
     provenance_ = std::make_unique<obs::ProvenanceTracker>(config_.n);
   }
 
-  // Pre-split every RNG stream in the pre-registry order (network, one per
-  // client, injector, fault load, recovery), then split the factory stream
-  // LAST: an external factory that draws must not shift any pre-existing
-  // stream, so seed-pinned runs stay bit-identical to the enum era.
-  Rng net_rng = master_rng_.split();
+  // Pre-split every RNG stream in a fixed order (network, one per client,
+  // injector, fault load, recovery): seed-pinned runs depend on it.
+  Rng master(config_.seed);
+  Rng net_rng = master.split();
   std::vector<Rng> client_rngs;
   client_rngs.reserve(config_.n);
   for (ProcessId pid = 0; pid < config_.n; ++pid)
-    client_rngs.push_back(master_rng_.split());
-  Rng injector_rng = master_rng_.split();
-  Rng fault_load_rng = master_rng_.split();
-  recovery_rng_ = master_rng_.split();
-  factory_rng_ = master_rng_.split();
+    client_rngs.push_back(master.split());
+  Rng injector_rng = master.split();
+  Rng fault_load_rng = master.split();
+  recovery_rng_ = master.split();
 
   net_ = std::make_unique<net::Network>(sched_, config_.n, config_.delay,
                                         net_rng);
@@ -106,7 +95,7 @@ SystemHarness::SystemHarness(HarnessConfig config)
   // Processes + delivery plumbing.
   std::vector<me::TmeProcess*> raw;
   for (ProcessId pid = 0; pid < config_.n; ++pid) {
-    processes_.push_back(make_process(pid));
+    processes_.push_back(protocols[pid].make(pid, *net_));
     raw.push_back(processes_.back().get());
     me::TmeProcess* proc = raw.back();
     proc->set_event_bus(bus_.get());
@@ -183,7 +172,7 @@ SystemHarness::SystemHarness(HarnessConfig config)
   fifo_ = std::make_unique<lspec::FifoMonitor>(*net_, sched_);
   if (config_.install_monitors) {
     snapshots_ = std::make_unique<lspec::SnapshotSource>(raw, *net_);
-    // Each process's factory declares which Lspec reading it claims; the
+    // Each process's protocol declares which Lspec reading it claims; the
     // battery adapts (a process opting out of view_entry_truth exempts it
     // from Invariant I and adds the MutualBelief monitor; opting out of
     // fcfs exempts its entries from ME3's overtake check). All-claiming
@@ -191,7 +180,7 @@ SystemHarness::SystemHarness(HarnessConfig config)
     std::vector<char> claims(config_.n, 1);
     std::vector<char> fcfs_claims(config_.n, 1);
     for (ProcessId pid = 0; pid < config_.n; ++pid) {
-      const me::SpecConformance conf = factory_for(config_, pid).conformance();
+      const me::SpecConformance& conf = protocols[pid].protocol->conformance;
       claims[pid] = conf.view_entry_truth ? 1 : 0;
       fcfs_claims[pid] = conf.fcfs ? 1 : 0;
     }
@@ -263,15 +252,6 @@ SystemHarness::SystemHarness(HarnessConfig config)
 }
 
 SystemHarness::~SystemHarness() = default;
-
-std::unique_ptr<me::TmeProcess> SystemHarness::make_process(ProcessId pid) {
-  const me::ProcessFactory& factory = factory_for(config_, pid);
-  const me::ResolvedOptions options =
-      factory.resolve(options_for(config_, pid));
-  auto process = factory.make(pid, config_.n, *net_, factory_rng_, options);
-  GBX_ASSERT(process != nullptr);
-  return process;
-}
 
 me::TmeProcess& SystemHarness::process(ProcessId pid) {
   GBX_EXPECTS(pid < processes_.size());

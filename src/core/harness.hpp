@@ -46,26 +46,17 @@ inline constexpr std::uint8_t kTierLevel2 = 1u << 1;
 
 struct HarnessConfig {
   std::size_t n = 5;
-  /// The protocol, by me::ProtocolRegistry name, resolved at harness
-  /// construction (aliases accepted; unknown names fail fast with the
-  /// registered list).
+  /// The protocol, as a me::ProtocolRegistry spec: "name" or
+  /// "name[key=value,...]" (e.g. "carvalho-roucairol[lease=4]"), resolved
+  /// at harness construction. Aliases are accepted; an unknown name, an
+  /// undeclared key or an unreadable value fails fast.
   std::string algorithm = "ricart-agrawala";
 
-  /// Heterogeneous systems: when non-empty (size n), overrides `algorithm`
-  /// per process. Lspec is a LOCAL everywhere specification (Section 2.1),
-  /// so the theory — and the wrapper — apply to mixed implementations;
-  /// tests/test_heterogeneous.cpp probes exactly that.
+  /// Heterogeneous systems: when non-empty (size n), one spec per process,
+  /// overriding `algorithm`. Lspec is a LOCAL everywhere specification
+  /// (Section 2.1), so the theory — and the wrapper — apply to mixed
+  /// implementations; tests/test_heterogeneous.cpp probes exactly that.
   std::vector<std::string> per_process_algorithms{};
-
-  /// Uniform "key=value" algorithm options, resolved against each
-  /// process's factory schema (unknown keys fail fast). In mixed runs
-  /// every key must be valid for every factory — prefer
-  /// per_process_options there.
-  std::vector<std::string> algorithm_options{};
-
-  /// Per-process options (size n when non-empty), appended after
-  /// algorithm_options (later entries win).
-  std::vector<std::vector<std::string>> per_process_options{};
 
   /// Attach one GrayboxWrapper per process (the wrapped system M [] W' —
   /// the level-2, inter-process consistency tier).
@@ -277,7 +268,6 @@ class SystemHarness {
   bool quiescent() const;
 
  private:
-  std::unique_ptr<me::TmeProcess> make_process(ProcessId pid);
   /// Close the current reconvergence window (a new fault arrived).
   void on_fault_arrival();
   /// Latest report of the safety monitors (ME1, ME3, Invariant I, Mutual
@@ -290,13 +280,8 @@ class SystemHarness {
   obs::MetricsSnapshot metrics(const RunStats& stats) const;
 
   HarnessConfig config_;
-  Rng master_rng_;
   sim::Scheduler sched_;
   std::unique_ptr<net::Network> net_;
-  /// Stream handed to ProcessFactory::make for randomized constructions.
-  /// Split from the master AFTER every pre-registry stream so the built-in
-  /// factories (which draw nothing) reproduce the enum-era runs bit-exact.
-  Rng factory_rng_;
   std::vector<std::unique_ptr<me::TmeProcess>> processes_;
   std::vector<std::unique_ptr<me::Client>> clients_;
   /// Size n; a null entry means that process runs without that tier.

@@ -27,7 +27,7 @@
 //                                 (Carvalho-Roucairol): two competing
 //                                 processes must never simultaneously
 //                                 believe they precede each other. Installed
-//                                 only when some process's factory opts out
+//                                 only when some process's protocol opts out
 //                                 of Invariant I's per-view truth
 //                                 (SpecConformance::view_entry_truth).
 //

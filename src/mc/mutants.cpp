@@ -11,11 +11,9 @@ namespace graybox::mc {
 
 namespace {
 
-using me::OptionSpec;
-using me::ProcessFactory;
+using me::Protocol;
 using me::ResolvedOptions;
 using me::RicartAgrawala;
-using me::SpecConformance;
 using me::TmeProcess;
 
 // --- mutant-ra-tiebreak ------------------------------------------------------
@@ -31,7 +29,6 @@ class RaTiebreakMutant : public RicartAgrawala {
     GBX_EXPECTS(k < peers());
     return req().counter <= view_of(k).counter;
   }
-  std::string_view algorithm() const override { return "mutant-ra-tiebreak"; }
 };
 
 // --- mutant-ra-eager-reply ---------------------------------------------------
@@ -43,10 +40,6 @@ class RaTiebreakMutant : public RicartAgrawala {
 class RaEagerReplyMutant : public RicartAgrawala {
  public:
   using RicartAgrawala::RicartAgrawala;
-
-  std::string_view algorithm() const override {
-    return "mutant-ra-eager-reply";
-  }
 
  protected:
   void handle_request(const net::Message& msg) override {
@@ -73,62 +66,27 @@ class LamportNoAckMutant : public me::LamportMe {
     }
     return true;
   }
-  std::string_view algorithm() const override {
-    return "mutant-lamport-no-ack";
-  }
 };
 
-// --- Factories ---------------------------------------------------------------
-
-class RaTiebreakFactory : public ProcessFactory {
- public:
-  std::string_view name() const override { return "mutant-ra-tiebreak"; }
-  SpecConformance conformance() const override { return SpecConformance{}; }
-  std::unique_ptr<TmeProcess> make(ProcessId pid, std::size_t n,
-                                   net::Network& net, Rng& /*rng*/,
-                                   const ResolvedOptions& /*options*/) const
-      override {
-    GBX_EXPECTS(n == net.size());
-    return std::make_unique<RaTiebreakMutant>(pid, net);
-  }
-};
-
-class RaEagerReplyFactory : public ProcessFactory {
- public:
-  std::string_view name() const override { return "mutant-ra-eager-reply"; }
-  SpecConformance conformance() const override { return SpecConformance{}; }
-  std::unique_ptr<TmeProcess> make(ProcessId pid, std::size_t n,
-                                   net::Network& net, Rng& /*rng*/,
-                                   const ResolvedOptions& /*options*/) const
-      override {
-    GBX_EXPECTS(n == net.size());
-    return std::make_unique<RaEagerReplyMutant>(pid, net);
-  }
-};
-
-class LamportNoAckFactory : public ProcessFactory {
- public:
-  std::string_view name() const override { return "mutant-lamport-no-ack"; }
-  SpecConformance conformance() const override { return SpecConformance{}; }
-  std::unique_ptr<TmeProcess> make(ProcessId pid, std::size_t n,
-                                   net::Network& net, Rng& /*rng*/,
-                                   const ResolvedOptions& /*options*/) const
-      override {
-    GBX_EXPECTS(n == net.size());
-    return std::make_unique<LamportNoAckMutant>(pid, net);
-  }
-};
+/// Every mutant takes its base protocol's constructor and no options.
+template <class Mutant>
+std::unique_ptr<TmeProcess> make(ProcessId pid, net::Network& net,
+                                 const ResolvedOptions& /*options*/) {
+  return std::make_unique<Mutant>(pid, net);
+}
 
 }  // namespace
 
 void register_mutants() {
   static const bool registered = [] {
-    static const RaTiebreakFactory tiebreak;
-    static const RaEagerReplyFactory eager;
-    static const LamportNoAckFactory noack;
-    me::ProtocolRegistry::instance().add(&tiebreak);
-    me::ProtocolRegistry::instance().add(&eager);
-    me::ProtocolRegistry::instance().add(&noack);
+    static const Protocol tiebreak{.name = "mutant-ra-tiebreak",
+                                   .make = make<RaTiebreakMutant>};
+    static const Protocol eager{.name = "mutant-ra-eager-reply",
+                                .make = make<RaEagerReplyMutant>};
+    static const Protocol noack{.name = "mutant-lamport-no-ack",
+                                .make = make<LamportNoAckMutant>};
+    for (const Protocol* p : {&tiebreak, &eager, &noack})
+      me::ProtocolRegistry::instance().add(p);
     return true;
   }();
   (void)registered;

@@ -1,7 +1,6 @@
 #include "me/carvalho_roucairol.hpp"
 
 #include "common/contracts.hpp"
-#include "me/protocol_registry.hpp"
 
 namespace graybox::me {
 
@@ -19,8 +18,9 @@ bool CarvalhoRoucairol::knows_earlier(ProcessId k) const {
   GBX_EXPECTS(k < peers());
   // The retained permission covers the current request: k consented to our
   // entry and has not asked for the CS since. This is the clause that makes
-  // CR's entry guard permission-backed rather than view-backed (and why the
-  // factory's SpecConformance opts out of Invariant I's per-view truth).
+  // CR's entry guard permission-backed rather than view-backed (and why its
+  // registry record's SpecConformance opts out of Invariant I's per-view
+  // truth).
   if (!thinking() && relied_[k] != 0) return true;
   return RicartAgrawala::knows_earlier(k);
 }
@@ -142,40 +142,6 @@ void CarvalhoRoucairol::fault_set_relied(ProcessId k, bool value) {
   GBX_EXPECTS(k < peers());
   relied_[k] = value ? 1 : 0;
   mark_observably_changed();
-}
-
-// --- Registry factory -------------------------------------------------------
-
-namespace {
-
-class CarvalhoRoucairolFactory : public ProcessFactory {
- public:
-  std::string_view name() const override { return "carvalho-roucairol"; }
-  std::vector<std::string_view> aliases() const override { return {"cr"}; }
-  SpecConformance conformance() const override {
-    return SpecConformance{
-        .everywhere = true, .view_entry_truth = false, .fcfs = false};
-  }
-  std::vector<OptionSpec> option_schema() const override {
-    return {{"lease", "8",
-             "CS entries a retained permission covers before re-request"}};
-  }
-  std::unique_ptr<TmeProcess> make(ProcessId pid, std::size_t n,
-                                   net::Network& net, Rng& /*rng*/,
-                                   const ResolvedOptions& options) const
-      override {
-    GBX_EXPECTS(n == net.size());
-    CarvalhoRoucairolOptions opts;
-    opts.lease = static_cast<std::uint32_t>(options.get_u64("lease"));
-    return std::make_unique<CarvalhoRoucairol>(pid, net, opts);
-  }
-};
-
-}  // namespace
-
-const ProcessFactory& carvalho_roucairol_factory() {
-  static const CarvalhoRoucairolFactory factory;
-  return factory;
 }
 
 }  // namespace graybox::me

@@ -52,7 +52,6 @@ class CarvalhoRoucairol : public RicartAgrawala {
                     CarvalhoRoucairolOptions options = {});
 
   bool knows_earlier(ProcessId k) const override;
-  std::string_view algorithm() const override { return "carvalho-roucairol"; }
 
   /// j holds k's permission (diagnostics and tests).
   bool authorized(ProcessId k) const;

@@ -24,8 +24,6 @@ class FragileMe : public RicartAgrawala {
  public:
   FragileMe(ProcessId pid, net::Network& net) : RicartAgrawala(pid, net) {}
 
-  std::string_view algorithm() const override { return "fragile-ra"; }
-
  protected:
   void handle_request(const net::Message& msg) override {
     // The fatal shortcut: deduplicate requests on the received flag. The

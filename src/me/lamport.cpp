@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
-#include "me/protocol_registry.hpp"
 
 namespace graybox::me {
 
@@ -155,37 +154,6 @@ void LamportMe::fault_insert_queue_entry(ProcessId k, clk::Timestamp ts) {
 void LamportMe::fault_clear_queue() {
   queue_.clear();
   mark_observably_changed();
-}
-
-// --- Registry factory -------------------------------------------------------
-
-namespace {
-
-class LamportFactory : public ProcessFactory {
- public:
-  std::string_view name() const override { return "lamport"; }
-  SpecConformance conformance() const override { return SpecConformance{}; }
-  std::vector<OptionSpec> option_schema() const override {
-    return {{"head_only_release", "0",
-             "ablation A2: a RELEASE dequeues only the head entry (a "
-             "corrupted entry can wedge the queue forever)"}};
-  }
-  std::unique_ptr<TmeProcess> make(ProcessId pid, std::size_t n,
-                                   net::Network& net, Rng& /*rng*/,
-                                   const ResolvedOptions& options) const
-      override {
-    GBX_EXPECTS(n == net.size());
-    LamportOptions opts;
-    opts.head_only_release = options.get_bool("head_only_release");
-    return std::make_unique<LamportMe>(pid, net, opts);
-  }
-};
-
-}  // namespace
-
-const ProcessFactory& lamport_factory() {
-  static const LamportFactory factory;
-  return factory;
 }
 
 }  // namespace graybox::me

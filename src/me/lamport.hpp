@@ -53,7 +53,6 @@ class LamportMe : public TmeProcess {
 
   bool knows_earlier(ProcessId k) const override;
   clk::Timestamp view_of(ProcessId k) const override;
-  std::string_view algorithm() const override { return "lamport"; }
 
   /// request_queue.j, ordered earliest-first. (Exposed for diagnostics.)
   const std::vector<QueueEntry>& queue() const { return queue_; }

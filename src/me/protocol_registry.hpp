@@ -3,24 +3,23 @@
 //
 // The paper's reusability results (Theorem 4, Corollary 11) quantify over
 // *every* everywhere-implementation of Lspec, so the set of programs the
-// harness can assemble must be open, not a closed enum. A ProcessFactory
-// names one implementation, declares its options (as a key=value schema
-// with defaults, giving every configuration a canonical serialization for
-// config digests), declares which parts of the Lspec reading it claims via
+// harness can assemble must be open, not a closed enum. One Protocol record
+// names one implementation, declares its options (typed keys with
+// defaults), declares which parts of the Lspec reading it claims via
 // SpecConformance, and constructs processes. The registry is the single
-// source of algorithm names — the harness, the engine's config digests,
-// the explorer CLI, and the benches all resolve names here.
+// source of algorithm names, and its spec string "name[key=value,...]" is
+// the one way to name a configured process: HarnessConfig holds one per
+// process, and the engine's config digests and JSON cells record its
+// canonical form.
 //
-// Built-in factories (Ricart-Agrawala, Lamport, Carvalho-Roucairol, and
-// the FragileMe negative control) live in their algorithm's translation
-// unit and are anchored by ProtocolRegistry::instance() referencing their
-// accessor functions — a plain static registrar object would be dropped
-// when linking from a static archive, since nothing else in a bench binary
-// names the algorithm's TU. External implementations self-register through
+// The built-in records (Ricart-Agrawala, Lamport, Carvalho-Roucairol, and
+// the FragileMe negative control) are function-local statics of
+// ProtocolRegistry::instance(). External implementations join through
 // ProtocolRegistry::add() (tests/test_protocol_registry.cpp exercises the
-// seam with a factory the library has never heard of).
+// seam with a protocol the library has never heard of).
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -55,71 +54,56 @@ struct SpecConformance {
   bool fcfs = true;
 };
 
-/// One schema entry: an option key, its default, and a help line. Schema
-/// order is canonical — serializations and digests list keys in it.
-struct OptionSpec {
-  std::string key;
-  std::string default_value;
-  std::string help;
+/// One declared option. Declaration order is canonical: a spec's canonical
+/// form lists every key in it.
+struct Option {
+  enum class Kind : std::uint8_t {
+    kFlag,   ///< 1/true or 0/false, stored as "1" or "0"
+    kCount,  ///< a decimal that fits 32 bits, stored without leading zeros
+  };
+  std::string_view key;
+  std::string_view default_value;
+  Kind kind;
 };
 
-/// Options resolved against a factory's schema: every schema key present
-/// exactly once, in schema order, defaults filled in. The canonical form
-/// is what config digests hash, so two configs that resolve identically
-/// digest identically regardless of how their options were spelled.
-class ResolvedOptions {
- public:
-  const std::string& get(std::string_view key) const;
+/// A protocol's options as one spec resolved them: every declared key
+/// exactly once, in declaration order, defaults filled in and every value
+/// normalized for its kind.
+struct ResolvedOptions {
+  std::vector<std::pair<std::string_view, std::string>> entries;
+
   bool get_bool(std::string_view key) const;
-  std::uint64_t get_u64(std::string_view key) const;
+  std::uint32_t get_count(std::string_view key) const;
+};
 
-  const std::vector<std::pair<std::string, std::string>>& entries() const {
-    return entries_;
-  }
+/// One registered implementation.
+struct Protocol {
+  using MakeFn = std::unique_ptr<TmeProcess> (*)(ProcessId, net::Network&,
+                                                 const ResolvedOptions&);
 
-  /// "key1=value1,key2=value2" in schema order; "" for an empty schema.
+  /// Canonical name (e.g. "ricart-agrawala").
+  std::string_view name;
+  /// Alternative spellings a spec may use for the name ("ra", "cr", ...).
+  std::vector<std::string_view> aliases{};
+  SpecConformance conformance{};
+  std::vector<Option> options{};
+  /// Construct one process of this protocol.
+  MakeFn make;
+};
+
+/// One configured process: a registered protocol and its resolved options.
+struct ResolvedProtocol {
+  const Protocol* protocol = nullptr;
+  ResolvedOptions options;
+
+  /// "name" or "name[key=value,...]": the canonical name and every
+  /// declared option in declaration order. Specs that construct identical
+  /// processes have the same canonical form however they were spelled (an
+  /// alias, a default spelled out, a later entry overriding an earlier one,
+  /// true for 1, a leading zero).
   std::string canonical() const;
 
- private:
-  friend class ProcessFactory;
-  std::vector<std::pair<std::string, std::string>> entries_;
-};
-
-class ProcessFactory {
- public:
-  virtual ~ProcessFactory() = default;
-
-  /// Canonical registry name (e.g. "ricart-agrawala"). Also the value the
-  /// constructed processes report from TmeProcess::algorithm().
-  virtual std::string_view name() const = 0;
-
-  /// Short alternative spellings accepted by lookups ("ra", "cr", ...).
-  virtual std::vector<std::string_view> aliases() const { return {}; }
-
-  virtual SpecConformance conformance() const = 0;
-
-  /// The option schema; empty by default. Keys outside it are rejected.
-  virtual std::vector<OptionSpec> option_schema() const { return {}; }
-
-  /// Construct one process. `n` is the system size (== net.size(), passed
-  /// for convenience and contract checks). `rng` is a dedicated stream for
-  /// randomized constructions; the built-in factories draw nothing from it
-  /// (their initial states are the deterministic paper inits), and a
-  /// factory that does draw shifts no other stream — the harness splits it
-  /// after every pre-existing stream.
-  virtual std::unique_ptr<TmeProcess> make(
-      ProcessId pid, std::size_t n, net::Network& net, Rng& rng,
-      const ResolvedOptions& options) const = 0;
-
-  /// Resolve "key=value" strings against the schema (later entries win;
-  /// unknown keys abort with the schema listed). The layered harness
-  /// options (uniform, then per-process) concatenate into one list before
-  /// resolution.
-  ResolvedOptions resolve(const std::vector<std::string>& options) const;
-
-  /// "name" or "name[key=value,...]" — the canonical spec of one configured
-  /// process, used by config digests and the engine's JSON cells.
-  std::string canonical_spec(const ResolvedOptions& options) const;
+  std::unique_ptr<TmeProcess> make(ProcessId pid, net::Network& net) const;
 };
 
 class ProtocolRegistry {
@@ -127,36 +111,30 @@ class ProtocolRegistry {
   /// The process-wide registry, with the built-ins pre-registered.
   static ProtocolRegistry& instance();
 
-  /// Register an external factory (not owned; must outlive the registry).
-  /// Duplicate names or aliases abort.
-  void add(const ProcessFactory* factory);
+  /// Register an external protocol (not owned; must outlive the registry).
+  /// A duplicate name or alias aborts, and so does a name, alias or option
+  /// key containing one of the spec delimiters [ ] , = +.
+  void add(const Protocol* protocol);
 
   /// Lookup by canonical name or alias; nullptr when absent.
-  const ProcessFactory* find(std::string_view name) const;
+  const Protocol* find(std::string_view name) const;
 
-  /// Lookup that aborts with the registered-name list on failure — the
-  /// fail-fast path for configuration errors.
-  const ProcessFactory& require(std::string_view name) const;
+  /// Read "name" or "name[key=value,...]": the name may be an alias, and a
+  /// later entry of a key wins. An unknown name aborts listing the
+  /// registered names; an undeclared key, a value its kind cannot read, a
+  /// malformed list or a missing ']' abort too — the fail-fast path for
+  /// configuration errors.
+  ResolvedProtocol resolve(std::string_view spec) const;
 
   /// Canonical names in registration order.
   std::vector<std::string_view> names() const;
 
   /// Registration-order access (for completeness smokes over all
   /// implementations).
-  const std::vector<const ProcessFactory*>& factories() const {
-    return factories_;
-  }
+  const std::vector<const Protocol*>& protocols() const { return protocols_; }
 
  private:
-  std::vector<const ProcessFactory*> factories_;
+  std::vector<const Protocol*> protocols_;
 };
-
-// Built-in factory accessors, defined in each algorithm's .cpp file.
-// instance() references them, which anchors those translation units into
-// every binary that links the registry.
-const ProcessFactory& ricart_agrawala_factory();
-const ProcessFactory& lamport_factory();
-const ProcessFactory& carvalho_roucairol_factory();
-const ProcessFactory& fragile_factory();
 
 }  // namespace graybox::me

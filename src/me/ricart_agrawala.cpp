@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/contracts.hpp"
-#include "me/protocol_registry.hpp"
 
 namespace graybox::me {
 
@@ -122,38 +121,6 @@ void RicartAgrawala::fault_set_received(ProcessId k, bool value) {
   GBX_EXPECTS(k < peers());
   received_[k] = value ? 1 : 0;
   mark_observably_changed();
-}
-
-// --- Registry factory -------------------------------------------------------
-
-namespace {
-
-class RicartAgrawalaFactory : public ProcessFactory {
- public:
-  std::string_view name() const override { return "ricart-agrawala"; }
-  std::vector<std::string_view> aliases() const override { return {"ra"}; }
-  SpecConformance conformance() const override { return SpecConformance{}; }
-  std::vector<OptionSpec> option_schema() const override {
-    return {{"monotone_views", "0",
-             "ablation A1: update views with max() instead of assignment "
-             "(loses recovery from corrupted-high views)"}};
-  }
-  std::unique_ptr<TmeProcess> make(ProcessId pid, std::size_t n,
-                                   net::Network& net, Rng& /*rng*/,
-                                   const ResolvedOptions& options) const
-      override {
-    GBX_EXPECTS(n == net.size());
-    RicartAgrawalaOptions opts;
-    opts.monotone_views = options.get_bool("monotone_views");
-    return std::make_unique<RicartAgrawala>(pid, net, opts);
-  }
-};
-
-}  // namespace
-
-const ProcessFactory& ricart_agrawala_factory() {
-  static const RicartAgrawalaFactory factory;
-  return factory;
 }
 
 }  // namespace graybox::me

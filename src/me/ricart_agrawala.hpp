@@ -40,7 +40,6 @@ class RicartAgrawala : public TmeProcess {
 
   bool knows_earlier(ProcessId k) const override;
   clk::Timestamp view_of(ProcessId k) const override;
-  std::string_view algorithm() const override { return "ricart-agrawala"; }
 
   /// "received(j.REQk)" — exposed for tests and diagnostics.
   bool received_pending(ProcessId k) const;

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
 
 #include "clock/logical_clock.hpp"
 #include "common/rng.hpp"
@@ -122,8 +121,6 @@ class TmeProcess {
     lc_.corrupt(counter);
     mark_observably_changed();
   }
-
-  virtual std::string_view algorithm() const = 0;
 
   // --- Introspection ------------------------------------------------------
 

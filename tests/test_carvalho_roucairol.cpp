@@ -195,8 +195,8 @@ TEST(CrHarness, Me3ExemptsTheLeasedFastPathOvertake) {
   // Quickstart's exact fault-free configuration (n=5, seed 1, default
   // client cadence) makes a leased re-entry overtake a causally earlier
   // open request at t=367 — real CR behaviour, not a bug: the fast path
-  // trades FCFS for message-free consecutive entries. CR's factory opts
-  // out of SpecConformance::fcfs, so ME3 must stay silent while still
+  // trades FCFS for message-free consecutive entries. CR's registry record
+  // opts out of SpecConformance::fcfs, so ME3 must stay silent while still
   // checking every entry.
   HarnessConfig config;
   config.n = 5;

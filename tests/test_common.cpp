@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <set>
+#include <string>
 
 #include "common/flags.hpp"
 #include "common/rng.hpp"
@@ -287,6 +288,20 @@ TEST(Flags, DoubleParsing) {
   const char* argv[] = {"prog", "--rate=0.125"};
   Flags flags(2, argv, {{"rate", ""}});
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 0), 0.125);
+}
+
+TEST(FlagsDeathTest, IntegerFlagsRejectWhatTheyCannotRead) {
+  // Every integer flag is a count, a time or a seed: anything but a
+  // non-negative decimal exits 2 instead of running some other value
+  // (--seed=abc as seed 0, --jobs=-1 as SIZE_MAX workers).
+  for (const char* bad : {"abc", "7x", "-1", ""}) {
+    const std::string arg = std::string("--seed=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Flags flags(2, argv, {{"seed", ""}});
+    EXPECT_EXIT(flags.get_int("seed", 1), ::testing::ExitedWithCode(2),
+                "--seed expects a non-negative integer, got '" +
+                    std::string(bad) + "'");
+  }
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 // compile standalone.
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "graybox.hpp"
 
 namespace graybox {
@@ -111,13 +113,13 @@ TEST(Contracts, HarnessAcceptsExactOrEmptyAlgorithmVector) {
   core::HarnessConfig config;
   config.n = 2;
   core::SystemHarness homogeneous(config);  // empty vector: all `algorithm`
-  EXPECT_EQ(homogeneous.process(0).algorithm(),
-            homogeneous.process(1).algorithm());
+  EXPECT_EQ(typeid(homogeneous.process(0)), typeid(me::RicartAgrawala));
+  EXPECT_EQ(typeid(homogeneous.process(1)), typeid(me::RicartAgrawala));
 
   config.per_process_algorithms = {"ricart-agrawala",
                                    "lamport"};
   core::SystemHarness mixed(config);  // size == n: honoured per process
-  EXPECT_EQ(mixed.process(1).algorithm(), "lamport");
+  EXPECT_EQ(typeid(mixed.process(1)), typeid(me::LamportMe));
 }
 
 TEST(Contracts, ProcessRejectsOutOfRangePeerQueries) {

@@ -135,10 +135,5 @@ TEST(Fragile, EndToEndStabilizationFailureUnderProcessCorruption) {
       << "the fragile wedge never triggered; adversary too weak";
 }
 
-TEST(Fragile, AlgorithmName) {
-  FragileRig rig(false);
-  EXPECT_EQ(rig.p(0).algorithm(), "fragile-ra");
-}
-
 }  // namespace
 }  // namespace graybox

@@ -2,9 +2,12 @@
 // both algorithms, drain semantics, stats, and determinism.
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "core/experiment.hpp"
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
+#include "me/lamport.hpp"
 #include "protocol_param.hpp"
 
 namespace graybox::core {
@@ -102,7 +105,7 @@ TEST(Harness, DeterministicAcrossIdenticalSeeds) {
 TEST(Harness, ProcessesMatchConfiguredAlgorithm) {
   SystemHarness h(base_config("lamport", false));
   for (ProcessId pid = 0; pid < 4; ++pid)
-    EXPECT_EQ(h.process(pid).algorithm(), "lamport");
+    EXPECT_EQ(typeid(h.process(pid)), typeid(me::LamportMe));
 }
 
 TEST(Harness, WrapperTrafficOnlyWhenWrapped) {

@@ -14,10 +14,13 @@
 //     mutual inconsistency at the Lspec level.
 #include <gtest/gtest.h>
 
+#include <typeinfo>
+
 #include "core/experiment.hpp"
 #include "core/harness.hpp"
 #include "me/carvalho_roucairol.hpp"
 #include "me/lamport.hpp"
+#include "me/ricart_agrawala.hpp"
 
 namespace graybox::core {
 namespace {
@@ -38,10 +41,10 @@ HarnessConfig mixed_config(std::uint64_t seed, bool wrapped) {
 
 TEST(Heterogeneous, ConfiguredAlgorithmsAreHonoured) {
   SystemHarness h(mixed_config(1, true));
-  EXPECT_EQ(h.process(0).algorithm(), "ricart-agrawala");
-  EXPECT_EQ(h.process(1).algorithm(), "lamport");
-  EXPECT_EQ(h.process(2).algorithm(), "ricart-agrawala");
-  EXPECT_EQ(h.process(3).algorithm(), "lamport");
+  EXPECT_EQ(typeid(h.process(0)), typeid(me::RicartAgrawala));
+  EXPECT_EQ(typeid(h.process(1)), typeid(me::LamportMe));
+  EXPECT_EQ(typeid(h.process(2)), typeid(me::RicartAgrawala));
+  EXPECT_EQ(typeid(h.process(3)), typeid(me::LamportMe));
 }
 
 TEST(Heterogeneous, WrappedMixedSystemIsCorrectFaultFree) {
@@ -80,13 +83,13 @@ TEST(MixedStabilization, RecoversFromMixedFaultBursts) {
 
 HarnessConfig three_way_config(std::uint64_t seed) {
   // RA, Lamport, and Carvalho-Roucairol in ONE system, with a per-process
-  // option (a shortened CR lease) — the registry's per-process resolution
-  // path that the uniform tests never touch.
+  // option (a shortened CR lease) in that process's spec — the registry's
+  // per-process resolution path that the uniform tests never touch.
   HarnessConfig config;
   config.n = 4;
   config.per_process_algorithms = {"ricart-agrawala", "lamport",
-                                   "carvalho-roucairol", "ricart-agrawala"};
-  config.per_process_options = {{}, {}, {"lease=4"}, {}};
+                                   "carvalho-roucairol[lease=4]",
+                                   "ricart-agrawala"};
   config.wrapped = true;
   config.wrapper.resend_period = 20;
   config.client.think_mean = 35;
@@ -97,13 +100,12 @@ HarnessConfig three_way_config(std::uint64_t seed) {
 
 TEST(ThreeWayMix, PerProcessOptionsReachTheProcesses) {
   SystemHarness h(three_way_config(1));
-  EXPECT_EQ(h.process(0).algorithm(), "ricart-agrawala");
-  EXPECT_EQ(h.process(1).algorithm(), "lamport");
-  EXPECT_EQ(h.process(2).algorithm(), "carvalho-roucairol");
-  EXPECT_EQ(h.process(3).algorithm(), "ricart-agrawala");
-  auto* cr = dynamic_cast<me::CarvalhoRoucairol*>(&h.process(2));
-  ASSERT_NE(cr, nullptr);
-  EXPECT_EQ(cr->lease(), 4u);  // the per-process option, not the default 8
+  EXPECT_EQ(typeid(h.process(0)), typeid(me::RicartAgrawala));
+  EXPECT_EQ(typeid(h.process(1)), typeid(me::LamportMe));
+  ASSERT_EQ(typeid(h.process(2)), typeid(me::CarvalhoRoucairol));
+  EXPECT_EQ(typeid(h.process(3)), typeid(me::RicartAgrawala));
+  const auto& cr = static_cast<const me::CarvalhoRoucairol&>(h.process(2));
+  EXPECT_EQ(cr.lease(), 4u);  // the per-process option, not the default 8
 
   // The canonical spec serializes the heterogeneous vector per process.
   EXPECT_EQ(algorithm_spec(h.config()),

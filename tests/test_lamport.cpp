@@ -240,8 +240,6 @@ TEST_F(LamportTest, ViewOfPrefersQueueEntry) {
   EXPECT_EQ(p(0).view_of(1), (clk::Timestamp{9, 1}));
 }
 
-TEST_F(LamportTest, AlgorithmName) { EXPECT_EQ(p(0).algorithm(), "lamport"); }
-
 // --- head_only_release ablation -------------------------------------------
 
 class LamportHeadOnlyTest : public LamportTest {

@@ -302,9 +302,5 @@ TEST(RaSingleProcess, EntersImmediatelyWithNoPeers) {
   EXPECT_TRUE(solo.thinking());
 }
 
-TEST_F(RaTest, AlgorithmName) {
-  EXPECT_EQ(p(0).algorithm(), "ricart-agrawala");
-}
-
 }  // namespace
 }  // namespace graybox::me

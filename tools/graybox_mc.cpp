@@ -344,7 +344,9 @@ int main(int argc, char** argv) {
   Flags flags(
       argc, argv,
       {{"n", "number of processes (default 3)"},
-       {"algorithm", "registered algorithm name or alias (default ra)"},
+       {"algorithm",
+        "registry spec: a name or alias, optionally with [key=value,...] "
+        "(default ra)"},
        {"wrapped", "attach level-2 graybox wrappers (default true)"},
        {"level1", "attach level-1 local wrappers (default false)"},
        {"resend", "wrapper resend period (default 25)"},

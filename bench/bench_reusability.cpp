@@ -57,15 +57,16 @@ int main(int argc, char** argv) {
       net::FaultKind::kMessageCorrupt,  net::FaultKind::kMessageReorder,
       net::FaultKind::kSpuriousMessage, net::FaultKind::kProcessCorrupt,
       net::FaultKind::kChannelClear};
+  // Lspec is a LOCAL everywhere spec: a system MIXING implementations is
+  // still covered by Theorem 4, and the same wrapper must stabilize it.
   const struct {
     const char* column;
     const char* algo;
-    bool mixed;
-  } impls[] = {{"ra", "ricart-agrawala", false},
-               {"lamport", "lamport", false},
-               {"cr", "carvalho-roucairol", false},
-               {"mixed", "ricart-agrawala", true},
-               {"fragile", "fragile-ra", false}};
+  } impls[] = {{"ra", "ricart-agrawala"},
+               {"lamport", "lamport"},
+               {"cr", "carvalho-roucairol"},
+               {"mixed", "ricart-agrawala+lamport+ricart-agrawala+lamport"},
+               {"fragile", "fragile-ra"}};
 
   SpecGrid grid;
   for (const auto kind : kinds) {
@@ -77,16 +78,8 @@ int main(int argc, char** argv) {
     scenario.drain = 5000;
 
     for (const auto& impl : impls) {
-      HarnessConfig config = config_for(impl.algo, 500);
-      // Lspec is a LOCAL everywhere spec: a system MIXING implementations
-      // is still covered by Theorem 4, and the same wrapper must stabilize
-      // it.
-      if (impl.mixed) {
-        config.per_process_algorithms = {"ricart-agrawala", "lamport",
-                                         "ricart-agrawala", "lamport"};
-      }
-      grid.add(std::string(net::to_string(kind)) + "/" + impl.column, config,
-               scenario, trials);
+      grid.add(std::string(net::to_string(kind)) + "/" + impl.column,
+               config_for(impl.algo, 500), scenario, trials);
     }
   }
   const GridResult result = engine.run(grid);

@@ -1,7 +1,8 @@
 // explorer: a flag-driven experiment CLI over the whole library.
 //
-//   $ ./explorer --n=6 --algorithm=mixed --delta=25 --faults=20
-//                --fault-kind=all --horizon=10000 --seed=7 --trace
+//   $ ./explorer --n=6 --algorithm=ra+lamport+ra+lamport+ra+lamport
+//                --delta=25 --faults=20 --fault-kind=all --horizon=10000
+//                --seed=7 --trace
 //
 // Builds a wrapped (or bare) TME system, runs warmup / fault burst /
 // observation / drain, and prints the full monitoring report: per-monitor
@@ -15,6 +16,7 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "core/harness.hpp"
+#include "core/harness_flags.hpp"
 #include "core/stabilization.hpp"
 #include "obs/causal_dag.hpp"
 #include "obs/perfetto.hpp"
@@ -23,85 +25,53 @@ int main(int argc, char** argv) {
   using namespace graybox;
   using namespace graybox::core;
 
-  Flags flags(argc, argv,
-              {{"n", "number of processes (default 5)"},
-               {"algorithm",
-                "any registered algorithm name or alias, or 'mixed' "
-                "(default ra; unknown names list the registry)"},
-               {"options",
-                "comma-separated key=value algorithm options, resolved "
-                "against the algorithm's schema (e.g. lease=4)"},
-               {"wrapped", "attach graybox wrappers W' (default true)"},
-               {"level1", "attach level-1 local wrappers too (default false)"},
-               {"delta", "wrapper timeout (default 20)"},
-               {"faults", "fault burst size after warmup (default 10)"},
-               {"fault-kind",
-                std::string(net::FaultMix::kSpellings) + " (default all)"},
-               {"fault-load",
-                "sustained load: mean ticks between arrivals on EACH "
-                "message-fault stream (drop/duplicate/corrupt/spurious/"
-                "process), running from warmup end to drain start "
-                "(default 0 = off)"},
-               {"crash-rate",
-                "sustained load: mean ticks between process crashes "
-                "(default 0 = off)"},
-               {"downtime", "mean crash downtime ticks (default 150)"},
-               {"partition-rate",
-                "sustained load: mean ticks between partitions "
-                "(default 0 = off)"},
-               {"hold", "mean partition hold ticks (default 120)"},
-               {"warmup", "fault-free prefix ticks (default 1000)"},
-               {"horizon", "observation ticks after the burst (default 8000)"},
-               {"drain", "drain ticks before judging liveness (default 5000)"},
-               {"think", "client mean think time (default 40)"},
-               {"eat", "client mean eat time (default 8)"},
-               {"seed", "experiment seed (default 1)"},
-               {"trace", "print the tail of the event trace"},
-               {"perfetto",
-                "write a Chrome/Perfetto trace_event JSON to this path "
-                "(implies --trace)"},
-               {"metrics", "write the run's metrics JSON to this path"},
-               {"provenance",
-                "track causal provenance: taint propagation and per-fault "
-                "blast radius (default false; implied by --why and "
-                "--blast-radius)"},
-               {"why",
-                "explain a recorded event: bus index, or 'violation' for "
-                "the last retained monitor violation; prints the causal "
-                "chain back to the fault injection (implies --provenance "
-                "and a full-run trace)"},
-               {"blast-radius",
-                "print the per-fault blast-radius table (implies "
-                "--provenance)"}});
+  // explorer's system defaults: one for every knob of the harness flags.
+  const HarnessConfig defaults{
+      .n = 5, .algorithm = "ricart-agrawala", .wrapped = true,
+      .wrapper = {.resend_period = 20}, .level1 = false,
+      .client = {.think_mean = 40, .eat_mean = 8}, .seed = 1};
+  const Flags flags(
+      argc, argv,
+      with_harness_flags(
+          defaults,
+          {{"faults", "fault burst size after warmup (default 10)"},
+           {"fault-kind",
+            std::string(net::FaultMix::kSpellings) + " (default all)"},
+           {"fault-load",
+            "sustained load: mean ticks between arrivals on EACH "
+            "message-fault stream (drop/duplicate/corrupt/spurious/"
+            "process), running from warmup end to drain start "
+            "(default 0 = off)"},
+           {"crash-rate",
+            "sustained load: mean ticks between process crashes "
+            "(default 0 = off)"},
+           {"downtime", "mean crash downtime ticks (default 150)"},
+           {"partition-rate",
+            "sustained load: mean ticks between partitions "
+            "(default 0 = off)"},
+           {"hold", "mean partition hold ticks (default 120)"},
+           {"warmup", "fault-free prefix ticks (default 1000)"},
+           {"horizon", "observation ticks after the burst (default 8000)"},
+           {"drain", "drain ticks before judging liveness (default 5000)"},
+           {"trace", "print the tail of the event trace"},
+           {"perfetto",
+            "write a Chrome/Perfetto trace_event JSON to this path "
+            "(implies --trace)"},
+           {"metrics", "write the run's metrics JSON to this path"},
+           {"provenance",
+            "track causal provenance: taint propagation and per-fault "
+            "blast radius (default false; implied by --why and "
+            "--blast-radius)"},
+           {"why",
+            "explain a recorded event: bus index, or 'violation' for "
+            "the last retained monitor violation; prints the causal "
+            "chain back to the fault injection (implies --provenance "
+            "and a full-run trace)"},
+           {"blast-radius",
+            "print the per-fault blast-radius table (implies "
+            "--provenance)"}}));
 
-  HarnessConfig config;
-  config.n = static_cast<std::size_t>(flags.get_int("n", 5));
-  const std::string algo = flags.get("algorithm", "ra");
-  const std::string options = flags.get("options", "");
-  // --options=k=v,... becomes the spec's [k=v,...] on every process.
-  const std::string suffix = options.empty() ? "" : "[" + options + "]";
-  const me::ProtocolRegistry& registry = me::ProtocolRegistry::instance();
-  if (algo == "mixed") {
-    config.per_process_algorithms.resize(config.n);
-    for (std::size_t j = 0; j < config.n; ++j) {
-      config.per_process_algorithms[j] =
-          (j % 2 == 0 ? "ricart-agrawala" : "lamport") + suffix;
-    }
-  } else if (const me::Protocol* protocol = registry.find(algo)) {
-    config.algorithm = std::string(protocol->name) + suffix;
-  } else {
-    std::cerr << "unknown algorithm '" << algo << "'; registered:";
-    for (std::string_view name : registry.names()) std::cerr << " " << name;
-    std::cerr << " (or 'mixed')\n";
-    return 2;
-  }
-  config.wrapped = flags.get_bool("wrapped", true);
-  config.level1 = flags.get_bool("level1", false);
-  config.wrapper.resend_period =
-      static_cast<SimTime>(flags.get_int("delta", 20));
-  config.client.think_mean = flags.get_double("think", 40);
-  config.client.eat_mean = flags.get_double("eat", 8);
-  config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  HarnessConfig config = harness_from_flags(flags, defaults);
   if (flags.get_bool("trace", false)) config.trace_capacity = 2048;
   const std::string perfetto_path = flags.get("perfetto", "");
   const std::string metrics_path = flags.get("metrics", "");
@@ -213,11 +183,10 @@ int main(int argc, char** argv) {
   summary.print(std::cout);
 
   Table procs({"process", "algorithm", "CS entries", "final state"});
+  const std::vector<me::ResolvedProtocol> protocols =
+      resolve_algorithm(config);
   for (ProcessId pid = 0; pid < config.n; ++pid) {
-    const std::string& spec = config.per_process_algorithms.empty()
-                                  ? config.algorithm
-                                  : config.per_process_algorithms[pid];
-    procs.row(pid, std::string(registry.resolve(spec).protocol->name),
+    procs.row(pid, std::string(protocols[pid].protocol->name),
               system.process(pid).cs_entries(),
               me::to_string(system.process(pid).state()));
   }

@@ -1,6 +1,7 @@
 #include "common/flags.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -62,13 +63,33 @@ std::int64_t Flags::get_int(const std::string& name,
 
 double Flags::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
-  return it == values_.end() ? fallback : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return fallback;
+  // Every double flag is a mean time or a rate: exactly a finite,
+  // non-negative decimal.
+  const std::string& v = it->second;
+  const char* end = v.data() + v.size();
+  double value = 0;
+  const auto [ptr, ec] = std::from_chars(v.data(), end, value);
+  if (ec != std::errc{} || ptr != end || !std::isfinite(value) ||
+      std::signbit(value)) {
+    std::fprintf(stderr,
+                 "%s: --%s expects a finite non-negative number, got '%s'\n",
+                 program_.c_str(), name.c_str(), v.c_str());
+    std::exit(2);
+  }
+  return value;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
-  return it->second != "false" && it->second != "0" && it->second != "no";
+  const std::string& v = it->second;
+  if (v == "true" || v == "1" || v == "yes") return true;
+  if (v == "false" || v == "0" || v == "no") return false;
+  std::fprintf(stderr,
+               "%s: --%s expects true, false, 1, 0, yes or no, got '%s'\n",
+               program_.c_str(), name.c_str(), v.c_str());
+  std::exit(2);
 }
 
 std::map<std::string, std::string> with_engine_flags(

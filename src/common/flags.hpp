@@ -23,7 +23,10 @@ class Flags {
   /// A non-negative decimal; any other value prints what the flag expects
   /// and exits 2.
   std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
+  /// A finite, non-negative decimal; any other value exits 2 likewise.
   double get_double(const std::string& name, double fallback) const;
+  /// true, false, 1, 0, yes or no (a bare --name reads true); any other
+  /// value exits 2 likewise.
   bool get_bool(const std::string& name, bool fallback) const;
 
   const std::string& program() const { return program_; }

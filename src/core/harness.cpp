@@ -11,13 +11,6 @@ namespace graybox::core {
 
 namespace {
 
-/// The registry spec of pid's process.
-const std::string& spec_for(const HarnessConfig& config, ProcessId pid) {
-  return config.per_process_algorithms.empty()
-             ? config.algorithm
-             : config.per_process_algorithms[pid];
-}
-
 /// The safety monitors: ME1, ME3, Invariant I and Mutual Belief (null when
 /// not installed). ME2's records are liveness verdicts, read as starvation.
 std::array<const lspec::TmeMonitor*, 4> safety_monitors(
@@ -27,14 +20,36 @@ std::array<const lspec::TmeMonitor*, 4> safety_monitors(
 
 }  // namespace
 
+std::vector<me::ResolvedProtocol> resolve_algorithm(
+    const HarnessConfig& config) {
+  const me::ProtocolRegistry& registry = me::ProtocolRegistry::instance();
+  std::string_view rest = config.algorithm;
+  const std::size_t count =
+      static_cast<std::size_t>(std::count(rest.begin(), rest.end(), '+')) + 1;
+  // Anything but one spec per process or one for all is a misconfiguration
+  // that must fail fast, never silently reuse a spec for unnamed processes.
+  GBX_EXPECTS(count == 1 || count == config.n);
+  if (count == 1)
+    return std::vector<me::ResolvedProtocol>(config.n, registry.resolve(rest));
+  // '+' is unambiguous: ProtocolRegistry::add rejects it in every name,
+  // alias and key, and no option kind reads it.
+  std::vector<me::ResolvedProtocol> protocols;
+  protocols.reserve(config.n);
+  for (ProcessId pid = 0; pid < config.n; ++pid) {
+    const std::size_t plus = std::min(rest.find('+'), rest.size());
+    protocols.push_back(registry.resolve(rest.substr(0, plus)));
+    rest.remove_prefix(std::min(plus + 1, rest.size()));
+  }
+  return protocols;
+}
+
 std::string algorithm_spec(const HarnessConfig& config) {
   std::vector<std::string> specs;
   specs.reserve(config.n);
-  const me::ProtocolRegistry& registry = me::ProtocolRegistry::instance();
-  for (ProcessId pid = 0; pid < config.n; ++pid)
-    specs.push_back(registry.resolve(spec_for(config, pid)).canonical());
-  // A heterogeneous vector whose entries all resolve identically constructs
-  // the same system as the uniform spelling — serialize them the same.
+  for (const me::ResolvedProtocol& protocol : resolve_algorithm(config))
+    specs.push_back(protocol.canonical());
+  // A '+'-joined spec whose entries all resolve identically constructs the
+  // same system as the uniform spelling — serialize them the same.
   bool uniform = true;
   for (const std::string& s : specs) uniform = uniform && s == specs.front();
   if (uniform) return specs.front();
@@ -48,21 +63,16 @@ std::string algorithm_spec(const HarnessConfig& config) {
 
 SystemHarness::SystemHarness(HarnessConfig config) : config_(config) {
   GBX_EXPECTS(config_.n >= 1);
-  // A heterogeneous algorithm (or tier) vector must name exactly one entry
-  // per process; anything else is a misconfiguration that must fail fast
-  // here, never silently fall back to the uniform fields.
-  GBX_EXPECTS(config_.per_process_algorithms.empty() ||
-              config_.per_process_algorithms.size() == config_.n);
+  // A heterogeneous tier vector must name exactly one entry per process;
+  // anything else is a misconfiguration that must fail fast here, never
+  // silently fall back to the uniform fields.
   GBX_EXPECTS(config_.per_process_tiers.empty() ||
               config_.per_process_tiers.size() == config_.n);
 
   // Each process's spec, resolved once: it builds the process below and
   // its conformance claims shape the monitoring battery.
-  const me::ProtocolRegistry& registry = me::ProtocolRegistry::instance();
-  std::vector<me::ResolvedProtocol> protocols;
-  protocols.reserve(config_.n);
-  for (ProcessId pid = 0; pid < config_.n; ++pid)
-    protocols.push_back(registry.resolve(spec_for(config_, pid)));
+  const std::vector<me::ResolvedProtocol> protocols =
+      resolve_algorithm(config_);
 
   // The typed event bus exists unconditionally (capacity 0 = disabled) and
   // every producer stays attached, so toggling trace_capacity changes only

@@ -46,17 +46,16 @@ inline constexpr std::uint8_t kTierLevel2 = 1u << 1;
 
 struct HarnessConfig {
   std::size_t n = 5;
-  /// The protocol, as a me::ProtocolRegistry spec: "name" or
-  /// "name[key=value,...]" (e.g. "carvalho-roucairol[lease=4]"), resolved
-  /// at harness construction. Aliases are accepted; an unknown name, an
-  /// undeclared key or an unreadable value fails fast.
+  /// The protocols, as me::ProtocolRegistry specs ("name" or
+  /// "name[key=value,...]", e.g. "carvalho-roucairol[lease=4]"): one spec
+  /// for every process, or exactly n specs joined by '+' in pid order
+  /// ("ricart-agrawala+lamport+ricart-agrawala+lamport"). Lspec is a LOCAL
+  /// everywhere specification (Section 2.1), so the theory — and the
+  /// wrapper — apply to mixed implementations; tests/test_heterogeneous.cpp
+  /// probes exactly that. Resolved at harness construction: aliases are
+  /// accepted; any other count of specs, an unknown name, an undeclared key
+  /// or an unreadable value fails fast.
   std::string algorithm = "ricart-agrawala";
-
-  /// Heterogeneous systems: when non-empty (size n), one spec per process,
-  /// overriding `algorithm`. Lspec is a LOCAL everywhere specification
-  /// (Section 2.1), so the theory — and the wrapper — apply to mixed
-  /// implementations; tests/test_heterogeneous.cpp probes exactly that.
-  std::vector<std::string> per_process_algorithms{};
 
   /// Attach one GrayboxWrapper per process (the wrapped system M [] W' —
   /// the level-2, inter-process consistency tier).
@@ -123,12 +122,18 @@ struct HarnessConfig {
   bool provenance = false;
 };
 
+/// config.algorithm resolved process by process: n entries in pid order.
+/// A single spec is resolved once and stands for every process; a count of
+/// '+'-joined specs other than 1 or n fails the precondition.
+std::vector<me::ResolvedProtocol> resolve_algorithm(
+    const HarnessConfig& config);
+
 /// The registry-canonical serialization of a config's algorithm choice:
 /// per-process canonical specs ("name" or "name[key=value,...]", options
 /// fully resolved), "+"-joined for heterogeneous systems. Two configs that
 /// construct identical processes serialize identically regardless of how
-/// their options were spelled; the engine's config digests hash exactly
-/// this string.
+/// their options were spelled, and the string is itself a valid
+/// HarnessConfig::algorithm; the engine's config digests hash exactly it.
 std::string algorithm_spec(const HarnessConfig& config);
 
 struct RunStats {

@@ -3,7 +3,7 @@
 //
 // The paper's guarantees are quantified over every schedule and every
 // transient fault placement; the harness alone only samples them via a
-// seeded RNG. The explorer closes the gap with bounded-exhaustive search:
+// seeded RNG. The explorer narrows the gap with a budget-bounded search:
 //
 //   * Choice points. A sim::ChoiceHook turns every same-tick tie (>= 2
 //     ready events) into an enumerable decision; with no hook the

@@ -1,12 +1,16 @@
 #include "mc/trace.hpp"
 
 #include <sstream>
+#include <utility>
 
 namespace graybox::mc {
 
-std::string ScheduleTrace::to_text() const {
+std::string ScheduleTrace::to_text(const TraceHeader& header) const {
   std::ostringstream out;
-  out << "graybox-mc-trace v1\n";
+  out << "graybox-mc-trace v2\n";
+  for (const std::string& flag : header.flags) out << flag << "\n";
+  if (!header.config.empty()) out << "config " << header.config << "\n";
+  if (!header.bug.empty()) out << "bug " << header.bug << "\n";
   out << "seed " << seed << "\n";
   if (!choices.empty()) {
     out << "choices";
@@ -22,20 +26,26 @@ std::string ScheduleTrace::to_text() const {
   return out.str();
 }
 
-std::optional<ScheduleTrace> ScheduleTrace::from_text(
-    const std::string& text) {
+std::optional<ScheduleTrace> ScheduleTrace::from_text(const std::string& text,
+                                                     TraceHeader* header) {
   std::istringstream in(text);
-  std::string header;
-  if (!std::getline(in, header) || header != "graybox-mc-trace v1")
-    return std::nullopt;
-  ScheduleTrace trace;
   std::string line;
+  if (!std::getline(in, line) || line != "graybox-mc-trace v2")
+    return std::nullopt;
+  TraceHeader read;
+  ScheduleTrace trace;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     std::istringstream ls(line);
     std::string key;
     ls >> key;
-    if (key == "seed") {
+    if (key.rfind("--", 0) == 0) {
+      read.flags.push_back(line);
+    } else if (key == "config") {
+      if (!(ls >> read.config)) return std::nullopt;
+    } else if (key == "bug") {
+      if (!(ls >> read.bug)) return std::nullopt;
+    } else if (key == "seed") {
       if (!(ls >> trace.seed)) return std::nullopt;
     } else if (key == "choices") {
       std::uint32_t c;
@@ -54,6 +64,7 @@ std::optional<ScheduleTrace> ScheduleTrace::from_text(
       return std::nullopt;
     }
   }
+  if (header != nullptr) *header = std::move(read);
   return trace;
 }
 

@@ -25,6 +25,19 @@ struct FaultAt {
   net::TargetedFault fault{};
 };
 
+/// What a trace file says about itself ahead of its schedule: the system
+/// and run it was saved from, and what it was saved for. Kept out of
+/// ScheduleTrace, which the search copies once per child.
+struct TraceHeader {
+  /// "--name=value" command-line flags: the system (core::harness_flags)
+  /// and the explorer flags a replay needs.
+  std::vector<std::string> flags;
+  /// core::config_digest of that system; it pins the fields no flag spells.
+  std::string config;
+  /// The Outcome::kind the trace was saved for.
+  std::string bug;
+};
+
 struct ScheduleTrace {
   std::uint64_t seed = 1;
 
@@ -51,14 +64,19 @@ struct ScheduleTrace {
   }
 
   /// Line-oriented text form (round-trips through from_text):
-  ///   graybox-mc-trace v1
+  ///   graybox-mc-trace v2
+  ///   --<name>=<value>             (one line per header flag)
+  ///   config <digest>              (omitted when empty)
+  ///   bug <kind>                   (omitted when empty)
   ///   seed <n>
   ///   choices <c0> <c1> ...        (omitted when empty)
   ///   fault <at_event> <code> <a> <b> <index> <index2> <mask>
-  /// where <code> is the numeric FaultKind. from_text returns nullopt for
-  /// anything else, a code past the FaultKind vocabulary included.
-  std::string to_text() const;
-  static std::optional<ScheduleTrace> from_text(const std::string& text);
+  /// where <code> is the numeric FaultKind. from_text fills `header` when
+  /// given and returns nullopt for anything else: another version, a code
+  /// past the FaultKind vocabulary included.
+  std::string to_text(const TraceHeader& header = {}) const;
+  static std::optional<ScheduleTrace> from_text(const std::string& text,
+                                                TraceHeader* header = nullptr);
 };
 
 }  // namespace graybox::mc

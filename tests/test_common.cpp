@@ -304,5 +304,33 @@ TEST(FlagsDeathTest, IntegerFlagsRejectWhatTheyCannotRead) {
   }
 }
 
+TEST(FlagsDeathTest, DoubleAndBooleanFlagsRejectWhatTheyCannotRead) {
+  // A double flag is a mean time or a rate: --think=abc must not run as
+  // think 0. A boolean is one of six spellings: --wrapped=flase must not
+  // run the wrapped system.
+  for (const char* bad : {"abc", "1x", "-1", "1e400", ""}) {
+    const std::string arg = std::string("--think=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Flags flags(2, argv, {{"think", ""}});
+    EXPECT_EXIT(flags.get_double("think", 1), ::testing::ExitedWithCode(2),
+                "--think expects a finite non-negative number, got '" +
+                    std::string(bad) + "'");
+  }
+  for (const char* bad : {"flase", "on", "2", ""}) {
+    const std::string arg = std::string("--wrapped=") + bad;
+    const char* argv[] = {"prog", arg.c_str()};
+    const Flags flags(2, argv, {{"wrapped", ""}});
+    EXPECT_EXIT(flags.get_bool("wrapped", true), ::testing::ExitedWithCode(2),
+                "--wrapped expects true, false, 1, 0, yes or no, got '" +
+                    std::string(bad) + "'");
+  }
+  const char* argv[] = {"prog", "--a=true", "--b=1", "--c=0", "--d=1e3"};
+  const Flags flags(5, argv, {{"a", ""}, {"b", ""}, {"c", ""}, {"d", ""}});
+  EXPECT_TRUE(flags.get_bool("a", false));
+  EXPECT_TRUE(flags.get_bool("b", false));
+  EXPECT_FALSE(flags.get_bool("c", true));
+  EXPECT_DOUBLE_EQ(flags.get_double("d", 0), 1000.0);
+}
+
 }  // namespace
 }  // namespace graybox

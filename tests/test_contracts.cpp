@@ -85,13 +85,13 @@ TEST(Contracts, ChecksRejectMismatchedStateSpaces) {
 }
 
 TEST(Contracts, HarnessRejectsMismatchedAlgorithmVector) {
-  // Fails fast in the constructor — never silently falls back to
-  // `algorithm` for the unnamed processes.
+  // Fails fast in the constructor — never silently reuses a spec for the
+  // unnamed processes.
   EXPECT_DEATH(
       {
         core::HarnessConfig config;
         config.n = 3;
-        config.per_process_algorithms = {"lamport"};
+        config.algorithm = "ricart-agrawala+lamport";
         core::SystemHarness h(config);
       },
       "precondition");
@@ -103,7 +103,7 @@ TEST(Contracts, HarnessRejectsOversizedAlgorithmVector) {
       {
         core::HarnessConfig config;
         config.n = 2;
-        config.per_process_algorithms.assign(3, "lamport");
+        config.algorithm = "lamport+lamport+lamport";
         core::SystemHarness h(config);
       },
       "precondition");
@@ -112,13 +112,13 @@ TEST(Contracts, HarnessRejectsOversizedAlgorithmVector) {
 TEST(Contracts, HarnessAcceptsExactOrEmptyAlgorithmVector) {
   core::HarnessConfig config;
   config.n = 2;
-  core::SystemHarness homogeneous(config);  // empty vector: all `algorithm`
+  core::SystemHarness homogeneous(config);  // one spec: every process
   EXPECT_EQ(typeid(homogeneous.process(0)), typeid(me::RicartAgrawala));
   EXPECT_EQ(typeid(homogeneous.process(1)), typeid(me::RicartAgrawala));
 
-  config.per_process_algorithms = {"ricart-agrawala",
-                                   "lamport"};
-  core::SystemHarness mixed(config);  // size == n: honoured per process
+  config.algorithm = "ricart-agrawala+lamport";
+  core::SystemHarness mixed(config);  // n specs: honoured per process
+  EXPECT_EQ(typeid(mixed.process(0)), typeid(me::RicartAgrawala));
   EXPECT_EQ(typeid(mixed.process(1)), typeid(me::LamportMe));
 }
 

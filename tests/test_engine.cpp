@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <vector>
 
 #include "common/parallel.hpp"
 #include "common/report.hpp"
 #include "core/engine.hpp"
+#include "core/harness_flags.hpp"
 
 namespace graybox::core {
 namespace {
@@ -199,9 +201,45 @@ TEST(ConfigDigest, StableAndSensitive) {
   period.wrapper.resend_period = 999;
   EXPECT_NE(config_digest(period), digest);
   HarnessConfig mixed = base;
-  mixed.per_process_algorithms = {"lamport", "lamport",
-                                  "lamport"};
+  mixed.algorithm = "lamport+lamport+lamport";
   EXPECT_NE(config_digest(mixed), digest);
+}
+
+// --- harness flags -----------------------------------------------------------
+
+TEST(HarnessFlags, WrittenSystemReadsBackToTheSameDigest) {
+  HarnessConfig config;
+  config.n = 4;
+  config.algorithm = "ra+lamport+cr[lease=4]+ra";
+  config.wrapped = false;
+  config.level1 = true;
+  config.wrapper.resend_period = 33;
+  config.client.think_mean = 0.1;
+  config.client.eat_mean = 7.25;
+  config.seed = 9;
+  const std::vector<std::string> args = harness_flags(config);
+  EXPECT_EQ(args.front(), "--n=4");
+  EXPECT_EQ(args[1],
+            "--algorithm=ricart-agrawala[monotone_views=0]+"
+            "lamport[head_only_release=0]+carvalho-roucairol[lease=4]+"
+            "ricart-agrawala[monotone_views=0]");
+  EXPECT_EQ(args[5], "--think=0.1");  // shortest round-trip form
+
+  // Read back onto other defaults: every written knob overrides its
+  // default, and the seed, which the system leaves out, is not written.
+  HarnessConfig defaults;
+  defaults.seed = 5;
+  std::vector<const char*> argv{"prog"};
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  const Flags flags(static_cast<int>(argv.size()), argv.data(),
+                    with_harness_flags(defaults));
+  const HarnessConfig back = harness_from_flags(flags, defaults);
+  EXPECT_EQ(config_digest(back), config_digest(config));
+  EXPECT_EQ(back.client.think_mean, 0.1);
+  EXPECT_EQ(back.seed, 5u);
+  // Each help text prints the default it falls back to.
+  EXPECT_EQ(with_harness_flags(defaults).at("think"),
+            "client mean think time (default 60)");
 }
 
 // --- Report layer ------------------------------------------------------------

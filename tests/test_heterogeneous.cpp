@@ -16,6 +16,7 @@
 
 #include <typeinfo>
 
+#include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "core/harness.hpp"
 #include "me/carvalho_roucairol.hpp"
@@ -28,9 +29,7 @@ namespace {
 HarnessConfig mixed_config(std::uint64_t seed, bool wrapped) {
   HarnessConfig config;
   config.n = 4;
-  config.per_process_algorithms = {
-      "ricart-agrawala", "lamport",
-      "ricart-agrawala", "lamport"};
+  config.algorithm = "ricart-agrawala+lamport+ricart-agrawala+lamport";
   config.wrapped = wrapped;
   config.wrapper.resend_period = 20;
   config.client.think_mean = 35;
@@ -41,6 +40,28 @@ HarnessConfig mixed_config(std::uint64_t seed, bool wrapped) {
 
 TEST(Heterogeneous, ConfiguredAlgorithmsAreHonoured) {
   SystemHarness h(mixed_config(1, true));
+  EXPECT_EQ(typeid(h.process(0)), typeid(me::RicartAgrawala));
+  EXPECT_EQ(typeid(h.process(1)), typeid(me::LamportMe));
+  EXPECT_EQ(typeid(h.process(2)), typeid(me::RicartAgrawala));
+  EXPECT_EQ(typeid(h.process(3)), typeid(me::LamportMe));
+}
+
+TEST(Heterogeneous, RecordedSpecRebuildsTheMixedBenchCells) {
+  // The spec BENCH_reusability.json's */mixed cells record is itself a
+  // config: with those cells' settings it builds RA, Lamport, RA, Lamport
+  // and digests to the cells' recorded config.
+  HarnessConfig config;
+  config.n = 4;
+  config.algorithm =
+      "ricart-agrawala[monotone_views=0]+lamport[head_only_release=0]+"
+      "ricart-agrawala[monotone_views=0]+lamport[head_only_release=0]";
+  config.wrapped = true;
+  config.wrapper.resend_period = 20;
+  config.client.think_mean = 35;
+  config.client.eat_mean = 7;
+  EXPECT_EQ(config_digest(config), "b0135e097dc034e4");
+  EXPECT_EQ(algorithm_spec(config), config.algorithm);
+  SystemHarness h(config);
   EXPECT_EQ(typeid(h.process(0)), typeid(me::RicartAgrawala));
   EXPECT_EQ(typeid(h.process(1)), typeid(me::LamportMe));
   EXPECT_EQ(typeid(h.process(2)), typeid(me::RicartAgrawala));
@@ -87,9 +108,8 @@ HarnessConfig three_way_config(std::uint64_t seed) {
   // per-process resolution path that the uniform tests never touch.
   HarnessConfig config;
   config.n = 4;
-  config.per_process_algorithms = {"ricart-agrawala", "lamport",
-                                   "carvalho-roucairol[lease=4]",
-                                   "ricart-agrawala"};
+  config.algorithm =
+      "ricart-agrawala+lamport+carvalho-roucairol[lease=4]+ricart-agrawala";
   config.wrapped = true;
   config.wrapper.resend_period = 20;
   config.client.think_mean = 35;
@@ -107,7 +127,7 @@ TEST(ThreeWayMix, PerProcessOptionsReachTheProcesses) {
   const auto& cr = static_cast<const me::CarvalhoRoucairol&>(h.process(2));
   EXPECT_EQ(cr.lease(), 4u);  // the per-process option, not the default 8
 
-  // The canonical spec serializes the heterogeneous vector per process.
+  // The canonical spec serializes the heterogeneous system per process.
   EXPECT_EQ(algorithm_spec(h.config()),
             "ricart-agrawala[monotone_views=0]+lamport[head_only_release=0]+"
             "carvalho-roucairol[lease=4]+ricart-agrawala[monotone_views=0]");

@@ -26,9 +26,14 @@ TEST(ScheduleTrace, TextFormRoundTrips) {
   f.fault.b = 0;
   f.fault.index = 3;
   t.faults.push_back(f);
+  const TraceHeader header{{"--n=3", "--algorithm=lamport"}, "0123abcd", "me1"};
 
-  const auto back = ScheduleTrace::from_text(t.to_text());
+  TraceHeader read;
+  const auto back = ScheduleTrace::from_text(t.to_text(header), &read);
   ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(read.flags, header.flags);
+  EXPECT_EQ(read.config, header.config);
+  EXPECT_EQ(read.bug, header.bug);
   EXPECT_EQ(back->seed, 42u);
   EXPECT_EQ(back->choices, t.choices);
   ASSERT_EQ(back->faults.size(), 1u);
@@ -37,13 +42,18 @@ TEST(ScheduleTrace, TextFormRoundTrips) {
   EXPECT_EQ(back->faults[0].fault.a, 1u);
   EXPECT_EQ(back->faults[0].fault.index, 3u);
   // Round-tripping the rendered text again is byte-stable.
-  EXPECT_EQ(back->to_text(), t.to_text());
+  EXPECT_EQ(back->to_text(read), t.to_text(header));
 }
 
 TEST(ScheduleTrace, FromTextRejectsGarbage) {
   EXPECT_FALSE(ScheduleTrace::from_text("").has_value());
   EXPECT_FALSE(ScheduleTrace::from_text("not a trace\n").has_value());
   EXPECT_FALSE(ScheduleTrace::from_text("graybox-mc-trace v9\nseed 1\n")
+                   .has_value());
+  // v1 named no system, so its replays ran whatever the flags said.
+  EXPECT_FALSE(ScheduleTrace::from_text("graybox-mc-trace v1\nseed 1\n")
+                   .has_value());
+  EXPECT_FALSE(ScheduleTrace::from_text("graybox-mc-trace v2\nconfig\n")
                    .has_value());
 }
 
@@ -52,7 +62,7 @@ TEST(ScheduleTrace, RejectsUnknownFaultKind) {
   // so the whole trace is refused.
   auto parse = [](const char* fault_line) {
     return ScheduleTrace::from_text(
-        std::string("graybox-mc-trace v1\nseed 1\n") + fault_line);
+        std::string("graybox-mc-trace v2\nseed 1\n") + fault_line);
   };
   const auto heal = parse("fault 10 10 0 1 0 0 0\n");
   ASSERT_TRUE(heal.has_value());
@@ -147,7 +157,7 @@ void expect_caught(const char* algorithm, double think_mean,
     EXPECT_TRUE(replay.execute(r.counterexample).bug) << algorithm;
     // And the renderer produces a non-trivial explanation.
     const std::string text = ex.explain(r.counterexample);
-    EXPECT_NE(text.find("graybox-mc-trace v1"), std::string::npos);
+    EXPECT_NE(text.find("graybox-mc-trace v2"), std::string::npos);
     EXPECT_NE(text.find(r.outcome.kind), std::string::npos);
   }
   EXPECT_TRUE(found) << algorithm << ": no seed in 1..4 caught the mutant";

@@ -186,7 +186,7 @@ TEST(ConfigDigest, UniformVectorEqualsUniformScalar) {
   scalar.algorithm = "lamport";
 
   HarnessConfig vector = scalar;
-  vector.per_process_algorithms = {"lamport", "lamport", "lamport"};
+  vector.algorithm = "lamport+lamport+lamport";
 
   EXPECT_EQ(algorithm_spec(vector), algorithm_spec(scalar));
   EXPECT_EQ(config_digest(vector), config_digest(scalar));
@@ -237,7 +237,7 @@ TEST(ConfigDigest, MovesWithAlgorithmOptionsAndTiers) {
   EXPECT_NE(config_digest(tiers), digest);
 
   HarnessConfig per_proc = base;
-  per_proc.per_process_algorithms = {"cr", "cr[lease=4]", "cr", "cr"};
+  per_proc.algorithm = "cr+cr[lease=4]+cr+cr";
   EXPECT_NE(config_digest(per_proc), digest);
 }
 

@@ -4,8 +4,8 @@
 // Modes:
 //   (default)          explore one configuration; print the verdict, the
 //                      shrunk counterexample (if any) and explorer stats.
-//   --sweep            bounded-exhaustive matrix: {ra, lamport, cr} x
-//                      wrapper tiers x fault modes, CI-sized budgets.
+//   --sweep            the CI matrix: {ra, lamport, cr} x wrapper tiers
+//                      x fault modes, each cell bounded by its budget.
 //                      Fault-free cells assert no safety violation at all;
 //                      fault cells run level-2-wrapped tiers and assert
 //                      convergence (no violation past last-fault + settle,
@@ -16,16 +16,21 @@
 //   --mutation-smoke   run the explorer against the three seeded protocol
 //                      mutants (mc/mutants.hpp); each must be found and
 //                      shrink to a short trace. Exit 1 on any miss.
-//   --replay=FILE      execute a saved trace twice; print outcome and
-//                      digest; exit 1 unless the two digests agree and —
-//                      when the trace came from --out — the bug still
-//                      reproduces.
+//   --replay=FILE      rebuild the system and run that a saved trace
+//                      names (no other flag may be given; exit 2
+//                      otherwise), print its config digest, execute the
+//                      trace twice and print the outcome. Exit 1 unless the
+//                      rebuilt digest matches the recorded one, the two
+//                      executions agree and the saved bug kind reproduces.
 //
 // Every mode prints one "mc-stats ..." line per explorer run; CI greps
 // these into the job summary.
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -33,7 +38,8 @@
 
 #include "common/flags.hpp"
 #include "common/parallel.hpp"
-#include "core/harness.hpp"
+#include "core/engine.hpp"
+#include "core/harness_flags.hpp"
 #include "mc/explorer.hpp"
 #include "mc/mutants.hpp"
 #include "mc/trace.hpp"
@@ -72,26 +78,28 @@ void print_result(const std::string& label, Explorer& ex,
   print_stats(label, r.stats);
 }
 
-core::HarnessConfig harness_from_flags(const Flags& flags) {
-  core::HarnessConfig cfg;
-  cfg.n = static_cast<std::size_t>(flags.get_int("n", 3));
-  cfg.algorithm = flags.get("algorithm", "ricart-agrawala");
-  cfg.wrapped = flags.get_bool("wrapped", true);
-  cfg.level1 = flags.get_bool("level1", false);
-  cfg.wrapper.resend_period =
-      static_cast<SimTime>(flags.get_int("resend", 25));
-  cfg.client.think_mean = flags.get_double("think", 30.0);
-  cfg.client.eat_mean = flags.get_double("eat", 8.0);
-  cfg.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  return cfg;
+/// graybox_mc's system defaults: one for every knob of the harness flags.
+core::HarnessConfig harness_defaults() {
+  return {.n = 3, .algorithm = "ricart-agrawala", .wrapped = true,
+          .wrapper = {.resend_period = 25}, .level1 = false,
+          .client = {.think_mean = 30.0, .eat_mean = 8.0}, .seed = 1};
 }
+
+/// --property's spellings, in BugProperty order.
+constexpr const char* kProperties[] = {"safety", "convergence"};
 
 ExplorerConfig explorer_from_flags(const Flags& flags) {
   ExplorerConfig ec;
-  ec.harness = harness_from_flags(flags);
-  ec.property = flags.get("property", "safety") == "convergence"
-                    ? BugProperty::kConvergence
-                    : BugProperty::kAnySafetyViolation;
+  ec.harness = core::harness_from_flags(flags, harness_defaults());
+  const std::string property = flags.get("property", kProperties[0]);
+  const auto* known = std::find(std::begin(kProperties),
+                                std::end(kProperties), property);
+  if (known == std::end(kProperties)) {
+    std::cerr << "unknown --property '" << property
+              << "'; accepted: safety, convergence\n";
+    std::exit(2);
+  }
+  ec.property = static_cast<BugProperty>(known - std::begin(kProperties));
   ec.horizon = static_cast<SimTime>(flags.get_int("horizon", 1500));
   ec.budget = static_cast<std::uint64_t>(flags.get_int("budget", 500));
   ec.delay_budget =
@@ -121,14 +129,30 @@ int run_explore(const Flags& flags) {
   print_result("explore", ex, r);
   const std::string out = flags.get("out", "");
   if (r.found && !out.empty()) {
+    // The file names its system and run, so --replay needs nothing else.
+    mc::TraceHeader header{core::harness_flags(ec.harness),
+                           core::config_digest(ec.harness), r.outcome.kind};
+    header.flags.push_back(
+        "--property=" +
+        std::string(kProperties[static_cast<std::size_t>(ec.property)]));
+    header.flags.push_back("--horizon=" + std::to_string(ec.horizon));
     std::ofstream f(out);
-    f << r.counterexample.to_text();
+    f << r.counterexample.to_text(header);
     std::cout << "trace written to " << out << "\n";
   }
   return r.found ? 2 : 0;
 }
 
-int run_replay(const Flags& flags) {
+int run_replay(const Flags& flags,
+               const std::map<std::string, std::string>& spec) {
+  for (const auto& [name, help] : spec) {
+    if (name != "replay" && flags.has(name)) {
+      std::cerr << "replay: --" << name
+                << " given beside --replay; the trace names its system "
+                   "and run\n";
+      return 2;
+    }
+  }
   const std::string path = flags.get("replay", "");
   std::ifstream f(path);
   if (!f) {
@@ -137,20 +161,40 @@ int run_replay(const Flags& flags) {
   }
   std::stringstream buf;
   buf << f.rdbuf();
-  const auto trace = ScheduleTrace::from_text(buf.str());
-  if (!trace) {
-    std::cerr << "replay: " << path << " is not a graybox-mc trace\n";
+  mc::TraceHeader header;
+  const auto trace = ScheduleTrace::from_text(buf.str(), &header);
+  if (!trace || header.config.empty() || header.bug.empty()) {
+    std::cerr << "replay: " << path
+              << " is not a graybox-mc-trace v2 file written by --out\n";
     return 1;
   }
-  ExplorerConfig ec = explorer_from_flags(flags);
+  // The recorded flags are read as a command line is, so a value a command
+  // line would reject is rejected in a file too.
+  std::vector<const char*> argv{path.c_str()};
+  for (const std::string& flag : header.flags) argv.push_back(flag.c_str());
+  const Flags recorded(static_cast<int>(argv.size()), argv.data(), spec);
+  const ExplorerConfig ec = explorer_from_flags(recorded);
+  const std::string config = core::config_digest(ec.harness);
+  std::cout << "replay: config=" << config << "\n";
+  if (config != header.config) {
+    std::cerr << "replay: the rebuilt system's digest differs from the "
+                 "recorded config "
+              << header.config << "\n";
+    return 1;
+  }
   Explorer ex(ec);
   const mc::Outcome first = ex.execute(*trace);
   const mc::Outcome second = ex.execute(*trace);
-  std::cout << "replay: bug=" << (first.bug ? first.kind : "none")
-            << " digest=" << std::hex << first.digest << std::dec << " "
-            << first.detail << "\n";
+  const std::string bug = first.bug ? first.kind : "none";
+  std::cout << "replay: bug=" << bug << " digest=" << std::hex
+            << first.digest << std::dec << " " << first.detail << "\n";
   if (first.digest != second.digest) {
     std::cerr << "replay: NONDETERMINISTIC (digest mismatch on rerun)\n";
+    return 1;
+  }
+  if (bug != header.bug) {
+    std::cerr << "replay: saved for bug=" << header.bug
+              << ", which did not reproduce\n";
     return 1;
   }
   return 0;
@@ -341,19 +385,9 @@ int run_mutation_smoke(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(
-      argc, argv,
-      {{"n", "number of processes (default 3)"},
-       {"algorithm",
-        "registry spec: a name or alias, optionally with [key=value,...] "
-        "(default ra)"},
-       {"wrapped", "attach level-2 graybox wrappers (default true)"},
-       {"level1", "attach level-1 local wrappers (default false)"},
-       {"resend", "wrapper resend period (default 25)"},
-       {"think", "client mean think time (default 30)"},
-       {"eat", "client mean eat time (default 8)"},
-       {"seed", "root seed for the DFS (default 1)"},
-       {"budget", "max DFS executions (default 500; 120 per sweep cell)"},
+  const std::map<std::string, std::string> spec = core::with_harness_flags(
+      harness_defaults(),
+      {{"budget", "max DFS executions (default 500; 120 per sweep cell)"},
        {"delay-budget", "max non-default choices per schedule (default 2)"},
        {"fault-budget", "max placed faults per trace (default 0)"},
        {"fault-window", "fault positions lie in [0, window) events"},
@@ -368,9 +402,10 @@ int main(int argc, char** argv) {
        {"sweep", "run the algorithm x tier x fault matrix"},
        {"mutation-smoke", "assert the seeded mutants are caught"},
        {"jobs", "sweep worker threads (default 1; 0 = all cores)"}});
+  const Flags flags(argc, argv, spec);
   graybox::mc::register_mutants();  // the mutants' home binary
   if (flags.has("mutation-smoke")) return run_mutation_smoke(flags);
-  if (flags.has("replay")) return run_replay(flags);
+  if (flags.has("replay")) return run_replay(flags, spec);
   if (flags.has("sweep")) return run_sweep(flags);
   return run_explore(flags);
 }

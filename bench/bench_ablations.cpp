@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
       const RepeatedResult& r =
           result.cell(monotone ? "a1/monotone" : "a1/direct").result;
       table.row(monotone ? "monotone max() (ablation)" : "direct assignment",
-                stab_cell(r), r.starved);
+                stab_cell(r), r.trials - r.stabilized);
     }
     table.print(std::cout);
     std::cout << "\n";
@@ -167,7 +167,7 @@ int main(int argc, char** argv) {
       const RepeatedResult& r =
           result.cell("a4/poll=" + std::to_string(poll)).result;
       table.row(poll, stab_cell(r), mean_pm_stddev(r.latency, 0),
-                mean_pm_stddev(r.violations, 1));
+                mean_pm_stddev(r.safety_violations, 1));
     }
     table.print(std::cout);
     std::cout << "\n";

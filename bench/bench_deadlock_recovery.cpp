@@ -6,9 +6,10 @@
 // Part 1 runs the scripted scenario bare and wrapped for both programs:
 // bare systems starve forever; the identical wrapper recovers both.
 // Part 2 sweeps the W' timeout delta and reports time-to-recovery, showing
-// the linear dependence of recovery latency on the resend period. The
-// sweep rides the engine's custom-trial hook: each cell's trial callable
-// measures recovery time and reports it through the normal latency field.
+// the linear dependence of recovery latency on the resend period. Every
+// cell is an ordinary engine cell; no client issues a request, so ME2's
+// longest wait (max_wait) is the wait of the later of the two wedged
+// requests.
 #include <iostream>
 
 #include "common/flags.hpp"
@@ -28,10 +29,13 @@ FaultScenario deadlock_scenario() {
   scenario.scripted_fault = [](SystemHarness& h) {
     h.process(0).request_cs();
     h.process(1).request_cs();
-    const std::size_t n = h.network().size();
-    for (ProcessId to = 0; to < n; ++to) {
-      if (to != 0) h.network().channel(0, to).fault_clear();
-      if (to != 1) h.network().channel(1, to).fault_clear();
+    // Channel clears through the injector, which skips empty channels and
+    // self-channels and records each clear it applies.
+    for (ProcessId to = 0; to < h.network().size(); ++to) {
+      for (const ProcessId from : {ProcessId{0}, ProcessId{1}}) {
+        h.faults().inject_targeted(
+            {.code = net::FaultKind::kChannelClear, .a = from, .b = to});
+      }
     }
   };
   return scenario;
@@ -47,33 +51,6 @@ HarnessConfig config_for(const std::string& algo, bool wrapped,
   config.client.wants_cs = false;  // scripted requests only
   config.seed = 7;
   return config;
-}
-
-/// Custom engine trial: time from the fault to the moment both scripted
-/// requests were served, reported as `latency`; `stabilized` iff the run
-/// did not time out. Thread-safe — every call owns its own harness.
-ExperimentResult recovery_trial(const HarnessConfig& config,
-                                const FaultScenario& scenario) {
-  SystemHarness h(config);
-  h.start();
-  h.run_for(100);
-  scenario.scripted_fault(h);
-  const SimTime fault_at = h.scheduler().now();
-  ExperimentResult result;
-  result.report.faults_injected = true;
-  result.report.last_fault = fault_at;
-  while (h.scheduler().now() < fault_at + 100000) {
-    h.run_for(2);
-    if (h.process(0).cs_entries() + h.process(1).cs_entries() >= 2) {
-      result.report.stabilized = true;
-      result.report.latency = h.scheduler().now() - fault_at;
-      break;
-    }
-  }
-  result.report.starvation = !result.report.stabilized;
-  h.drain(100);
-  result.stats = h.stats();
-  return result;
 }
 
 }  // namespace
@@ -95,13 +72,8 @@ int main(int argc, char** argv) {
                config_for(algo, wrapped, 20), deadlock_scenario(), 1);
     }
     for (const SimTime delta : deltas) {
-      RunSpec spec;
-      spec.name = "sweep/" + stem + "/delta=" + std::to_string(delta);
-      spec.config = config_for(algo, true, delta);
-      spec.scenario = deadlock_scenario();
-      spec.trials = 1;
-      spec.trial = recovery_trial;
-      grid.add(std::move(spec));
+      grid.add("sweep/" + stem + "/delta=" + std::to_string(delta),
+               config_for(algo, true, delta), deadlock_scenario(), 1);
     }
   }
   const GridResult result = engine.run(grid);
@@ -120,14 +92,14 @@ int main(int argc, char** argv) {
               .result;
       verdicts.row(algo, wrapped ? "W' (delta=20)" : "none",
                    r.all_stabilized() ? "recovered" : "DEADLOCKED forever",
-                   r.starved > 0,
+                   !r.all_stabilized(),
                    static_cast<std::uint64_t>(r.cs_entries.sum()));
     }
   }
   verdicts.print(std::cout);
 
-  std::cout << "\nRecovery latency vs wrapper timeout delta (time until both "
-               "wedged requests served):\n\n";
+  std::cout << "\nRecovery latency vs wrapper timeout delta (ME2's longest "
+               "wait: the later wedged request's wait for the CS):\n\n";
   Table sweep({"delta", "ricart-agrawala", "lamport"});
   for (const SimTime delta : deltas) {
     auto cell = [&](const char* stem) {
@@ -138,7 +110,7 @@ int main(int argc, char** argv) {
               .result;
       return r.all_stabilized()
                  ? std::to_string(
-                       static_cast<std::uint64_t>(r.latency.mean()))
+                       static_cast<std::uint64_t>(r.max_wait.mean()))
                  : std::string("never");
     };
     sweep.row(delta, cell("ra"), cell("lamport"));

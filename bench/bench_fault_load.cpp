@@ -141,7 +141,8 @@ int main(int argc, char** argv) {
                   std::to_string(r.stabilized) + "/" +
                       std::to_string(r.trials),
                   mean_pm_stddev(r.availability, 3), fmt(r.faults.mean(), 1),
-                  fmt(r.violations.mean(), 1), fmt(r.reconverge.mean(), 1));
+                  fmt(r.safety_violations.mean(), 1),
+                  fmt(r.reconverge.mean(), 1));
       }
     }
     table.print(std::cout);

@@ -201,7 +201,8 @@ int main(int argc, char** argv) {
     // The two substrates must also agree on every deterministic outcome —
     // the equivalence the golden suite pins, spot-checked here end to end.
     if (sparse.result.events.sum() != reference.result.events.sum() ||
-        sparse.result.violations.sum() != reference.result.violations.sum()) {
+        sparse.result.safety_violations.sum() !=
+            reference.result.safety_violations.sum()) {
       std::cout << "ERROR: sparse and reference substrates diverged\n";
       return 1;
     }

@@ -10,8 +10,7 @@
 //
 // The system here is hand-wired (no SystemHarness), which also demos the
 // observability layer at the component level: an EventBus shared by the
-// network, processes, wrappers, and the fault injector, and a stabilization
-// timeline folded from the injector's fault rows and the network's traffic.
+// network, processes, wrappers, and the fault injector.
 #include <iostream>
 
 #include "common/flags.hpp"
@@ -19,7 +18,6 @@
 #include "net/fault_injector.hpp"
 #include "net/network.hpp"
 #include "obs/event_bus.hpp"
-#include "obs/timeline.hpp"
 #include "sim/scheduler.hpp"
 #include "wrapper/graybox_wrapper.hpp"
 
@@ -102,13 +100,6 @@ int main(int argc, char** argv) {
     std::cout << "no recovery mechanism: this deadlock persists forever "
                  "(rerun with --wrapped=true).\n";
   }
-
-  // The convergence story: no monitors run here, so it has no clauses.
-  obs::StabilizationTimeline tl = obs::fold_timeline(
-      sched.now(), injector.code_stats(), {}, {},
-      {net.last_send_time(), net.last_delivery_time()});
-  tl.quiescent = tl.last_activity == kNever || tl.last_activity < tl.run_end;
-  std::cout << "\n" << tl.to_string();
 
   const bool served = j.cs_entries() + k.cs_entries() >= 2;
   return wrapped == served ? 0 : 1;

@@ -193,8 +193,6 @@ int main(int argc, char** argv) {
   std::cout << "\n";
   procs.print(std::cout);
 
-  std::cout << "\n" << system.timeline().to_string();
-
   if (config.trace_capacity > 0) {
     std::cout << "\nevent trace tail:\n";
     system.events().dump(std::cout, 32);

@@ -5,9 +5,10 @@
 // For each fault kind the paper allows — message loss, duplication,
 // corruption, reordering, spurious messages, arbitrary process-state
 // corruption, channel wipes — this example injects a burst of exactly that
-// kind into a wrapped Ricart-Agrawala system, then reports the violation
-// window and the stabilization verdict, plus a tail of the event trace for
-// the most interesting case.
+// kind into a wrapped Ricart-Agrawala system, then reports its
+// StabilizationReport — the safety violations, the window from the last
+// fault to the last of them, and the verdict — plus a tail of the event
+// trace for the most interesting case.
 #include <iostream>
 
 #include "common/flags.hpp"
@@ -57,14 +58,14 @@ int main(int argc, char** argv) {
     h.drain(4000);
 
     const StabilizationReport report = h.stabilization_report();
-    const std::uint64_t violations = h.monitors().total_violations();
     std::string window = "-";
-    if (const SimTime last = h.monitors().last_violation(); last != kNever) {
+    if (report.last_safety_violation != kNever) {
       window = "[" + std::to_string(report.last_fault) + ", " +
-               std::to_string(last) + "]";
+               std::to_string(report.last_safety_violation) + "]";
     }
-    table.row(net::to_string(kind), h.faults().total_injected(), violations,
-              window, report.stabilized ? "stabilized" : "FAILED");
+    table.row(net::to_string(kind), h.faults().total_injected(),
+              report.violations_total, window,
+              report.stabilized ? "stabilized" : "FAILED");
 
     if (config.trace_capacity > 0) {
       std::cout << "trace tail around the " << net::to_string(kind)

@@ -68,9 +68,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  // The convergence story: fault burst -> violation decay -> quiescence.
-  std::cout << "\n" << system.timeline().to_string();
-
   std::cout << "\nThe run " << (report.stabilized ? "STABILIZED" : "FAILED")
             << ": every TME Spec violation is confined to the window right "
                "after the burst, exactly as Theorem 8 promises.\n";

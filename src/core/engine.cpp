@@ -179,8 +179,7 @@ GridResult ExperimentEngine::run(const SpecGrid& grid) const {
     config.provenance = true;
     const auto start = std::chrono::steady_clock::now();
     Slot& slot = slots[task.cell][task.trial];
-    slot.result = spec.trial ? spec.trial(config, spec.scenario)
-                             : run_fault_experiment(config, spec.scenario);
+    slot.result = run_fault_experiment(config, spec.scenario);
     slot.wall_seconds = seconds_since(start);
   });
 
@@ -247,7 +246,6 @@ report::Json cell_to_json(const CellResult& cell) {
   j["base_seed"] = cell.base_seed;
   j["trials"] = std::uint64_t{cell.result.trials};
   j["stabilized"] = std::uint64_t{cell.result.stabilized};
-  j["starved"] = std::uint64_t{cell.result.starved};
   for (const AccumulatorField& f : kAccumulatorFields)
     j[f.name] = accumulator_to_json(cell.result.*f.member);
   if (!cell.result.metrics.empty()) {

@@ -26,7 +26,6 @@
 //   write_bench_json("bench_stabilization_time", result, json_path);
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -37,18 +36,12 @@
 namespace graybox::core {
 
 /// One named grid cell: `trials` seeded experiments over consecutive seeds
-/// config.seed, config.seed + 1, ...
+/// config.seed, config.seed + 1, ..., each one run_fault_experiment.
 struct RunSpec {
   std::string name;
   HarnessConfig config;
   FaultScenario scenario;
   std::size_t trials = 1;
-  /// Override how one trial runs (the config carries the trial's seed).
-  /// Defaults to run_fault_experiment. Must be thread-safe: trials of the
-  /// same cell execute concurrently, so the callable must not mutate state
-  /// shared across calls.
-  std::function<ExperimentResult(const HarnessConfig&, const FaultScenario&)>
-      trial;
 };
 
 /// An ordered, uniquely named collection of RunSpecs.

@@ -28,16 +28,11 @@ void RepeatedResult::add(const ExperimentResult& result) {
     if (result.report.faults_injected)
       latency.add(static_cast<double>(result.report.latency));
   }
-  if (result.report.starvation) ++starved;
   total_messages.add(static_cast<double>(result.stats.messages_sent));
   wrapper_messages.add(static_cast<double>(result.stats.wrapper_messages));
   protocol_messages.add(static_cast<double>(result.stats.messages_sent -
                                             result.stats.wrapper_messages));
-  violations.add(static_cast<double>(result.report.violations_total));
-  safety_violations.add(static_cast<double>(
-      result.stats.me1_violations + result.stats.me3_violations +
-      result.stats.invariant_violations +
-      result.stats.mutual_belief_violations));
+  safety_violations.add(static_cast<double>(result.report.violations_total));
   cs_entries.add(static_cast<double>(result.stats.cs_entries));
   max_wait.add(static_cast<double>(result.stats.me2_max_wait));
   events.add(static_cast<double>(result.stats.events_executed));

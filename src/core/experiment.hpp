@@ -52,14 +52,12 @@ ExperimentResult run_fault_experiment(const HarnessConfig& config,
 /// of how trials were sharded across workers.
 struct RepeatedResult {
   std::size_t trials = 0;
-  std::size_t stabilized = 0;
-  std::size_t starved = 0;
+  std::size_t stabilized = 0;    ///< trials not starving after the drain
   Accumulator latency;           ///< over stabilized trials with faults
   Accumulator total_messages;
   Accumulator wrapper_messages;
   Accumulator protocol_messages; ///< total minus wrapper traffic
-  Accumulator violations;        ///< StabilizationReport::violations_total
-  Accumulator safety_violations; ///< ME1 + ME3 + invariant-I + mutual-belief
+  Accumulator safety_violations; ///< StabilizationReport::violations_total
   Accumulator cs_entries;
   Accumulator max_wait;          ///< ME2 worst-case waiting time per trial
   Accumulator events;            ///< simulator events executed per trial
@@ -97,7 +95,6 @@ inline constexpr AccumulatorField kAccumulatorFields[] = {
     {"total_messages", &RepeatedResult::total_messages},
     {"wrapper_messages", &RepeatedResult::wrapper_messages},
     {"protocol_messages", &RepeatedResult::protocol_messages},
-    {"violations", &RepeatedResult::violations},
     {"safety_violations", &RepeatedResult::safety_violations},
     {"cs_entries", &RepeatedResult::cs_entries},
     {"max_wait", &RepeatedResult::max_wait},

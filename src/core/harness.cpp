@@ -364,20 +364,6 @@ SimTime SystemHarness::last_safety_violation() const {
   return last;
 }
 
-obs::StabilizationTimeline SystemHarness::timeline() const {
-  GBX_EXPECTS(config_.install_monitors);
-  std::vector<obs::KindStats> clauses;
-  for (const auto& m : monitor_set_.monitors()) {
-    clauses.push_back(obs::KindStats{
-        m->total_violations(), m->first_violation(), m->last_violation()});
-  }
-  obs::StabilizationTimeline tl = obs::fold_timeline(
-      sched_.now(), faults_->code_stats(), monitor_set_.monitor_names(),
-      clauses, {net_->last_send_time(), net_->last_delivery_time()});
-  tl.quiescent = quiescent();
-  return tl;
-}
-
 RunStats SystemHarness::stats() const {
   RunStats stats;
   stats.duration = sched_.now();

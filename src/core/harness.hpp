@@ -33,7 +33,6 @@
 #include "net/network.hpp"
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeline.hpp"
 #include "sim/scheduler.hpp"
 #include "wrapper/graybox_wrapper.hpp"
 #include "wrapper/local_wrapper.hpp"
@@ -261,13 +260,6 @@ class SystemHarness {
 
   StabilizationReport stabilization_report() const;
   RunStats stats() const;
-
-  /// The run's convergence story: fault burst -> first violation ->
-  /// per-clause decay -> last violation -> quiescence. Folded from the
-  /// fault injector's and the monitors' own count/first/last rows, so it
-  /// works even with the event bus disabled.
-  /// Requires config.install_monitors (like stabilization_report()).
-  obs::StabilizationTimeline timeline() const;
 
   /// True when every process is thinking and no message is in flight.
   bool quiescent() const;

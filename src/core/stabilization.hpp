@@ -5,8 +5,10 @@
 // observed (finite, drained) run: stabilization holds when all TME Spec
 // violations are confined to a prefix, and nobody is left starving at the
 // end. The *stabilization latency* is the gap between the last injected
-// fault and the last observed violation — the length of the divergent
-// window the faults caused.
+// fault and the last *safety* violation (ME1, ME3, Invariant I, Mutual
+// Belief). Engine cells, the examples and the model checker all read a
+// run's latency and safety count from this report, as
+// SystemHarness::stabilization_report() builds it.
 #pragma once
 
 #include <string>

@@ -213,9 +213,7 @@ Outcome Explorer::drive(core::SystemHarness& h, const ScheduleTrace& trace,
   out.end_time = h.scheduler().now();
 
   const bool starvation = report.starvation;
-  const std::uint64_t safety = s.me1_violations + s.me3_violations +
-                               s.invariant_violations +
-                               s.mutual_belief_violations;
+  const std::uint64_t safety = report.violations_total;
   auto violation_kind = [&]() -> const char* {
     if (s.me1_violations > 0) return "me1";
     if (s.invariant_violations > 0) return "invariant-i";

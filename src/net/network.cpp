@@ -86,7 +86,6 @@ void Network::send(ProcessId from, ProcessId to, MsgType type,
   ++total_sent_;
   ++sent_by_type_[static_cast<std::size_t>(type)];
   if (from_wrapper) ++sent_by_wrapper_;
-  last_send_time_ = sched_.now();
   if (bus_) bus_->record(message_event(obs::EventKind::kSend, msg));
   for (const auto& obs : send_observers_) obs(msg);
 
@@ -163,7 +162,6 @@ void Network::deliver(const Message& msg) {
     clock.tick();
   }
   touch(msg.to);
-  last_delivery_time_ = sched_.now();
   if (bus_) bus_->record(message_event(obs::EventKind::kDeliver, msg));
   for (const auto& obs : delivery_observers_) obs(msg);
   if (crashed_[msg.to]) {

@@ -128,11 +128,6 @@ class Network {
   /// the send path.
   void set_provenance(obs::ProvenanceTracker* prov) { prov_ = prov; }
 
-  /// Sim-time of the most recent send / delivery (kNever before the
-  /// first). Feeds quiescence detection in the stabilization timeline.
-  SimTime last_send_time() const { return last_send_time_; }
-  SimTime last_delivery_time() const { return last_delivery_time_; }
-
   // --- Accounting -------------------------------------------------------
   std::uint64_t total_sent() const { return total_sent_; }
   std::uint64_t sent_by_wrapper() const { return sent_by_wrapper_; }
@@ -156,8 +151,6 @@ class Network {
   std::vector<MessageObserver> delivery_observers_;
   obs::EventBus* bus_ = nullptr;
   obs::ProvenanceTracker* prov_ = nullptr;
-  SimTime last_send_time_ = kNever;
-  SimTime last_delivery_time_ = kNever;
   std::uint64_t next_uid_ = 1;
   /// Shared by all channels; see Channel::set_spurious_uid_counter.
   std::uint64_t next_spurious_uid_ = kSpuriousUidBase;

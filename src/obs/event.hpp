@@ -124,7 +124,7 @@ struct Event {
 
 /// Count / first-time / last-time aggregate of one event class. The
 /// EventBus keeps one per event kind even though its ring evicts, and the
-/// fault injector one per fault kind: timelines need exact firsts and lasts.
+/// fault injector one per fault kind: both stay exact over a whole run.
 struct KindStats {
   std::uint64_t count = 0;
   SimTime first = kNever;

@@ -209,18 +209,6 @@ class MonitorSet {
     return total;
   }
 
-  /// Latest violation time across all monitors; kNever when fully clean.
-  /// Exact even past each monitor's retention cap.
-  SimTime last_violation() const {
-    SimTime last = kNever;
-    for (const auto& m : monitors_) {
-      const SimTime t = m->last_violation();
-      if (t == kNever) continue;
-      if (last == kNever || t > last) last = t;
-    }
-    return last;
-  }
-
   bool clean() const {
     for (const auto& m : monitors_)
       if (!m->clean()) return false;

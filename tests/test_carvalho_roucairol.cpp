@@ -238,7 +238,7 @@ TEST(CrStabilization, UnchangedWrapperStabilizesAcrossTheFullFaultMatrix) {
         cr_config(900, true), scenario, /*trials=*/4, /*jobs=*/2);
     EXPECT_TRUE(result.all_stabilized())
         << net::to_string(kind) << ": " << result.stabilized << "/"
-        << result.trials << " stabilized, " << result.starved << " starved";
+        << result.trials << " stabilized";
   }
 }
 
@@ -265,6 +265,13 @@ TEST(CrStabilization, WrapperHealsAFaultPlantedDoublePermission) {
   const ExperimentResult result =
       run_fault_experiment(cr_config(31, true), scenario);
   EXPECT_TRUE(result.report.stabilized) << result.report.to_string();
+  // The report's safety count is the sum of the four safety monitors'
+  // counters, Mutual Belief included — the one count every cell records.
+  const RunStats& s = result.stats;
+  EXPECT_GT(result.report.violations_total, 0u);
+  EXPECT_EQ(result.report.violations_total,
+            s.me1_violations + s.me3_violations + s.invariant_violations +
+                s.mutual_belief_violations);
 }
 
 TEST(CrStabilization, BareCrLosesRunsTheWrapperSaves) {

@@ -1,6 +1,6 @@
 // The sustained fault-load subsystem: FaultProcess stream determinism,
 // crash/recovery and partition/heal lifecycles through the injector, their
-// metrics (their timeline parity is in test_obs.cpp), and the engine-level
+// metrics (their bus parity is in test_obs.cpp), and the engine-level
 // guarantee that fault-load experiments stay byte-identical across --jobs
 // values.
 #include <gtest/gtest.h>

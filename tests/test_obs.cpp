@@ -1,10 +1,9 @@
 // The observability layer: typed EventBus (ring, exact aggregates, text
-// dump), metric samples and their engine-side aggregate fold,
-// stabilization timelines, and the Perfetto export — plus the load-bearing
-// guarantees that (a) every exported metric/timeline artifact is
-// byte-identical across --jobs values and repeated runs, and (b) the two
-// timeline sources (live harness state vs. bus aggregates) fold to the
-// same timeline.
+// dump), metric samples and their engine-side aggregate fold, and the
+// Perfetto export — plus the load-bearing guarantees that (a) every
+// exported metric artifact is byte-identical across --jobs values and
+// repeated runs, and (b) the bus's fault and violation aggregates equal
+// the rows the fault injector and the monitors keep themselves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +19,6 @@
 #include "obs/event_bus.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
-#include "obs/timeline.hpp"
 #include "sim/scheduler.hpp"
 
 namespace graybox {
@@ -395,68 +393,42 @@ TEST(HarnessMetrics, CollectedAndDeterministic) {
             obs::metrics_snapshot_to_json(stats.metrics).dump());
 }
 
-TEST(HarnessTimeline, ConsistentWithStabilizationReport) {
-  core::SystemHarness h(obs_config(7));
-  run_burst(h);
-  const core::StabilizationReport report = h.stabilization_report();
-  const obs::StabilizationTimeline tl = h.timeline();
-
-  EXPECT_EQ(tl.run_end, h.scheduler().now());
-  EXPECT_GT(tl.faults_injected, 0u);
-  EXPECT_EQ(tl.last_fault, report.last_fault);
-  EXPECT_LE(tl.first_fault, tl.last_fault);
-
-  // The timeline watches every monitor; the report only the safety subset.
-  // Its divergent window can therefore only be wider than the report's
-  // latency, never narrower.
-  EXPECT_GE(tl.divergent_window(), report.latency);
-  EXPECT_EQ(tl.clauses.size(), h.monitors().monitors().size());
-  std::uint64_t clause_sum = 0;
-  for (const obs::TimelineEntry& c : tl.clauses) clause_sum += c.count;
-  EXPECT_EQ(clause_sum, tl.violations_total);
-  EXPECT_EQ(tl.violations_total, h.monitors().total_violations());
-
-  // Per-kind fault entries sum back to the burst total.
-  std::uint64_t fault_sum = 0;
-  for (const obs::TimelineEntry& f : tl.faults) fault_sum += f.count;
-  EXPECT_EQ(fault_sum, tl.faults_injected);
-  EXPECT_EQ(tl.faults_injected, h.faults().total_injected());
-
-  // Rendering mentions every phase of the convergence story.
-  const std::string text = tl.to_string();
-  EXPECT_NE(text.find("fault burst:"), std::string::npos);
-  EXPECT_NE(text.find("first violation:"), std::string::npos);
-  EXPECT_NE(text.find("violation decay:"), std::string::npos);
-  EXPECT_NE(text.find("divergent window:"), std::string::npos);
-  EXPECT_NE(text.find("quiescence:"), std::string::npos);
-}
-
 // The bus saw every fault and every violation the live harness counts:
-// its per-kind count, first and last equal the timeline's totals.
-void expect_bus_timeline_matches_live(const core::SystemHarness& h) {
-  const obs::StabilizationTimeline live = h.timeline();
+// its per-kind count, first and last equal a fold of the fault injector's
+// per-code rows and of the monitors' own rows. The fault rows also sum to
+// the injector's total, and the latest of them is the report's last fault.
+void expect_bus_matches_live(core::SystemHarness& h) {
+  obs::KindStats live_faults, live_violations;
+  for (const obs::KindStats& s : h.faults().code_stats()) live_faults.merge(s);
+  for (const auto& m : h.monitors().monitors()) {
+    live_violations.merge(obs::KindStats{
+        m->total_violations(), m->first_violation(), m->last_violation()});
+  }
+  EXPECT_GT(live_faults.count, 0u);
+  EXPECT_EQ(live_faults.count, h.faults().total_injected());
+  EXPECT_EQ(live_faults.last, h.stabilization_report().last_fault);
+
   const obs::KindStats& faults =
       h.events().kind_stats(obs::EventKind::kFaultInjected);
   const obs::KindStats& violations =
       h.events().kind_stats(obs::EventKind::kMonitorViolation);
-  EXPECT_FALSE(live.faults.empty());
-  EXPECT_EQ(faults.count, live.faults_injected);
-  EXPECT_EQ(faults.first, live.first_fault);
-  EXPECT_EQ(faults.last, live.last_fault);
-  EXPECT_EQ(violations.count, live.violations_total);
-  EXPECT_EQ(violations.first, live.first_violation);
-  EXPECT_EQ(violations.last, live.last_violation);
+  EXPECT_EQ(faults.count, live_faults.count);
+  EXPECT_EQ(faults.first, live_faults.first);
+  EXPECT_EQ(faults.last, live_faults.last);
+  EXPECT_EQ(violations.count, live_violations.count);
+  EXPECT_EQ(violations.first, live_violations.first);
+  EXPECT_EQ(violations.last, live_violations.last);
 }
 
-TEST(HarnessTimeline, BusDerivationAgreesWithLiveState) {
+TEST(HarnessBus, AgreesWithLiveState) {
   core::HarnessConfig config = obs_config(11);
   config.trace_capacity = 1u << 20;  // retain the whole run
   core::SystemHarness h(config);
   run_burst(h);
-  expect_bus_timeline_matches_live(h);
+  expect_bus_matches_live(h);
 }
 
-TEST(HarnessTimeline, BusAggregatesSurviveRingEviction) {
+TEST(HarnessBus, AggregatesSurviveRingEviction) {
   // A pathologically tiny ring under sustained fault load: nearly every
   // event is evicted, but the bus's first/last aggregates are exact, so
   // the bus still agrees with the live harness.
@@ -474,10 +446,10 @@ TEST(HarnessTimeline, BusAggregatesSurviveRingEviction) {
 
   ASSERT_EQ(h.events().size(), 8u);  // only the tail is retained...
   EXPECT_GT(h.events().total_recorded(), 1000u);  // ...of a long run
-  expect_bus_timeline_matches_live(h);
+  expect_bus_matches_live(h);
 }
 
-TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
+TEST(HarnessLifecycle, BusParityUnderLifecycleFaults) {
   // Crash, recover, partition and heal are injector faults like any other:
   // they land in its fault-code rows and on the bus alike.
   core::HarnessConfig config;
@@ -502,14 +474,9 @@ TEST(HarnessLifecycle, TimelineParityWithBusUnderLifecycleFaults) {
   h.run_for(2000);
   h.drain(2000);
 
-  expect_bus_timeline_matches_live(h);
-  bool saw_crash = false, saw_heal = false;
-  for (const obs::TimelineEntry& f : h.timeline().faults) {
-    saw_crash = saw_crash || f.name == "process-crash";
-    saw_heal = saw_heal || f.name == "partition-heal";
-  }
-  EXPECT_TRUE(saw_crash);
-  EXPECT_TRUE(saw_heal);
+  expect_bus_matches_live(h);
+  EXPECT_EQ(h.faults().count(net::FaultKind::kProcessCrash), 1u);
+  EXPECT_EQ(h.faults().count(net::FaultKind::kPartitionHeal), 1u);
 }
 
 TEST(HarnessTrace, RecordsWhenEnabled) {

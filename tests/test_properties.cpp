@@ -102,7 +102,6 @@ TEST(ContinuousPressure, CleanSuffixAfterFaultsStop) {
   // Every seed recovered once the pressure stopped...
   EXPECT_TRUE(result.all_stabilized())
       << result.stabilized << "/" << result.trials << " stabilized";
-  EXPECT_EQ(result.starved, 0u);
   // ...and service resumed in every trial after the fault window.
   ASSERT_EQ(result.cs_entries.count(), 6u);
   EXPECT_GT(result.cs_entries.min(), 20.0);

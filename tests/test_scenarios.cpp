@@ -251,7 +251,9 @@ TEST(Section4, EngineGridReproducesTheDeadlockVerdicts) {
   // The scripted deadlock as a four-cell engine grid (algorithm x wrapped),
   // run with two workers: the scripted_fault callable is shared by
   // concurrent trials, capturing nothing and touching only the harness it
-  // is handed — the thread-safety contract RunSpec documents.
+  // is handed — the thread-safety contract RunSpec documents. The clears go
+  // through the fault injector, which applies and records one per nonempty
+  // channel out of 0 or 1: four faults at t=100.
   core::FaultScenario scenario;
   scenario.warmup = 100;
   scenario.observation = 8000;
@@ -260,23 +262,28 @@ TEST(Section4, EngineGridReproducesTheDeadlockVerdicts) {
     h.process(0).request_cs();
     h.process(1).request_cs();
     for (ProcessId to = 0; to < h.network().size(); ++to) {
-      if (to != 0) h.network().channel(0, to).fault_clear();
-      if (to != 1) h.network().channel(1, to).fault_clear();
+      for (const ProcessId from : {ProcessId{0}, ProcessId{1}}) {
+        h.faults().inject_targeted(
+            {.code = net::FaultKind::kChannelClear, .a = from, .b = to});
+      }
     }
+  };
+  auto config_for = [](const char* algo, bool wrapped) {
+    core::HarnessConfig config;
+    config.n = 3;
+    config.algorithm = algo;
+    config.wrapped = wrapped;
+    config.wrapper.resend_period = 20;
+    config.client.wants_cs = false;  // scripted requests only
+    config.seed = 7;
+    return config;
   };
 
   core::SpecGrid grid;
   for (const char* algo : {"ricart-agrawala", "lamport"}) {
     for (const bool wrapped : {false, true}) {
-      core::HarnessConfig config;
-      config.n = 3;
-      config.algorithm = algo;
-      config.wrapped = wrapped;
-      config.wrapper.resend_period = 20;
-      config.client.wants_cs = false;  // scripted requests only
-      config.seed = 7;
-      grid.add(std::string(algo) + (wrapped ? "/wrapped" : "/bare"), config,
-               scenario, 1);
+      grid.add(std::string(algo) + (wrapped ? "/wrapped" : "/bare"),
+               config_for(algo, wrapped), scenario, 1);
     }
   }
   const core::GridResult result =
@@ -288,10 +295,14 @@ TEST(Section4, EngineGridReproducesTheDeadlockVerdicts) {
     const core::RepeatedResult& wrapped =
         result.cell(std::string(algo) + "/wrapped").result;
     EXPECT_EQ(bare.stabilized, 0u) << algo;    // deadlocked forever
-    EXPECT_EQ(bare.starved, 1u) << algo;
     EXPECT_TRUE(wrapped.all_stabilized()) << algo;
     EXPECT_GE(wrapped.cs_entries.sum(), 2.0) << algo;
+    EXPECT_EQ(wrapped.faults.sum(), 4.0) << algo;
   }
+  const core::StabilizationReport report =
+      core::run_fault_experiment(config_for("ricart-agrawala", true), scenario)
+          .report;
+  EXPECT_EQ(report.last_fault, 100u);
 }
 
 }  // namespace

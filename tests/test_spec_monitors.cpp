@@ -205,22 +205,12 @@ TEST(MonitorSet, AggregatesAcrossMonitors) {
   EXPECT_EQ(set.size(), 2u);
 }
 
-TEST(MonitorSet, LastViolationAcrossMonitors) {
-  Set set;
-  unless(set, "a", kNonDecreasing, kFell);
-  invariant(
-      set, "b", [](const Rows& s, std::size_t j) { return s.x[j] <= 1; },
-      kRowDetail);
-  feed(set, {{{0}}, {{2}}, {{1}}, {{1}}});
-  EXPECT_EQ(set.last_violation(), 2u);  // the a violation at t=2
-}
-
 TEST(MonitorSet, CleanWhenNoViolation) {
   Set set;
   invariant(set, "a", at_least(0), kRowDetail);
   feed(set, {{{0}}, {{1}}});
   EXPECT_TRUE(set.clean());
-  EXPECT_EQ(set.last_violation(), kNever);
+  for (const auto& m : set.monitors()) EXPECT_EQ(m->last_violation(), kNever);
 }
 
 TEST(MonitorSet, FinishIsIdempotent) {

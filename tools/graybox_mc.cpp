@@ -4,6 +4,8 @@
 // Modes:
 //   (default)          explore one configuration; print the verdict, the
 //                      shrunk counterexample (if any) and explorer stats.
+//                      Exit 2 when a bug is found, 1 when --out cannot be
+//                      written, 0 otherwise.
 //   --sweep            the CI matrix: {ra, lamport, cr} x wrapper tiers
 //                      x fault modes, each cell bounded by its budget.
 //                      Fault-free cells assert no safety violation at all;
@@ -138,6 +140,11 @@ int run_explore(const Flags& flags) {
     header.flags.push_back("--horizon=" + std::to_string(ec.horizon));
     std::ofstream f(out);
     f << r.counterexample.to_text(header);
+    f.close();
+    if (!f) {
+      std::cerr << "cannot write " << out << "\n";
+      return 1;
+    }
     std::cout << "trace written to " << out << "\n";
   }
   return r.found ? 2 : 0;

@@ -8,16 +8,14 @@
 // with the wrapper (default) the W' resends repair the mutual
 // inconsistency and both processes are served.
 //
-// The system here is hand-wired (no SystemHarness), which also demos the
-// observability layer at the component level: an EventBus shared by the
-// network, processes, wrappers, and the fault injector.
+// The system here is hand-wired (no SystemHarness): a network, two
+// processes, their wrappers and a fault injector.
 #include <iostream>
 
 #include "common/flags.hpp"
 #include "me/ricart_agrawala.hpp"
 #include "net/fault_injector.hpp"
 #include "net/network.hpp"
-#include "obs/event_bus.hpp"
 #include "sim/scheduler.hpp"
 #include "wrapper/graybox_wrapper.hpp"
 
@@ -31,13 +29,8 @@ int main(int argc, char** argv) {
   const auto delta = static_cast<SimTime>(flags.get_int("delta", 10));
 
   sim::Scheduler sched;
-  obs::EventBus bus(sched, 4096);
-
   net::Network net(sched, 2, net::DelayModel::fixed(1), Rng(3));
-  net.set_event_bus(&bus);
   me::RicartAgrawala j(0, net), k(1, net);
-  j.set_event_bus(&bus);
-  k.set_event_bus(&bus);
   net.set_handler(0, [&](const net::Message& m) { j.on_message(m); });
   net.set_handler(1, [&](const net::Message& m) { k.on_message(m); });
 
@@ -58,8 +51,6 @@ int main(int argc, char** argv) {
         sched, net, j, wrapper::WrapperConfig{.resend_period = delta});
     wk = std::make_unique<wrapper::GrayboxWrapper>(
         sched, net, k, wrapper::WrapperConfig{.resend_period = delta});
-    wj->set_event_bus(&bus);
-    wk->set_event_bus(&bus);
     wj->start();
     wk->start();
   }
@@ -76,7 +67,6 @@ int main(int argc, char** argv) {
   // record): the first clear hits one of the two nonempty channels, the
   // second hits the only one left — together they empty both.
   net::FaultInjector injector(sched, net, Rng(7), nullptr);
-  injector.set_event_bus(&bus);
   injector.inject(net::FaultKind::kChannelClear);
   injector.inject(net::FaultKind::kChannelClear);
 

@@ -119,15 +119,10 @@ void SnapshotSource::write_row(GlobalSnapshot& snap, std::size_t j) const {
   ps.clock_now = p.clock().now();
   snap.set_vc(j, net_.vclock(static_cast<ProcessId>(j)));
   const std::size_t n = processes_.size();
-  char* knows = snap.knows_.data() + j * n;
-  std::uint16_t row_true = 0;
-  for (std::size_t k = 0; k < n; ++k) {
-    const char v =
-        (k != j && p.knows_earlier(static_cast<ProcessId>(k))) ? 1 : 0;
-    knows[k] = v;
-    row_true = static_cast<std::uint16_t>(row_true + v);
-  }
-  if (snap.counts_valid_) snap.knows_true_[j] = row_true;
+  const std::size_t row_true =
+      p.fill_knows_row({snap.knows_.data() + j * n, n});
+  if (snap.counts_valid_)
+    snap.knows_true_[j] = static_cast<std::uint16_t>(row_true);
 }
 
 const GlobalSnapshot& SnapshotSource::capture(SimTime t) {

@@ -1,7 +1,9 @@
 #include "lspec/tme_monitors.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <string>
+#include <utility>
 
 #include "common/contracts.hpp"
 
@@ -48,8 +50,10 @@ void Me1Monitor::check(SimTime t, const GlobalSnapshot& s) {
   const bool bad = s.eating_count() > 1;
   if (bad) {
     if (!in_violation_) ++episodes_;
-    report(t, "processes {" + pid_list(s, me::TmeState::kEating) +
-                  "} eating simultaneously");
+    report(t, [&s] {
+      return "processes {" + pid_list(s, me::TmeState::kEating) +
+             "} eating simultaneously";
+    });
   }
   in_violation_ = bad;
 }
@@ -109,9 +113,10 @@ void Me2Monitor::finish(SimTime, const GlobalSnapshot&) {
   for (std::size_t j = 0; j < hungry_since_.size(); ++j) {
     if (hungry_since_[j] == kNever) continue;
     starvation_at_end_ = true;
-    report(hungry_since_[j],
-           "process " + std::to_string(j) +
-               " hungry at end of drained run (starvation/deadlock)");
+    report(hungry_since_[j], [j] {
+      return "process " + std::to_string(j) +
+             " hungry at end of drained run (starvation/deadlock)";
+    });
   }
 }
 
@@ -201,9 +206,10 @@ void Me3Monitor::on_entry(std::size_t j, SimTime t,
       if (!cur.procs[k].hungry()) continue;
       if (open_[k].vc.size() == open_[j].vc.size() &&
           vc_happened_before(open_[k].vc, open_[j].vc)) {
-        report(t, "process " + std::to_string(j) + " overtook process " +
-                      std::to_string(k) +
-                      " whose request happened-before");
+        report(t, [j, k] {
+          return "process " + std::to_string(j) + " overtook process " +
+                 std::to_string(k) + " whose request happened-before";
+        });
       }
     }
   } else {
@@ -212,9 +218,11 @@ void Me3Monitor::on_entry(std::size_t j, SimTime t,
     for (std::size_t k = 0; k < open_.size(); ++k) {
       if (k == j || !open_[k].open) continue;
       if (!cur.procs[k].hungry()) continue;
-      report(t, "process " + std::to_string(j) +
-                    " entered the CS without a request while process " +
-                    std::to_string(k) + " was waiting");
+      report(t, [j, k] {
+        return "process " + std::to_string(j) +
+               " entered the CS without a request while process " +
+               std::to_string(k) + " was waiting";
+      });
       break;  // one report per spurious entry suffices
     }
   }
@@ -280,7 +288,9 @@ void InvariantIMonitor::fold_dirty_row(const GlobalSnapshot& prev,
     bad_k_count_[m] = c;
   }
   // m as believed-about: for every other believer j, only the (j, m) term
-  // can have changed — knows_earlier(j, m) and REQj are in clean row j.
+  // can have changed — knows_earlier(j, m) and REQj are in clean row j —
+  // and it reads row m only through REQm, so none moved if REQm did not.
+  if (prev.procs[m].req == cur.procs[m].req) return;
   for (std::size_t j = 0; j < n; ++j) {
     if (j == m || !claims(j)) continue;
     if (!cur.knows_earlier(j, m)) continue;
@@ -309,10 +319,11 @@ void InvariantIMonitor::check(SimTime t, const GlobalSnapshot& s) {
         // Report every bad state (the base class caps retention but keeps
         // exact first/last times), so the stabilization detector sees when
         // the violation *ended*, not just when it began.
-        report(t, "process " + std::to_string(j) + " believes " +
-                      s.procs[j].req.to_string() + " lt REQ(" +
-                      std::to_string(k) + ")=" + s.procs[k].req.to_string() +
-                      ", which is false");
+        report(t, [&s, j, k] {
+          return "process " + std::to_string(j) + " believes " +
+                 s.procs[j].req.to_string() + " lt REQ(" + std::to_string(k) +
+                 ")=" + s.procs[k].req.to_string() + ", which is false";
+        });
         break;
       }
     }
@@ -322,52 +333,82 @@ void InvariantIMonitor::check(SimTime t, const GlobalSnapshot& s) {
 
 // --- Mutual Belief -----------------------------------------------------------
 
+namespace {
+
+/// Does j, hungry, form a mutually-believing hungry pair with k?
+bool mutual(const GlobalSnapshot& s, std::size_t j, std::size_t k) {
+  return s.procs[k].hungry() && s.knows_earlier(j, k) &&
+         s.knows_earlier(k, j);
+}
+
+/// The pairs {m, k} of s: O(N), 0 unless m is hungry.
+std::size_t row_pairs(const GlobalSnapshot& s, std::size_t m) {
+  if (!s.procs[m].hungry()) return 0;
+  std::size_t pairs = 0;
+  for (std::size_t k = 0; k < s.procs.size(); ++k)
+    if (k != m && mutual(s, m, k)) ++pairs;
+  return pairs;
+}
+
+/// The first pair {j, k} of s in (j, k) order, j < k: O(N²).
+std::optional<std::pair<std::size_t, std::size_t>> first_pair(
+    const GlobalSnapshot& s) {
+  for (std::size_t j = 0; j < s.procs.size(); ++j) {
+    if (!s.procs[j].hungry()) continue;
+    for (std::size_t k = j + 1; k < s.procs.size(); ++k)
+      if (mutual(s, j, k)) return std::pair{j, k};
+  }
+  return std::nullopt;
+}
+
+}  // namespace
+
 MutualBeliefMonitor::MutualBeliefMonitor() : TmeMonitor("MutualBelief") {}
 
 void MutualBeliefMonitor::begin(SimTime t, const GlobalSnapshot& s0) {
-  check(t, s0);
+  judge(t, s0, first_pair(s0).has_value());
 }
 
-void MutualBeliefMonitor::step(SimTime t, const GlobalSnapshot&,
+void MutualBeliefMonitor::step(SimTime t, const GlobalSnapshot& prev,
                                const GlobalSnapshot& cur, std::size_t dirty) {
-  if (in_violation_ || dirty == spec::kDirtyAll) {
-    check(t, cur);
+  if (dirty == spec::kDirtyAll) {
+    // The plain full check. It drops the count; the next row-hinted step
+    // recounts.
+    counted_ = false;
+    judge(t, cur, first_pair(cur).has_value());
     return;
   }
-  if (dirty == spec::kDirtyNone) return;
-  if (row_may_violate(cur, dirty)) check(t, cur);
+  // While clean, an untouched snapshot cannot start a violation. While in
+  // violation every event must re-report (exact violation end time); the
+  // maintained pair count makes that O(N) per dirty row and O(1) per clean
+  // event, so violating windows do not pay the O(N²) sweep.
+  if (dirty == spec::kDirtyNone && !in_violation_) return;
+  if (!counted_) {
+    pairs_ = 0;
+    for (std::size_t j = 0; j < cur.procs.size(); ++j)
+      pairs_ += row_pairs(cur, j);
+    pairs_ /= 2;
+    counted_ = true;
+  } else if (dirty != spec::kDirtyNone) {
+    // Every row but m is the same in prev and cur, so only the pairs that
+    // involve m can have moved.
+    pairs_ = pairs_ - row_pairs(prev, dirty) + row_pairs(cur, dirty);
+  }
+  judge(t, cur, pairs_ != 0);
 }
 
-bool MutualBeliefMonitor::row_may_violate(const GlobalSnapshot& s,
-                                          std::size_t m) const {
-  // From a clean state, a new mutually-believing pair must involve the one
-  // changed row.
-  if (!s.procs[m].hungry()) return false;
-  for (std::size_t k = 0; k < s.procs.size(); ++k) {
-    if (k == m || !s.procs[k].hungry()) continue;
-    if (s.knows_earlier(m, k) && s.knows_earlier(k, m)) return true;
+void MutualBeliefMonitor::judge(SimTime t, const GlobalSnapshot& s,
+                                bool bad) {
+  if (bad) {
+    if (!in_violation_) ++episodes_;
+    // Like Invariant I, report every bad state so the stabilization
+    // detector sees when the violation ended.
+    report(t, [&s] {
+      const auto [j, k] = *first_pair(s);
+      return "processes " + std::to_string(j) + " and " + std::to_string(k) +
+             " each believe their request precedes the other's";
+    });
   }
-  return false;
-}
-
-void MutualBeliefMonitor::check(SimTime t, const GlobalSnapshot& s) {
-  bool bad = false;
-  for (std::size_t j = 0; j < s.procs.size() && !bad; ++j) {
-    if (!s.procs[j].hungry()) continue;
-    for (std::size_t k = j + 1; k < s.procs.size(); ++k) {
-      if (!s.procs[k].hungry()) continue;
-      if (s.knows_earlier(j, k) && s.knows_earlier(k, j)) {
-        bad = true;
-        // Like Invariant I, report every bad state so the stabilization
-        // detector sees when the violation ended.
-        report(t, "processes " + std::to_string(j) + " and " +
-                      std::to_string(k) +
-                      " each believe their request precedes the other's");
-        break;
-      }
-    }
-  }
-  if (bad && !in_violation_) ++episodes_;
   in_violation_ = bad;
 }
 

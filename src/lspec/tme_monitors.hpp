@@ -157,7 +157,8 @@ class InvariantIMonitor : public TmeMonitor {
   /// recomputed (its req and knows row both changed, O(N)) and every other
   /// believer j adjusts only its (j, m) term — knows_earlier(j, m) and
   /// REQj live in row j, which is clean, so the term's old value is
-  /// computable from `prev` in O(1). O(N) total per dirty row.
+  /// computable from `prev` in O(1). O(N) total per dirty row; the column
+  /// pass is skipped when REQm did not move, since no term can change.
   void fold_dirty_row(const GlobalSnapshot& prev, const GlobalSnapshot& cur,
                       std::size_t m);
   bool claims(std::size_t j) const {
@@ -191,8 +192,14 @@ class MutualBeliefMonitor : public TmeMonitor {
   std::uint64_t episodes() const { return episodes_; }
 
  private:
-  void check(SimTime t, const GlobalSnapshot& s);
-  bool row_may_violate(const GlobalSnapshot& s, std::size_t m) const;
+  /// Report s when `bad`, naming its first pair, and track episodes.
+  void judge(SimTime t, const GlobalSnapshot& s, bool bad);
+  /// The number of mutually-believing hungry pairs, exact while counted_:
+  /// a single-row step moves it by that row's pairs in cur minus those in
+  /// prev (O(N)). A kDirtyAll step runs the plain O(N²) check instead and
+  /// clears counted_; the next row-hinted step recounts (O(N²)).
+  std::size_t pairs_ = 0;
+  bool counted_ = false;
   bool in_violation_ = false;
   std::uint64_t episodes_ = 0;
 };

@@ -66,6 +66,12 @@ class LamportNoAckMutant : public me::LamportMe {
     }
     return true;
   }
+
+  /// Lamport's one-pass row read has the grant conjunct built in: the
+  /// snapshot must read this mutant's own relation, peer by peer.
+  std::size_t fill_knows_row(std::span<char> row) const override {
+    return TmeProcess::fill_knows_row(row);
+  }
 };
 
 /// Every mutant takes its base protocol's constructor and no options.

@@ -34,6 +34,25 @@ bool LamportMe::knows_earlier(ProcessId k) const {
   return true;
 }
 
+std::size_t LamportMe::fill_knows_row(std::span<char> row) const {
+  GBX_EXPECTS(row.size() == peers());
+  // knows_earlier's two conjuncts, each in one pass: the grant from
+  // last_heard_, then every pid holding a queue entry earlier than REQ
+  // (duplicates and an entry under our own pid included) is cleared.
+  std::size_t ones = 0;
+  for (ProcessId k = 0; k < row.size(); ++k) {
+    row[k] = k != pid() && clk::lt(req(), last_heard_[k]) ? 1 : 0;
+    ones += static_cast<std::size_t>(row[k]);
+  }
+  for (const auto& entry : queue_) {
+    if (row[entry.pid] != 0 && clk::lt(entry.ts, req())) {
+      row[entry.pid] = 0;
+      --ones;
+    }
+  }
+  return ones;
+}
+
 clk::Timestamp LamportMe::view_of(ProcessId k) const {
   GBX_EXPECTS(k < peers());
   // Synthesized j.REQk: a queue entry is direct knowledge of k's request;

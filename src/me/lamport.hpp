@@ -52,6 +52,8 @@ class LamportMe : public TmeProcess {
   LamportMe(ProcessId pid, net::Network& net, LamportOptions options = {});
 
   bool knows_earlier(ProcessId k) const override;
+  /// One O(N + |queue|) pass instead of N queue scans.
+  std::size_t fill_knows_row(std::span<char> row) const override;
   clk::Timestamp view_of(ProcessId k) const override;
 
   /// request_queue.j, ordered earliest-first. (Exposed for diagnostics.)

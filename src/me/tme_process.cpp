@@ -11,6 +11,16 @@ TmeProcess::TmeProcess(ProcessId pid, net::Network& net)
   req_ = clk::Timestamp{0, pid};
 }
 
+std::size_t TmeProcess::fill_knows_row(std::span<char> row) const {
+  GBX_EXPECTS(row.size() == peers());
+  std::size_t ones = 0;
+  for (ProcessId k = 0; k < row.size(); ++k) {
+    row[k] = k != pid_ && knows_earlier(k) ? 1 : 0;
+    ones += static_cast<std::size_t>(row[k]);
+  }
+  return ones;
+}
+
 void TmeProcess::transition(TmeState to) {
   const TmeState from = state_;
   state_ = to;

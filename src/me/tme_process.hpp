@@ -8,7 +8,8 @@
 //   * the wrapper (src/wrapper) reads only state(), req(), knows_earlier()
 //     and therefore works for ANY implementation of this interface;
 //   * the Lspec/TME Spec monitors (src/lspec) judge conformance through the
-//     same surface;
+//     same surface, reading knows_earlier a whole row at a time through
+//     fill_knows_row() — the same observable, read in a batch;
 //   * concrete programs (RicartAgrawala, LamportMe) keep their whitebox
 //     variables private.
 //
@@ -29,6 +30,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "clock/logical_clock.hpp"
 #include "common/rng.hpp"
@@ -67,6 +69,13 @@ class TmeProcess {
   /// own request is earlier than k's? CS entry requires it for all k != j;
   /// the wrapper resends REQj exactly to the peers for which it is false.
   virtual bool knows_earlier(ProcessId k) const = 0;
+
+  /// knows_earlier for every peer at once: row[k] = knows_earlier(k), and
+  /// row[pid()] = 0. row.size() must be peers(). Returns the number of
+  /// ones. The default asks knows_earlier(k) for each k; an implementation
+  /// whose per-peer reading repeats work may override it with one pass,
+  /// which must write exactly those values.
+  virtual std::size_t fill_knows_row(std::span<char> row) const;
 
   /// Diagnostic rendering of j.REQk where the implementation has one
   /// (Ricart-Agrawala stores it directly; Lamport synthesizes it).

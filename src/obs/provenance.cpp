@@ -1,7 +1,5 @@
 #include "obs/provenance.hpp"
 
-#include <algorithm>
-
 namespace graybox::obs {
 
 ProvenanceTracker::ProvenanceTracker(std::size_t n)
@@ -24,8 +22,9 @@ void ProvenanceTracker::taint_process(ProcessId pid, ProvenanceId id) {
       id > blast_.size()) {
     return;
   }
-  const std::uint8_t dropped_before = process_taint_[pid].dropped;
-  if (process_taint_[pid].add(id)) {
+  TaintSet& t = process_taint_[pid];
+  const std::uint8_t dropped_before = t.dropped;
+  if (t.add(id)) {
     // Count distinct processes ever tainted, not re-infections: a process
     // that is corrected and then tainted again by the same fault's still-
     // circulating messages widens nothing.
@@ -33,38 +32,30 @@ void ProvenanceTracker::taint_process(ProcessId pid, ProvenanceId id) {
     const std::uint64_t bit = std::uint64_t{1} << (pid % 64);
     if ((word & bit) == 0) ++blast_[id - 1].processes_tainted;
     word |= bit;
-  } else if (process_taint_[pid].dropped != dropped_before) {
+    union_valid_ = false;
+  } else if (t.dropped != dropped_before) {
     // Keep-oldest saturation just discarded this (newer) id: the run-wide
     // counter makes the resulting under-attribution observable.
     ++taint_overflows_;
+    union_valid_ = false;
   }
-  sync_live(pid);
 }
 
 void ProvenanceTracker::merge_process(ProcessId pid, const TaintSet& taint) {
   if (pid >= process_taint_.size()) return;
   for (std::size_t i = 0; i < taint.size(); ++i) taint_process(pid, taint[i]);
-  process_taint_[pid].note_dropped(taint.dropped);
-  sync_live(pid);
+  TaintSet& t = process_taint_[pid];
+  const std::uint8_t dropped_before = t.dropped;
+  t.note_dropped(taint.dropped);
+  if (t.dropped != dropped_before) union_valid_ = false;
 }
 
 void ProvenanceTracker::clear_process(ProcessId pid) {
   if (pid >= process_taint_.size()) return;
-  process_taint_[pid].clear();
-  sync_live(pid);
-}
-
-void ProvenanceTracker::sync_live(ProcessId pid) {
-  const TaintSet& t = process_taint_[pid];
-  const bool live = t.count != 0 || t.dropped != 0;
-  const auto it =
-      std::lower_bound(live_tainted_.begin(), live_tainted_.end(), pid);
-  const bool present = it != live_tainted_.end() && *it == pid;
-  if (live && !present) {
-    live_tainted_.insert(it, pid);
-  } else if (!live && present) {
-    live_tainted_.erase(it);
-  }
+  TaintSet& t = process_taint_[pid];
+  if (t.empty() && t.dropped == 0) return;
+  t.clear();
+  union_valid_ = false;
 }
 
 void ProvenanceTracker::note_message_taint(const TaintSet& taint) {
@@ -77,10 +68,15 @@ void ProvenanceTracker::note_message_taint(const TaintSet& taint) {
 }
 
 TaintSet ProvenanceTracker::attribute_violation(SimTime now) {
-  TaintSet out;
-  // Clear sets merge as no-ops, so the live list (ascending pids) yields
-  // exactly the same union, in the same order, as scanning all N sets.
-  for (const ProcessId pid : live_tainted_) out.merge(process_taint_[pid]);
+  if (!union_valid_) {
+    // The fold in ascending pid order: keep-oldest saturation makes the
+    // merge order observable in the union's ids and its drop count.
+    union_ = TaintSet{};
+    for (const TaintSet& t : process_taint_) union_.merge(t);
+    union_valid_ = true;
+  }
+  TaintSet out = union_;
+  // After the cache: minting moves the fallback without touching any set.
   if (out.empty() && !blast_.empty()) {
     out.add(static_cast<ProvenanceId>(blast_.size()));
   }

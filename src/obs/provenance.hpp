@@ -22,7 +22,11 @@
 // hook is one predicted null-pointer branch; enabled, the per-event path is
 // a handful of array compares and writes — the only allocation is one
 // BlastRadius row and one ceil(N/64)-word reach row per *injected fault*
-// (mint time, never per event).
+// (mint time, never per event). An attribution reads a cached union of the
+// per-process sets, O(|TaintSet|); only a mutator call that actually
+// changes some set (its ids, count or drop count) invalidates it, and the
+// next attribution refolds all N sets. After a 12-fault burst at N=256
+// about 3% of attributions refold.
 // bench_substrate_micro::BM_ProvenanceRecord prices both sides.
 //
 // Layering: this header sits at the bottom of gbx_obs (types only, no
@@ -167,10 +171,11 @@ class ProvenanceTracker {
   void note_message_taint(const TaintSet& taint);
 
   /// Attribute one monitor violation at `now`: the union of every
-  /// process's active taint, falling back to the most recently minted id
-  /// when the union is empty (the violation is inside some fault's
-  /// divergent window even if its taint was already cleared or evicted),
-  /// so a violation after any injection always maps to >= 1 fault.
+  /// process's active taint, folded in ascending pid order, falling back to
+  /// the most recently minted id when the union is empty (the violation is
+  /// inside some fault's divergent window even if its taint was already
+  /// cleared or evicted), so a violation after any injection always maps to
+  /// >= 1 fault.
   TaintSet attribute_violation(SimTime now);
 
   std::size_t minted() const { return blast_.size(); }
@@ -182,17 +187,13 @@ class ProvenanceTracker {
   std::uint64_t taint_overflows() const { return taint_overflows_; }
 
  private:
-  /// Re-derive pid's membership in live_tainted_ after a mutation.
-  void sync_live(ProcessId pid);
-
   std::vector<TaintSet> process_taint_;
-  /// Sorted pids with a non-clear taint set (count or dropped nonzero).
-  /// Attribution unions exactly these, so it costs O(live tainted pids),
-  /// not O(N). Iterating this in order visits the same non-trivial sets, in
-  /// the same order, as the full 0..N-1 scan — so the attribution union
-  /// (whose keep-oldest saturation makes merge order observable) is
-  /// bit-identical.
-  std::vector<ProcessId> live_tainted_;
+  /// The fold of process_taint_ in pid order, while union_valid_. Every
+  /// mutator that changes a set clears union_valid_; one that leaves its
+  /// set as it was (most deliveries re-merge ids the receiver holds) keeps
+  /// the cache.
+  TaintSet union_;
+  bool union_valid_ = false;
   std::vector<BlastRadius> blast_;
   /// One bit per (minted id, pid): id's row is words_per_id_ words from
   /// (id - 1) * words_per_id_, and bit p is set once id has tainted pid.

@@ -23,6 +23,7 @@
 // rows ignore it.
 #pragma once
 
+#include <concepts>
 #include <functional>
 #include <memory>
 #include <string>
@@ -105,12 +106,16 @@ class Monitor {
  protected:
   static constexpr std::size_t kMaxRetained = 256;
 
-  void report(SimTime t, std::string detail) {
+  /// Record one violation at t. `detail()` renders the record's text and
+  /// runs only for the records that are retained, so a long violating
+  /// window pays for at most kMaxRetained strings.
+  template <std::invocable Detail>
+  void report(SimTime t, Detail&& detail) {
     if (total_violations_ == 0 || t < first_violation_) first_violation_ = t;
     if (total_violations_ == 0 || t > last_violation_) last_violation_ = t;
     ++total_violations_;
     if (violations_.size() < kMaxRetained)
-      violations_.push_back(Violation{t, name_, std::move(detail)});
+      violations_.push_back(Violation{t, name_, detail()});
     if (hook_ && *hook_) (*hook_)(t, hook_index_);
   }
 

@@ -21,7 +21,8 @@
 //                     that is a genuine liveness failure such as the deadlock
 //                     of Section 4, not an artifact of stopping.
 //
-// Each takes a detail formatter that renders a violated row's report.
+// Each takes a detail formatter that renders a violated row's report; it
+// runs only for the records Monitor::report retains.
 // Predicates and formatters are template parameters, so the row check
 // inlines; the factories at the bottom deduce them, e.g.
 // spec::unless(set, name, ok, detail).
@@ -46,7 +47,8 @@ class RowUnless : public Monitor<S> {
   void step(SimTime t, const S& prev, const S& cur,
             std::size_t dirty) override {
     for_each_dirty_row(dirty, cur.size(), [&](std::size_t j) {
-      if (!ok_(prev, cur, j)) this->report(t, detail_(prev, cur, j));
+      if (!ok_(prev, cur, j))
+        this->report(t, [&] { return detail_(prev, cur, j); });
     });
   }
 
@@ -77,7 +79,7 @@ class RowInvariant : public Monitor<S> {
     });
     if (bad_count_ == 0) return;
     for (std::size_t j = 0; j < bad_.size(); ++j)
-      if (bad_[j]) this->report(t, detail_(cur, j));
+      if (bad_[j]) this->report(t, [&] { return detail_(cur, j); });
   }
 
  private:
@@ -116,7 +118,7 @@ class RowLeadsTo : public Monitor<S> {
   void finish(SimTime, const S& last) override {
     for (std::size_t j = 0; j < open_since_.size(); ++j)
       if (open_since_[j] != kNever)
-        this->report(open_since_[j], detail_(last, j));
+        this->report(open_since_[j], [&] { return detail_(last, j); });
   }
 
  private:

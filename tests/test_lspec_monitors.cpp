@@ -1,9 +1,11 @@
-// Unit tests for the TME Spec monitors (ME1/ME2/ME3/Invariant I) driven
-// with hand-built snapshots, plus the program-transition monitors on live
-// processes.
+// Unit tests for the TME Spec monitors (ME1/ME2/ME3/Invariant I/Mutual
+// Belief) driven with hand-built snapshots, plus the program-transition
+// monitors on live processes.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <memory>
+#include <vector>
 
 #include "lspec/program_monitors.hpp"
 #include "lspec/snapshot.hpp"
@@ -234,6 +236,83 @@ TEST(InvariantIMonitor, BeliefOnlyJudgedWhileHungry) {
   s.set_knows_earlier(0, 1, true);
   set.observe(0, s);
   EXPECT_TRUE(inv.clean());
+}
+
+// --- Mutual Belief ---------------------------------------------------------------
+
+TEST(MutualBeliefMonitor, PairCountReportsWhatTheFullCheckReports) {
+  // Two overlapping mutually-believing pairs, {0, 1} and {1, 2}, built and
+  // dissolved one row at a time at n=6. One monitor steps on the row hints
+  // (its pair count); the other steps every state with kDirtyAll (the full
+  // O(N²) check). Both must report at the same times with the same kept
+  // details.
+  std::deque<GlobalSnapshot> states;  // stable addresses for observe_ref
+  std::vector<std::size_t> hints;
+  states.push_back(make_snapshot(6, {TmeState::kThinking, TmeState::kThinking,
+                                     TmeState::kThinking, TmeState::kThinking,
+                                     TmeState::kThinking,
+                                     TmeState::kThinking}));
+  const auto next = [&](std::size_t dirty, auto edit) {
+    states.push_back(states.back());
+    edit(states.back());
+    hints.push_back(dirty);
+  };
+  const auto hungry_believing = [](std::size_t j,
+                                   std::vector<std::size_t> ks) {
+    return [j, ks = std::move(ks)](GlobalSnapshot& s) {
+      s.procs[j].state = TmeState::kHungry;
+      for (const std::size_t k : ks) s.set_knows_earlier(j, k, true);
+    };
+  };
+  const auto no_change = [](GlobalSnapshot&) {};
+  // t=1..3 build {0, 1}, then {1, 2}; t=4 changes two rows at once; t=5 an
+  // unrelated row; t=7 dissolves {0, 1} and t=9 {1, 2}; t=11 adds a hungry
+  // believer whose peers do not believe back.
+  next(0, hungry_believing(0, {1}));
+  next(1, hungry_believing(1, {0, 2}));
+  next(2, hungry_believing(2, {1}));
+  next(spec::kDirtyAll, [](GlobalSnapshot& s) {
+    s.procs[3].req.counter = 30;
+    s.procs[5].state = TmeState::kHungry;
+  });
+  next(4, [](GlobalSnapshot& s) { s.procs[4].req.counter = 40; });
+  next(spec::kDirtyNone, no_change);
+  next(0, [](GlobalSnapshot& s) { s.set_knows_earlier(0, 1, false); });
+  next(spec::kDirtyNone, no_change);
+  next(2, [](GlobalSnapshot& s) { s.procs[2].state = TmeState::kEating; });
+  next(spec::kDirtyNone, no_change);
+  next(5, hungry_believing(5, {0, 1}));
+
+  TmeMonitorSet hinted_set;
+  TmeMonitorSet full_set;
+  auto& hinted = hinted_set.add<MutualBeliefMonitor>();
+  auto& full = full_set.add<MutualBeliefMonitor>();
+  for (std::size_t t = 0; t < states.size(); ++t) {
+    const GlobalSnapshot& prev = states[t == 0 ? 0 : t - 1];
+    const std::size_t hint = t == 0 ? spec::kDirtyAll : hints[t - 1];
+    hinted_set.observe_ref(t, prev, states[t], hint);
+    full_set.observe_ref(t, prev, states[t], spec::kDirtyAll);
+  }
+
+  std::vector<SimTime> times;
+  for (const spec::Violation& v : hinted.violations()) times.push_back(v.time);
+  EXPECT_EQ(times, (std::vector<SimTime>{2, 3, 4, 5, 6, 7, 8}));
+  EXPECT_EQ(hinted.violations().front().detail,
+            "processes 0 and 1 each believe their request precedes the "
+            "other's");
+  EXPECT_EQ(hinted.violations().back().detail,
+            "processes 1 and 2 each believe their request precedes the "
+            "other's");
+  EXPECT_EQ(hinted.episodes(), 1u);
+
+  ASSERT_EQ(hinted.violations().size(), full.violations().size());
+  for (std::size_t i = 0; i < full.violations().size(); ++i) {
+    EXPECT_EQ(hinted.violations()[i].time, full.violations()[i].time);
+    EXPECT_EQ(hinted.violations()[i].detail, full.violations()[i].detail);
+  }
+  EXPECT_EQ(hinted.total_violations(), full.total_violations());
+  EXPECT_EQ(hinted.last_violation(), full.last_violation());
+  EXPECT_EQ(hinted.episodes(), full.episodes());
 }
 
 // --- install helper ------------------------------------------------------------------

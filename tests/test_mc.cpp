@@ -1,11 +1,16 @@
 // Tests for the graybox model checker (mc::Explorer): trace round-trips,
 // deterministic re-execution, the seeded-mutant detection matrix that
-// backs the CI mutation smoke, and clean baselines proving the detector
-// does not cry wolf on the correct implementations.
+// backs the CI mutation smoke, clean baselines proving the detector does
+// not cry wolf on the correct implementations, and every protocol's and
+// mutant's batch knows row read against its per-peer relation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "core/harness.hpp"
+#include "me/lamport.hpp"
 #include "mc/explorer.hpp"
 #include "mc/mutants.hpp"
 #include "mc/trace.hpp"
@@ -199,6 +204,89 @@ TEST(MutationSmoke, CorrectRicartAgrawalaCleanUnderEagerReplyConfig) {
 
 TEST(MutationSmoke, CorrectLamportCleanUnderNoAckConfig) {
   expect_clean("lamport", 10.0);
+}
+
+// --- The knows row read in one call ------------------------------------------
+//
+// The snapshot reads each process's knows_earlier row through
+// TmeProcess::fill_knows_row, which Lamport overrides with one pass. Every
+// registered protocol, the mutants included, must write exactly what its
+// own per-peer knows_earlier says: a mutant that inherited Lamport's pass
+// would be observed by Lamport's relation while it enters by its own.
+
+/// Every process's row of h against the per-peer loop; stops at the first
+/// wrong row.
+void expect_rows_match(core::SystemHarness& h, std::size_t n,
+                       const std::string& where) {
+  std::vector<char> row(n);
+  for (ProcessId j = 0; j < n; ++j) {
+    const me::TmeProcess& p = h.process(j);
+    std::fill(row.begin(), row.end(), 2);
+    const std::size_t ones = p.fill_knows_row(row);
+    std::size_t expected_ones = 0;
+    for (ProcessId k = 0; k < n; ++k) {
+      const char expected = k != j && p.knows_earlier(k) ? 1 : 0;
+      expected_ones += static_cast<std::size_t>(expected);
+      if (row[k] != expected) {
+        ADD_FAILURE() << where << ": row " << j << ", peer " << k << " reads "
+                      << int{row[k]} << ", knows_earlier says "
+                      << int{expected};
+        return;
+      }
+    }
+    ASSERT_EQ(ones, expected_ones) << where << ": row " << j;
+  }
+}
+
+TEST(KnowsRow, BatchReadEqualsThePerPeerLoopForEveryProtocol) {
+  register_mutants();
+  for (const std::size_t n : {std::size_t{8}, std::size_t{256}}) {
+    for (const me::Protocol* protocol :
+         me::ProtocolRegistry::instance().protocols()) {
+      const std::string at =
+          std::string(protocol->name) + " n=" + std::to_string(n);
+      core::HarnessConfig config;
+      config.n = n;
+      config.algorithm = std::string(protocol->name);
+      config.wrapped = false;
+      config.install_monitors = false;
+      config.client.think_mean = 8.0 * static_cast<double>(n);
+      config.client.eat_mean = 4;
+      core::SystemHarness h(config);
+      expect_rows_match(h, n, at + " initial");
+      h.start();
+      h.run_for(200);
+      // Half the processes corrupted, 50 times over, with two ticks of the
+      // protocol between corruptions.
+      for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+        h.run_for(2);
+        Rng rng(seed);
+        for (ProcessId j = seed % 2; j < n; j += 2)
+          h.process(j).corrupt_state(rng);
+        expect_rows_match(h, n, at + " seed " + std::to_string(seed));
+      }
+      // Lamport's surgical faults, on every process that is a LamportMe:
+      // duplicate entries of one peer on both sides of REQ, an entry under
+      // the process's own pid, and an emptied queue.
+      if (dynamic_cast<me::LamportMe*>(&h.process(0)) == nullptr) continue;
+      for (ProcessId j = 0; j < n; ++j) {
+        auto& p = dynamic_cast<me::LamportMe&>(h.process(j));
+        const ProcessId k = (j + 1) % n;
+        p.fault_insert_queue_entry(k, clk::Timestamp{0, k});
+        p.fault_insert_queue_entry(k, clk::Timestamp{p.req().counter + 1, k});
+        p.fault_set_last_heard(k, clk::Timestamp{p.req().counter + 2, k});
+      }
+      expect_rows_match(h, n, at + " duplicate entries");
+      for (ProcessId j = 0; j < n; ++j) {
+        auto& p = dynamic_cast<me::LamportMe&>(h.process(j));
+        p.fault_insert_queue_entry(j, clk::Timestamp{0, j});
+      }
+      expect_rows_match(h, n, at + " own-pid entry");
+      for (ProcessId j = 0; j < n; ++j)
+        dynamic_cast<me::LamportMe&>(h.process(j)).fault_clear_queue();
+      expect_rows_match(h, n, at + " cleared queue");
+    }
+  }
 }
 
 }  // namespace

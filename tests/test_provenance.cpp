@@ -4,10 +4,12 @@
 // across --jobs values.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
 #include "common/report.hpp"
+#include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/harness.hpp"
 #include "core/stabilization.hpp"
@@ -187,6 +189,133 @@ TEST(ProvenanceTracker, AttributionUnionsTaintsAndFallsBackToLatestFault) {
   EXPECT_EQ(fallback[0], b);
   EXPECT_EQ(prov.blast()[1].violations_attributed, 2u);
   EXPECT_EQ(prov.blast()[1].last_violation, 50u);
+}
+
+TEST(ProvenanceTracker, CachedAttributionEqualsTheFoldOverEverySet) {
+  // The tracker caches the attribution union and refolds it only after some
+  // process's set changes. Here a random sequence of mints, taints, merges,
+  // clears and attributions holds every attribution to the fold itself,
+  // recomputed from a model of the n sets in pid order (ids, their order,
+  // count and drop count), and every BlastRadius row to the model's at the
+  // end. n = 300 puts pids above 64 and above 256.
+  constexpr std::size_t kN = 300;
+  const ProcessId kHot[] = {0, 1, 63, 64, 65, 200, 255, 256, 257, 299};
+  ProvenanceTracker prov(kN);
+  std::vector<TaintSet> model(kN);
+  std::vector<obs::BlastRadius> rows;
+  std::vector<std::vector<char>> reached;  // [id - 1][pid]
+  const auto model_taint = [&](ProcessId pid, ProvenanceId id) {
+    if (id == obs::kNoProvenance || id > rows.size()) return;
+    if (model[pid].add(id) && !reached[id - 1][pid]) {
+      reached[id - 1][pid] = 1;
+      ++rows[id - 1].processes_tainted;
+    }
+  };
+  const auto same = [](const TaintSet& a, const TaintSet& b) {
+    if (a.count != b.count || a.dropped != b.dropped) return false;
+    for (std::size_t i = 0; i < a.size(); ++i)
+      if (a[i] != b[i]) return false;
+    return true;
+  };
+
+  Rng rng(25);
+  std::size_t attributions = 0, saturated = 0, unchanged = 0;
+  for (SimTime now = 1; now <= 2000; ++now) {
+    if (now % 250 == 0) {
+      // A round of corrections clears every process, so the union's drop
+      // count (saturating at 255) starts low again.
+      for (ProcessId pid = 0; pid < kN; ++pid) {
+        prov.clear_process(pid);
+        model[pid].clear();
+      }
+    }
+    // Most steps hit a few hot pids, so their sets fill past capacity.
+    const ProcessId pid = rng.chance(0.8)
+                              ? kHot[rng.index(std::size(kHot))]
+                              : static_cast<ProcessId>(rng.index(kN));
+    // An id in [1, minted + 1]: the one past the end is ignored.
+    const auto any_id = [&] {
+      return static_cast<ProvenanceId>(rng.uniform(1, rows.size() + 1));
+    };
+    const TaintSet before = model[pid];
+    const std::size_t pick = rng.index(100);
+    if (pick < 6 || rows.empty()) {
+      const ProcessId origin = rng.chance(0.5) ? pid : kNoProcess;
+      const ProvenanceId id = prov.mint(3, origin, now);
+      obs::BlastRadius row;
+      row.id = id;
+      row.code = 3;
+      row.origin = origin;
+      row.injected_at = now;
+      rows.push_back(row);
+      reached.emplace_back(kN, 0);
+      continue;
+    } else if (pick < 30) {
+      const ProvenanceId id = any_id();
+      prov.taint_process(pid, id);
+      model_taint(pid, id);
+    } else if (pick < 60) {
+      TaintSet taint;
+      const std::size_t ids = rng.uniform(0, TaintSet::kCapacity);
+      for (std::size_t i = 0; i < ids; ++i) taint.add(any_id());
+      // Mostly none, sometimes a few, now and then any number of drops.
+      const double d = rng.uniform01();
+      taint.dropped = static_cast<std::uint8_t>(
+          d < 0.75 ? 0 : rng.uniform(1, d < 0.95 ? 7 : 255));
+      prov.merge_process(pid, taint);
+      for (std::size_t i = 0; i < taint.size(); ++i)
+        model_taint(pid, taint[i]);
+      model[pid].note_dropped(taint.dropped);
+    } else if (pick < 72) {
+      prov.clear_process(pid);
+      model[pid].clear();
+    } else {
+      TaintSet expected;
+      std::set<ProvenanceId> live;
+      for (const TaintSet& t : model) {
+        expected.merge(t);
+        for (std::size_t i = 0; i < t.size(); ++i) live.insert(t[i]);
+      }
+      if (live.size() > TaintSet::kCapacity) ++saturated;
+      if (expected.empty())
+        expected.add(static_cast<ProvenanceId>(rows.size()));
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ++rows[expected[i] - 1].violations_attributed;
+        rows[expected[i] - 1].last_violation = now;
+      }
+      const TaintSet got = prov.attribute_violation(now);
+      ++attributions;
+      ASSERT_TRUE(same(got, expected))
+          << "attribution at t=" << now << ": " << int{got.count} << " ids, "
+          << int{got.dropped} << " dropped; the fold has "
+          << int{expected.count} << " ids, " << int{expected.dropped}
+          << " dropped";
+      continue;
+    }
+    ASSERT_TRUE(same(prov.process_taint(pid), model[pid])) << "t=" << now;
+    if (same(before, model[pid])) ++unchanged;
+  }
+  // The run met what the cache must survive: more live ids than a set
+  // holds (keep-oldest saturation) and mutator calls that left their set
+  // as it was.
+  EXPECT_GT(attributions, 400u);
+  EXPECT_GT(saturated, 100u);
+  EXPECT_GT(unchanged, 100u);
+
+  ASSERT_EQ(prov.blast().size(), rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const obs::BlastRadius& got = prov.blast()[i];
+    const obs::BlastRadius& want = rows[i];
+    EXPECT_EQ(got.id, want.id);
+    EXPECT_EQ(got.code, want.code);
+    EXPECT_EQ(got.origin, want.origin);
+    EXPECT_EQ(got.injected_at, want.injected_at);
+    EXPECT_EQ(got.processes_tainted, want.processes_tainted) << "id " << i + 1;
+    EXPECT_EQ(got.messages_tainted, want.messages_tainted);
+    EXPECT_EQ(got.violations_attributed, want.violations_attributed)
+        << "id " << i + 1;
+    EXPECT_EQ(got.last_violation, want.last_violation) << "id " << i + 1;
+  }
 }
 
 TEST(ProvenanceTracker, MessageTaintTally) {

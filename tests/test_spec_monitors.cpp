@@ -241,6 +241,37 @@ TEST(MonitorBase, RetentionCapKeepsExactCounters) {
   EXPECT_EQ(m.first_violation(), 0u);
 }
 
+TEST(MonitorBase, DetailIsBuiltOnlyForRetainedRecords) {
+  // A monitor that reports on every state: its formatter runs for the
+  // kMaxRetained records that are kept and for no other, while the totals,
+  // the first and last times and the hook stay exact.
+  struct Flood : Monitor<Rows> {
+    Flood() : Monitor<Rows>("flood") {}
+    void begin(SimTime t, const Rows&) override { flood(t); }
+    void step(SimTime t, const Rows&, const Rows&, std::size_t) override {
+      flood(t);
+    }
+    void flood(SimTime t) {
+      report(t, [this] {
+        ++formatted;
+        return std::string("detail");
+      });
+    }
+    int formatted = 0;
+  };
+  Set set;
+  auto& m = set.add<Flood>();
+  int hooks = 0;
+  set.set_violation_hook([&hooks](SimTime, std::size_t) { ++hooks; });
+  for (SimTime t = 5; t < 1005; ++t) set.observe(t, Rows{{0}});
+  EXPECT_EQ(m.formatted, 256);
+  EXPECT_EQ(m.violations().size(), 256u);
+  EXPECT_EQ(m.total_violations(), 1000u);
+  EXPECT_EQ(m.first_violation(), 5u);
+  EXPECT_EQ(m.last_violation(), 1004u);
+  EXPECT_EQ(hooks, 1000);
+}
+
 TEST(ViolationHelpers, ToString) {
   const Violation v{7, "ME1", "two eaters"};
   EXPECT_EQ(v.to_string(), "[7] ME1: two eaters");

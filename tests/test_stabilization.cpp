@@ -145,6 +145,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep,
 
 // --- The contrast the wrapper makes --------------------------------------------
 
+/// The Section 4 loss at t=100: processes 0 and 1 request the CS, and every
+/// channel out of either is cleared through the fault injector, so the
+/// report counts the clears as faults.
+FaultScenario scripted_loss() {
+  FaultScenario scenario;
+  scenario.warmup = 100;
+  scenario.observation = 6000;
+  scenario.drain = 4000;
+  scenario.scripted_fault = [](SystemHarness& h) {
+    h.process(0).request_cs();
+    h.process(1).request_cs();
+    for (ProcessId to = 0; to < h.network().size(); ++to) {
+      for (const ProcessId from : {ProcessId{0}, ProcessId{1}}) {
+        h.faults().inject_targeted(
+            {.code = net::FaultKind::kChannelClear, .a = from, .b = to});
+      }
+    }
+  };
+  return scenario;
+}
+
 TEST(BareSystem, CanFailToRecoverFromChannelClears) {
   // Without the wrapper the paper gives a concrete non-recovery scenario
   // (Section 4). Bare systems may survive some bursts by luck; this test
@@ -154,20 +175,9 @@ TEST(BareSystem, CanFailToRecoverFromChannelClears) {
   config.wrapped = false;
   config.client.wants_cs = false;  // scripted requests only
 
-  FaultScenario scenario;
-  scenario.warmup = 100;
-  scenario.observation = 6000;
-  scenario.drain = 4000;
-  scenario.scripted_fault = [](SystemHarness& h) {
-    h.process(0).request_cs();
-    h.process(1).request_cs();
-    const std::size_t n = h.network().size();
-    for (ProcessId to = 0; to < n; ++to) {
-      if (to != 0) h.network().channel(0, to).fault_clear();
-      if (to != 1) h.network().channel(1, to).fault_clear();
-    }
-  };
-  const auto result = run_fault_experiment(config, scenario);
+  const auto result = run_fault_experiment(config, scripted_loss());
+  EXPECT_TRUE(result.report.faults_injected);
+  EXPECT_EQ(result.report.last_fault, 100u);
   EXPECT_FALSE(result.report.stabilized);
   EXPECT_TRUE(result.report.starvation);
 }
@@ -176,20 +186,9 @@ TEST(WrappedSystem, RecoversFromTheSameScriptedLoss) {
   HarnessConfig config = wrapped_config("ricart-agrawala", 3);
   config.client.wants_cs = false;
 
-  FaultScenario scenario;
-  scenario.warmup = 100;
-  scenario.observation = 6000;
-  scenario.drain = 4000;
-  scenario.scripted_fault = [](SystemHarness& h) {
-    h.process(0).request_cs();
-    h.process(1).request_cs();
-    const std::size_t n = h.network().size();
-    for (ProcessId to = 0; to < n; ++to) {
-      if (to != 0) h.network().channel(0, to).fault_clear();
-      if (to != 1) h.network().channel(1, to).fault_clear();
-    }
-  };
-  const auto result = run_fault_experiment(config, scenario);
+  const auto result = run_fault_experiment(config, scripted_loss());
+  EXPECT_TRUE(result.report.faults_injected);
+  EXPECT_EQ(result.report.last_fault, 100u);
   EXPECT_TRUE(result.report.stabilized) << result.report.to_string();
   EXPECT_EQ(result.stats.cs_entries, 2u);  // both scripted requests served
 }
